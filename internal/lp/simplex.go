@@ -24,7 +24,7 @@ type Problem struct {
 type Result struct {
 	X         []float64 // optimal point
 	Objective float64   // cᵀ·x at the optimum
-	Iters     int       // simplex pivots performed
+	Iters     int       // simplex pivots performed, drive-outs between phases included
 }
 
 // ErrInfeasible is returned when no x ≥ 0 satisfies A·x = b.
@@ -126,6 +126,7 @@ func (ws *Workspace) Solve(p Problem) (Result, error) {
 		return Result{}, ErrInfeasible
 	}
 	// Drive any artificial variables out of the basis (degenerate rows).
+	// These are pivots too, so they count toward Iters and the budget.
 	for i := 0; i < m; i++ {
 		if t.basis[i] < n {
 			continue
@@ -133,6 +134,7 @@ func (ws *Workspace) Solve(p Problem) (Result, error) {
 		for j := 0; j < n; j++ {
 			if math.Abs(t.a[i][j]) > pivotEps {
 				t.pivot(i, j)
+				iters++
 				break
 			}
 		}
@@ -165,11 +167,19 @@ func (ws *Workspace) Solve(p Problem) (Result, error) {
 
 // tableau is a dense simplex tableau in "revised-lite" form: we keep the
 // full constraint rows updated in place plus the current basis.
+//
+// A pivot changes only the columns where the pivot row is nonzero — every
+// other column keeps its entries and its reduced cost — so pivot records
+// those columns in cols, and optimize reprices just them. prow lists the
+// pricing rows (basic cost neither 0 nor a frozen +Inf) in ascending order.
+// Both are sized at reset, so pivots and repricing never allocate.
 type tableau struct {
 	m, n  int
 	a     [][]float64
 	b     []float64
 	basis []int
+	cols  []int // columns touched by the last pivot, ascending
+	prow  []int // pricing rows, ascending
 }
 
 // reset prepares the tableau for an m×n program, reusing row storage from
@@ -178,6 +188,8 @@ func (t *tableau) reset(m, n int) {
 	t.m, t.n = m, n
 	t.b = scratch.GrowZero(t.b, m)
 	t.basis = scratch.Grow(t.basis, m)
+	t.cols = scratch.Grow(t.cols, n)[:0]
+	t.prow = scratch.Grow(t.prow, m)[:0]
 	if cap(t.a) < m {
 		rows := make([][]float64, m)
 		copy(rows, t.a[:cap(t.a)])
@@ -201,40 +213,66 @@ func (t *tableau) objective(c []float64) float64 {
 	return s
 }
 
-// reducedCosts computes c_j − c_Bᵀ·B⁻¹·A_j for all columns into rc, given
-// the current tableau (in which rows are already expressed in the basis).
-//
-// The sweep is row-major — rc starts at c and each basic row subtracts its
-// c_B-scaled coefficients — which walks every tableau row sequentially
-// instead of striding down columns. For each column the subtractions happen
-// in the same ascending-row order as the textbook column-major loop, so the
-// floating-point results are bit-identical; rows whose basic cost is zero
-// (or a frozen artificial) contribute exact no-ops and are skipped.
-func (t *tableau) reducedCosts(c []float64, rc []float64) {
-	rc = rc[:t.n]
-	copy(rc, c[:t.n])
+// pricingRows lists the rows that contribute to the reduced costs under
+// objective c: those whose basic cost is neither zero nor a frozen +Inf
+// artificial (at value 0), which would only subtract exact zeros.
+func (t *tableau) pricingRows(c []float64) {
+	t.prow = t.prow[:0]
 	for i, bv := range t.basis {
-		cb := c[bv]
-		if cb == 0 || math.IsInf(cb, 1) {
-			// Frozen artificial at value 0 contributes nothing.
-			continue
+		if cb := c[bv]; cb != 0 && !math.IsInf(cb, 1) {
+			t.prow = append(t.prow, i)
 		}
-		row := t.a[i]
-		for j, aij := range row {
+	}
+}
+
+// reducedCosts computes c_j − c_Bᵀ·B⁻¹·A_j for all columns into rc, given
+// the current tableau (in which rows are already expressed in the basis) and
+// the pricing rows of c.
+//
+// The sweep is row-major — rc starts at c and each pricing row subtracts its
+// c_B-scaled coefficients — so it walks every tableau row sequentially. For
+// each column the subtractions happen in ascending row order, the same order
+// reprice uses, so the two agree bit for bit.
+func (t *tableau) reducedCosts(c []float64, rc []float64) {
+	copy(rc, c[:t.n])
+	for _, i := range t.prow {
+		cb := c[t.basis[i]]
+		for j, aij := range t.a[i] {
 			rc[j] -= cb * aij
 		}
 	}
 }
 
+// reprice recomputes the reduced costs of the columns the last pivot
+// touched, each as the full column sum in ascending pricing-row order —
+// the sweep of reducedCosts restricted to those columns, so the results are
+// the same bits. Every other column has the same entries as before the
+// pivot, and its entry in the pivot row is zero, so its reduced cost is
+// unchanged (up to the sign of a zero, which no comparison or later sum can
+// observe).
+func (t *tableau) reprice(c []float64, rc []float64) {
+	for _, j := range t.cols {
+		rc[j] = c[j]
+	}
+	for _, i := range t.prow {
+		cb, ri := c[t.basis[i]], t.a[i]
+		for _, j := range t.cols {
+			rc[j] -= cb * ri[j]
+		}
+	}
+}
+
 // optimize runs primal simplex pivots until optimality for objective c,
-// using rc (capacity ≥ t.n) as the reduced-cost scratch.
+// using rc (capacity ≥ t.n) as the reduced-cost scratch. The reduced costs
+// are swept in full once, then repriced incrementally after each pivot.
 func (t *tableau) optimize(c []float64, startIter int, rc []float64) (int, error) {
 	maxIters := 2000 + 40*(t.m+t.n)
 	iters := startIter
 	blandFrom := maxIters / 2
 	rc = rc[:t.n]
+	t.pricingRows(c)
+	t.reducedCosts(c, rc)
 	for ; iters < maxIters; iters++ {
-		t.reducedCosts(c, rc)
 		enter := -1
 		if iters < blandFrom {
 			// Dantzig: most negative reduced cost. (+Inf frozen columns can
@@ -274,30 +312,38 @@ func (t *tableau) optimize(c []float64, startIter int, rc []float64) (int, error
 			return iters, ErrUnbounded
 		}
 		t.pivot(leave, enter)
+		t.pricingRows(c)
+		t.reprice(c, rc)
 	}
 	return iters, ErrIterationLimit
 }
 
-// pivot makes column `enter` basic in row `leave`.
+// pivot makes column `enter` basic in row `leave`. Only the columns where
+// the pivot row is nonzero are scaled and eliminated; they are recorded in
+// t.cols. Skipping a zero column leaves every entry as it was, where the
+// full-row update would at most have flipped the sign of a zero.
 func (t *tableau) pivot(leave, enter int) {
-	pv := t.a[leave][enter]
-	inv := 1 / pv
 	row := t.a[leave]
-	for j := range row {
-		row[j] *= inv
+	inv := 1 / row[enter]
+	cols := t.cols[:0]
+	for j, v := range row {
+		if v != 0 {
+			row[j] = v * inv
+			cols = append(cols, j)
+		}
 	}
+	t.cols = cols
 	t.b[leave] *= inv
 	row[enter] = 1 // kill rounding noise
-	for i := 0; i < t.m; i++ {
+	for i, ri := range t.a {
 		if i == leave {
 			continue
 		}
-		f := t.a[i][enter]
+		f := ri[enter]
 		if f == 0 {
 			continue
 		}
-		ri := t.a[i]
-		for j := range ri {
+		for _, j := range cols {
 			ri[j] -= f * row[j]
 		}
 		ri[enter] = 0

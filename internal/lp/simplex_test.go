@@ -93,6 +93,31 @@ func TestSolveDegenerateRedundantRow(t *testing.T) {
 	}
 }
 
+// Iters counts every pivot, including the ones that drive a zero-level
+// artificial out of the basis between the phases. Here the third row is the
+// sum of the first two and b = 0, so phase 1 ends after one pivot with
+// artificials basic at value 0 in rows 2 and 3.
+func TestSolveItersCountsDriveOutPivots(t *testing.T) {
+	a := linalg.FromRows([][]float64{
+		{1, 1},
+		{1, -1},
+		{2, 0},
+	})
+	res, err := Solve(Problem{C: []float64{1, 1}, A: a, B: []float64{0, 0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Phase 1: x1 enters in row 1 (1 pivot) and the phase-1 objective is 0.
+	// Between the phases x2 replaces the artificial of row 2 (1 pivot); row
+	// 3 is redundant and keeps its artificial. Phase 2 starts optimal.
+	if res.Iters != 2 {
+		t.Fatalf("Iters = %d, want 2 (1 phase-1 pivot + 1 drive-out pivot)", res.Iters)
+	}
+	if res.X[0] != 0 || res.X[1] != 0 || res.Objective != 0 {
+		t.Fatalf("x = %v, objective %v, want [0 0] and 0", res.X, res.Objective)
+	}
+}
+
 // Property: the simplex optimum is no worse than any random feasible point.
 func TestSolveOptimalityAgainstRandomFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
