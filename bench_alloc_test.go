@@ -1,7 +1,8 @@
 // Zero-allocation steady-state benchmarks (BENCH_alloc.json): price the
-// pooled evaluate workspaces against the allocating estimate path on the
+// reused evaluate workspace against the allocating estimate path on the
 // windowed-inference loop, and the cache-blocked batched pair-count kernel
-// against per-pair column streaming.
+// against per-pair column streaming. Every baseline is measured in the
+// same run.
 package tomography_test
 
 import (
@@ -13,14 +14,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/snapstore"
 )
-
-// pr4WindowedNsPerOp is the end-to-end BenchmarkWindowedInference
-// sliding-window time recorded in BENCH_dynamics.json by PR 4 on the CI
-// reference machine — the fixed baseline the workspace path is measured
-// against (the live "alloc-path" sub-benchmark re-measures the allocating
-// path on the current tree, which already benefits from the row-major
-// reduced-cost sweep).
-const pr4WindowedNsPerOp = 586178753.0
 
 // BenchmarkWindowedInferenceWorkspace replays the BenchmarkWindowedInference
 // workload (same topology, dynamics, window and stride) through both
@@ -53,13 +46,12 @@ func BenchmarkWindowedInferenceWorkspace(b *testing.B) {
 		}
 	}
 	metrics := map[string]float64{
-		"snapshots":          snapshots,
-		"window":             window,
-		"stride":             stride,
-		"paths":              float64(top.NumPaths()),
-		"links":              float64(top.NumLinks()),
-		"checkpoints":        float64(checkpoints),
-		"pr4-baseline-ns/op": pr4WindowedNsPerOp,
+		"snapshots":   snapshots,
+		"window":      window,
+		"stride":      stride,
+		"paths":       float64(top.NumPaths()),
+		"links":       float64(top.NumLinks()),
+		"checkpoints": float64(checkpoints),
 	}
 
 	b.Run("alloc-path", func(b *testing.B) {
@@ -100,10 +92,9 @@ func BenchmarkWindowedInferenceWorkspace(b *testing.B) {
 	})
 	if a, w := metrics["alloc-path-ns/op"], metrics["workspace-ns/op"]; a > 0 && w > 0 {
 		metrics["speedup-vs-alloc-path"] = a / w
-		metrics["speedup-vs-pr4-baseline"] = pr4WindowedNsPerOp / w
-		b.Logf("windowed inference: alloc path %.1f ms (%.0f allocs), workspace %.1f ms (%.0f allocs) — %.2f× vs alloc path, %.2f× vs the PR 4 baseline",
+		b.Logf("windowed inference: alloc path %.1f ms (%.0f allocs), workspace %.1f ms (%.0f allocs) — %.2f× vs alloc path",
 			a/1e6, metrics["alloc-path-allocs/op"], w/1e6, metrics["workspace-allocs/op"],
-			metrics["speedup-vs-alloc-path"], metrics["speedup-vs-pr4-baseline"])
+			metrics["speedup-vs-alloc-path"])
 	}
 	writeBenchJSONFile(b, "BENCH_alloc.json", "BenchmarkWindowedInference", metrics)
 }
@@ -122,11 +113,6 @@ func countAllocs(b *testing.B, op func()) float64 {
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / float64(b.N)
 }
-
-// pr5BatchedNsPerOp is the serial cache-blocked kernel's batched-ns/op
-// recorded in BENCH_alloc.json by PR 5 on the CI reference machine — the
-// fixed baseline the workspace and multicore kernels are measured against.
-const pr5BatchedNsPerOp = 335829748.67
 
 // BenchmarkBatchPairCount prices the cache-blocked batched pair-count
 // kernel (snapstore.CountPairsGood) against the per-pair path the pair
@@ -221,17 +207,15 @@ func BenchmarkBatchPairCount(b *testing.B) {
 			metrics[key] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		})
 	}
-	metrics["pr5-batched-ns/op"] = pr5BatchedNsPerOp
 	if pp, bb := metrics["per-pair-ns/op"], metrics["batched-ns/op"]; pp > 0 && bb > 0 {
 		metrics["speedup"] = pp / bb
 		ser, par := metrics["batched-ws-serial-ns/op"], metrics["batched-parallel-8-ns/op"]
 		if ser > 0 && par > 0 {
 			metrics["parallel-vs-serial"] = ser / par
-			metrics["parallel-8-vs-pr5-serial"] = pr5BatchedNsPerOp / par
 		}
-		b.Logf("pair counting over %d pairs × %d snapshots: per-pair %.2f ms, batched blocked %.2f ms (%.1f×), ws serial %.2f ms, 8 workers %.2f ms (%.2f× vs ws serial, %.2f× vs PR 5 serial)",
+		b.Logf("pair counting over %d pairs × %d snapshots: per-pair %.2f ms, batched blocked %.2f ms (%.1f×), ws serial %.2f ms, 8 workers %.2f ms (%.2f× vs ws serial)",
 			len(pairs), snapshots, pp/1e6, bb/1e6, metrics["speedup"],
-			ser/1e6, par/1e6, metrics["parallel-vs-serial"], metrics["parallel-8-vs-pr5-serial"])
+			ser/1e6, par/1e6, metrics["parallel-vs-serial"])
 	}
 	writeBenchJSONFile(b, "BENCH_alloc.json", "BenchmarkBatchPairCount", metrics)
 }

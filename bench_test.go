@@ -213,7 +213,7 @@ func BenchmarkAblationPairsOff(b *testing.B) {
 			var res *core.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = core.Correlation(s.Topology, src, core.Options{DisablePairs: !pairs})
+				res, err = runLinearOnce(s.Topology, src, false, core.Options{DisablePairs: !pairs})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -243,7 +243,7 @@ func BenchmarkAblationSolver(b *testing.B) {
 			var res *core.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = core.Correlation(s.Topology, src, c.opts)
+				res, err = runLinearOnce(s.Topology, src, false, c.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -271,7 +271,7 @@ func BenchmarkAblationPacketLevel(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s, src := benchScenario(b, 600, c.mode, c.packets)
-				res, err := core.Correlation(s.Topology, src, core.Options{})
+				res, err := runLinearOnce(s.Topology, src, false, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -292,7 +292,7 @@ func BenchmarkAblationSnapshots(b *testing.B) {
 			var meanErr float64
 			for i := 0; i < b.N; i++ {
 				s, src := benchScenario(b, n, netsim.StateLevel, 0)
-				res, err := core.Correlation(s.Topology, src, core.Options{})
+				res, err := runLinearOnce(s.Topology, src, false, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -313,7 +313,7 @@ func BenchmarkAblationMLE(b *testing.B) {
 		var res *core.Result
 		var err error
 		for i := 0; i < b.N; i++ {
-			res, err = core.Independence(s.Topology, src, core.Options{UseAllEquations: true})
+			res, err = runLinearOnce(s.Topology, src, true, core.Options{UseAllEquations: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -325,7 +325,7 @@ func BenchmarkAblationMLE(b *testing.B) {
 		var res *mle.Result
 		var err error
 		for i := 0; i < b.N; i++ {
-			res, err = mle.Estimate(s.Topology, src, mle.Options{})
+			res, err = runMLEOnce(s.Topology, src, mle.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -374,7 +374,7 @@ func BenchmarkAblationTheorem(b *testing.B) {
 		var res *core.TheoremResult
 		for i := 0; i < b.N; i++ {
 			var err error
-			res, err = core.Theorem(top, src, core.TheoremOptions{})
+			res, err = runTheoremOnce(top, src, core.TheoremOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -385,7 +385,7 @@ func BenchmarkAblationTheorem(b *testing.B) {
 		var res *core.Result
 		for i := 0; i < b.N; i++ {
 			var err error
-			res, err = core.Correlation(top, src, core.Options{})
+			res, err = runLinearOnce(top, src, false, core.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -52,7 +52,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		snapshots = fs.Int("snapshots", 2000, "number of measurement snapshots")
 		seed      = fs.Int64("seed", 1, "seed for scenario and simulation")
 		estimator = fs.String("estimator", "", "registered estimator(s), comma-separated: "+estimators+" (also: both = correlation,independence)")
-		algo      = fs.String("algorithm", "", "deprecated alias for -estimator")
 		packet    = fs.Bool("packet-level", false, "simulate probe packets and loss rates")
 		storeDir  = fs.String("store-dir", "", "spill measurement columns to checksummed segment files under this directory (out-of-core; existing contents are replaced). Estimates are bit-identical to the in-RAM run")
 		summary   = fs.Bool("summary", false, "print error summary instead of the per-link table")
@@ -83,7 +82,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	names, err := resolveEstimators(*estimator, *algo)
+	names, err := resolveEstimators(*estimator)
 	if err != nil {
 		return err
 	}
@@ -307,13 +306,9 @@ func emitJSON(w io.Writer, scn *tomography.Scenario, snapshots int, runs []estim
 	return enc.Encode(rep)
 }
 
-// resolveEstimators turns the -estimator (or legacy -algorithm) selection
-// into a list of registry names, validating each against the registry.
-func resolveEstimators(estimator, algo string) ([]string, error) {
-	sel := estimator
-	if sel == "" {
-		sel = algo
-	}
+// resolveEstimators turns the -estimator selection into a list of registry
+// names, validating each against the registry.
+func resolveEstimators(sel string) ([]string, error) {
 	if sel == "" {
 		sel = "correlation"
 	}

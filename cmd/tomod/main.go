@@ -13,13 +13,13 @@
 //	tomod -selftest -scenario diurnal -tenants 4 -snapshots 20000
 //
 // The -selftest form starts the daemon on an ephemeral port, drives it
-// with the synthetic probe firehose, and records sustained throughput and
-// estimate-latency percentiles in BENCH_serve.json.
+// with the synthetic probe firehose, and prints the ingested and served
+// counts, the final estimates, and (unless -no-timing) sustained throughput
+// and estimate-latency percentiles. It exits non-zero if any step fails.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -68,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		snapshots = fs.Int("snapshots", 2000, "selftest: probe-stream length per tenant")
 		batch     = fs.Int("batch", 64, "selftest: snapshots per ingest POST")
 		estEvery  = fs.Int("estimate-every", 4, "selftest: request an estimate after this many accepted batches")
-		benchOut  = fs.String("bench-out", "BENCH_serve.json", "selftest: write the firehose report to this file ('' = skip)")
 		countWork = fs.Int("count-workers", 0, "fan each tenant's batched pair-count kernel out across this many workers during estimates (0/1 = serial); estimates are bit-identical for every setting")
 		estWork   = fs.Int("estimate-workers", 0, "run estimates on this many read-replica workers against published window views (0/1 = one worker); estimates are bit-identical for every setting")
 		spillDir  = fs.String("spill-dir", "", "back every tenant window with the out-of-core segment store under this directory (per-tenant subdirectories, reset at registration); estimates are bit-identical to the in-RAM windows")
@@ -145,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			scenario: *scenName, tenants: *tenants, window: *window,
 			estimator: *estimator, seed: *seed, snapshots: *snapshots,
 			batch: *batch, estimateEvery: *estEvery,
-			benchOut: *benchOut, noTiming: *noTiming, wire: *wire,
+			noTiming: *noTiming, wire: *wire,
 		})
 	}
 	return runServe(d, stdout, serveConfig{
@@ -249,7 +248,6 @@ type selftestConfig struct {
 	snapshots     int
 	batch         int
 	estimateEvery int
-	benchOut      string
 	noTiming      bool
 	wire          string
 }
@@ -307,16 +305,6 @@ func runSelftest(d *serve.Daemon, stdout io.Writer, cfg selftestConfig) error {
 		fmt.Fprintf(stdout, "selftest: wire comparison: json %.0f snapshots/sec (%.1f MB/s), binary %.0f snapshots/sec (%.1f MB/s)\n",
 			report.JSONSnapshotsPerSec, report.JSONIngestMBPerSec,
 			report.BinarySnapshotsPerSec, report.BinaryIngestMBPerSec)
-	}
-	if cfg.benchOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.benchOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "selftest: wrote %s\n", cfg.benchOut)
 	}
 	return nil
 }

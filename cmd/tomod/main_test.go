@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -59,7 +58,7 @@ func checkGolden(t *testing.T, name, got string) {
 func TestGoldenSelftest(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	err := run([]string{
-		"-selftest", "-no-timing", "-bench-out", "",
+		"-selftest", "-no-timing",
 		"-shards", "2", "-queue", "128",
 		"-scenario", "quickstart", "-tenants", "2", "-window", "120",
 		"-snapshots", "480", "-batch", "40", "-estimate-every", "2", "-seed", "7",
@@ -218,60 +217,88 @@ func TestSIGTERMGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestSelftestWritesBench pins the BENCH_serve.json artifact: a selftest
-// run must leave a parseable report with non-zero throughput, latency
-// percentiles and the deterministic count fields.
+// selftestReport is the part of a selftest's stdout the tests check: the
+// deterministic counts and the hardware-dependent rates.
+type selftestReport struct {
+	ingested, estimates                      int
+	snapsPerSec, p50Ms, p99Ms                float64
+	jsonSnaps, jsonMB, binarySnaps, binaryMB float64
+}
+
+// parseSelftest reads the report lines a selftest run printed, failing the
+// test on any line that is missing.
+func parseSelftest(t *testing.T, out string) selftestReport {
+	t.Helper()
+	var r selftestReport
+	lines := []struct {
+		pattern string
+		args    []any
+	}{
+		{`selftest: ingested %d snapshots, served %d estimates`, []any{&r.ingested, &r.estimates}},
+		{`selftest: throughput %f snapshots/sec, estimate latency p50 %f ms / p99 %f ms`, []any{&r.snapsPerSec, &r.p50Ms, &r.p99Ms}},
+		{`selftest: wire comparison: json %f snapshots/sec (%f MB/s), binary %f snapshots/sec (%f MB/s)`,
+			[]any{&r.jsonSnaps, &r.jsonMB, &r.binarySnaps, &r.binaryMB}},
+	}
+	for _, l := range lines {
+		prefix := l.pattern[:strings.Index(l.pattern, "%")]
+		i := strings.Index(out, prefix)
+		if i < 0 {
+			t.Fatalf("selftest output has no %q line:\n%s", prefix, out)
+		}
+		line := out[i:]
+		if n := strings.IndexByte(line, '\n'); n >= 0 {
+			line = line[:n]
+		}
+		if _, err := fmt.Sscanf(line, l.pattern, l.args...); err != nil {
+			t.Fatalf("parsing %q: %v", line, err)
+		}
+	}
+	return r
+}
+
+// TestSelftestWritesBench pins the selftest report a run prints: the
+// deterministic count fields, non-zero throughput, consistent latency
+// percentiles and a populated wire comparison.
 func TestSelftestWritesBench(t *testing.T) {
-	benchPath := filepath.Join(t.TempDir(), "BENCH_serve.json")
 	var out, errBuf bytes.Buffer
 	err := run([]string{
-		"-selftest", "-bench-out", benchPath, "-shards", "2",
+		"-selftest", "-shards", "2",
 		"-scenario", "quickstart", "-tenants", "2", "-window", "64",
 		"-snapshots", "256", "-batch", "32", "-estimate-every", "2", "-seed", "1",
 	}, &out, &errBuf)
 	if err != nil {
 		t.Fatalf("selftest: %v (stderr: %s)", err, errBuf.String())
 	}
-	data, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
+	report := parseSelftest(t, out.String())
+	if report.ingested != 512 {
+		t.Errorf("ingested %d snapshots, want 512", report.ingested)
 	}
-	var report serve.FirehoseReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("BENCH_serve.json is not valid JSON: %v\n%s", err, data)
+	if report.estimates != 8 {
+		t.Errorf("estimates = %d, want 8 (4 per tenant: window warm after batch 2, then every 2 of 8 batches)", report.estimates)
 	}
-	if report.SnapshotsIngested != 512 {
-		t.Errorf("ingested %d snapshots, want 512", report.SnapshotsIngested)
+	if report.snapsPerSec <= 0 {
+		t.Errorf("throughput not populated: %+v", report)
 	}
-	if report.Estimates != 8 {
-		t.Errorf("estimates = %d, want 8 (4 per tenant: window warm after batch 2, then every 2 of 8 batches)", report.Estimates)
+	if report.p50Ms <= 0 || report.p99Ms < report.p50Ms {
+		t.Errorf("latency percentiles inconsistent: p50 %v, p99 %v", report.p50Ms, report.p99Ms)
 	}
-	if report.SnapshotsPerSec <= 0 || report.ElapsedSec <= 0 {
-		t.Errorf("throughput fields not populated: %+v", report)
+	if strings.Contains(out.String(), "  wire:") {
+		t.Errorf("config block names a wire, want the json default:\n%s", out.String())
 	}
-	if report.EstimateP50Ms <= 0 || report.EstimateP99Ms < report.EstimateP50Ms {
-		t.Errorf("latency percentiles inconsistent: p50 %v, p99 %v", report.EstimateP50Ms, report.EstimateP99Ms)
-	}
-	if report.WireFormat != "json" {
-		t.Errorf("wire_format = %q, want json (the default)", report.WireFormat)
-	}
-	if report.JSONSnapshotsPerSec <= 0 || report.JSONIngestMBPerSec <= 0 ||
-		report.BinarySnapshotsPerSec <= 0 || report.BinaryIngestMBPerSec <= 0 {
+	if report.jsonSnaps <= 0 || report.jsonMB <= 0 || report.binarySnaps <= 0 || report.binaryMB <= 0 {
 		t.Errorf("wire-comparison fields not populated: json %v snap/s %v MB/s, binary %v snap/s %v MB/s",
-			report.JSONSnapshotsPerSec, report.JSONIngestMBPerSec,
-			report.BinarySnapshotsPerSec, report.BinaryIngestMBPerSec)
+			report.jsonSnaps, report.jsonMB, report.binarySnaps, report.binaryMB)
 	}
 }
 
-// TestSelftestBinaryWire re-runs the bench selftest with -wire binary: the
+// TestSelftestBinaryWire re-runs the selftest with -wire binary: the
 // measured phases POST TOMOW1 bodies instead of JSON, and the deterministic
 // counts must come out identical — the wire format changes the transport,
 // never what the daemon ingests.
 func TestSelftestBinaryWire(t *testing.T) {
-	benchPath := filepath.Join(t.TempDir(), "BENCH_serve.json")
 	var out, errBuf bytes.Buffer
 	err := run([]string{
-		"-selftest", "-bench-out", benchPath, "-shards", "2", "-wire", "binary",
+		"-selftest", "-shards", "2", "-wire", "binary",
 		"-scenario", "quickstart", "-tenants", "2", "-window", "64",
 		"-snapshots", "256", "-batch", "32", "-estimate-every", "2", "-seed", "1",
 	}, &out, &errBuf)
@@ -281,22 +308,12 @@ func TestSelftestBinaryWire(t *testing.T) {
 	if !strings.Contains(out.String(), "  wire:        binary\n") {
 		t.Errorf("config block missing the wire line:\n%s", out.String())
 	}
-	data, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
+	report := parseSelftest(t, out.String())
+	if report.ingested != 512 {
+		t.Errorf("ingested %d snapshots, want 512", report.ingested)
 	}
-	var report serve.FirehoseReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("BENCH_serve.json is not valid JSON: %v\n%s", err, data)
-	}
-	if report.WireFormat != "binary" {
-		t.Errorf("wire_format = %q, want binary", report.WireFormat)
-	}
-	if report.SnapshotsIngested != 512 {
-		t.Errorf("ingested %d snapshots, want 512", report.SnapshotsIngested)
-	}
-	if report.Estimates != 8 {
-		t.Errorf("estimates = %d, want 8 (same counts as the JSON wire)", report.Estimates)
+	if report.estimates != 8 {
+		t.Errorf("estimates = %d, want 8 (same counts as the JSON wire)", report.estimates)
 	}
 }
 
@@ -319,7 +336,7 @@ func TestInvalidFlags(t *testing.T) {
 		!strings.Contains(err.Error(), "tenants = 0, want > 0") {
 		t.Fatalf("tenants=0 error = %v", err)
 	}
-	if err := run([]string{"-selftest", "-scenario", "nope", "-bench-out", ""}, &out, &errBuf); err == nil ||
+	if err := run([]string{"-selftest", "-scenario", "nope"}, &out, &errBuf); err == nil ||
 		!strings.Contains(err.Error(), `unknown scenario "nope"`) {
 		t.Fatalf("unknown scenario error = %v", err)
 	}

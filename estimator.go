@@ -44,14 +44,13 @@ type EstimateResult struct {
 // Estimator is one pluggable inference flavor over the shared measurement
 // model: given a compiled plan for a topology and a measurement source, it
 // infers every link's congestion probability. Implementations must be safe
-// for concurrent use; the built-in estimators additionally guarantee
-// results bit-identical to their pre-registry entry points
-// (Correlation, Independence, Theorem, MLE).
+// for concurrent use on distinct workspaces.
 type Estimator interface {
 	// Name is the estimator's registry key (e.g. "correlation").
 	Name() string
-	// Estimate runs inference through the compiled plan.
-	Estimate(plan *Plan, src Source, opts EstimateOptions) (*EstimateResult, error)
+	// EstimateIn runs inference through the compiled plan using ws for every
+	// transient buffer. The result aliases ws.
+	EstimateIn(ws *Workspace, plan *Plan, src Source, opts EstimateOptions) (*EstimateResult, error)
 }
 
 // Workspace is the reusable evaluate-phase scratch of the estimator
@@ -61,8 +60,8 @@ type Estimator interface {
 // across estimates (and across plans), mutated by every call. Concurrent
 // use of one workspace is detected and reported by panic. Results returned
 // through a workspace alias its storage: treat them as read-only and
-// consume them before the workspace's next estimate. The plain Estimate
-// path remains the safe default and is bit-identical.
+// consume them before the workspace's next estimate. Estimate runs the same
+// path on a pooled workspace and returns a detached copy.
 type Workspace struct {
 	ws  plan.Workspace
 	res EstimateResult
@@ -72,17 +71,6 @@ type Workspace struct {
 // goroutine (e.g. one per worker, or one per Window) and reuse it for every
 // estimate that goroutine runs.
 func NewWorkspace() *Workspace { return &Workspace{} }
-
-// WorkspaceEstimator is the optional workspace-aware extension of
-// Estimator: estimators that can run their evaluate phase on caller-owned
-// scratch implement it, and EstimateIn routes through it. All built-in
-// estimators do.
-type WorkspaceEstimator interface {
-	Estimator
-	// EstimateIn runs inference through the compiled plan using ws for every
-	// transient buffer. The result aliases ws.
-	EstimateIn(ws *Workspace, plan *Plan, src Source, opts EstimateOptions) (*EstimateResult, error)
-}
 
 var (
 	registryMu sync.RWMutex
@@ -125,25 +113,46 @@ func EstimatorNames() []string {
 	return names
 }
 
+// wsPool lends Estimate (and EvaluateBatch's workers) a workspace for the
+// duration of one call.
+var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
+
 // Estimate resolves an estimator by name and runs it: the dynamic entry
-// point used by tools that select estimators from configuration or flags.
+// point used by tools that select estimators from configuration or flags,
+// and the one allocating entry point of the library. It runs EstimateIn on
+// a pooled workspace and returns a deep copy of the result, which the
+// caller owns and may retain.
 func Estimate(name string, plan *Plan, src Source, opts EstimateOptions) (*EstimateResult, error) {
-	e, ok := LookupEstimator(name)
-	if !ok {
-		return nil, fmt.Errorf("tomography: unknown estimator %q (registered: %v)", name, EstimatorNames())
+	ws := wsPool.Get().(*Workspace)
+	defer wsPool.Put(ws)
+	res, err := EstimateIn(ws, name, plan, src, opts)
+	if err != nil {
+		return nil, err
 	}
-	if plan == nil {
-		return nil, fmt.Errorf("tomography: Estimate %q: nil plan (Compile the topology first)", name)
+	return res.clone(), nil
+}
+
+// clone deep-copies a workspace-owned result through the family results'
+// own Clone methods.
+func (r *EstimateResult) clone() *EstimateResult {
+	out := &EstimateResult{Estimator: r.Estimator, CongestionProb: append([]float64(nil), r.CongestionProb...)}
+	if r.Linear != nil {
+		out.Linear = r.Linear.Clone()
 	}
-	return e.Estimate(plan, src, opts)
+	if r.Theorem != nil {
+		out.Theorem = r.Theorem.Clone()
+	}
+	if r.MLE != nil {
+		out.MLE = r.MLE.Clone()
+	}
+	return out
 }
 
 // EstimateIn is Estimate running on a caller-owned workspace: the
 // steady-state (compile once, estimate per window) form whose per-estimate
 // allocations are zero for the built-in linear and theorem estimators.
 // Results are bit-identical to Estimate but alias ws — read-only, valid
-// until the next estimate on the same workspace. Estimators that do not
-// implement WorkspaceEstimator fall back to their allocating path.
+// until the next estimate on the same workspace.
 func EstimateIn(ws *Workspace, name string, plan *Plan, src Source, opts EstimateOptions) (*EstimateResult, error) {
 	e, ok := LookupEstimator(name)
 	if !ok {
@@ -155,10 +164,7 @@ func EstimateIn(ws *Workspace, name string, plan *Plan, src Source, opts Estimat
 	if ws == nil {
 		return nil, fmt.Errorf("tomography: EstimateIn %q: nil workspace (use NewWorkspace)", name)
 	}
-	if we, ok := e.(WorkspaceEstimator); ok {
-		return we.EstimateIn(ws, plan, src, opts)
-	}
-	return e.Estimate(plan, src, opts)
+	return e.EstimateIn(ws, plan, src, opts)
 }
 
 // --- Built-in estimators. ---
@@ -175,18 +181,6 @@ func init() {
 type correlationEstimator struct{}
 
 func (correlationEstimator) Name() string { return "correlation" }
-
-func (correlationEstimator) Estimate(plan *Plan, src Source, opts EstimateOptions) (*EstimateResult, error) {
-	res, err := plan.Correlation(src, opts.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	return &EstimateResult{
-		Estimator:      "correlation",
-		CongestionProb: res.CongestionProb,
-		Linear:         res,
-	}, nil
-}
 
 func (correlationEstimator) EstimateIn(ws *Workspace, plan *Plan, src Source, opts EstimateOptions) (*EstimateResult, error) {
 	res, err := plan.CorrelationIn(&ws.ws, src, opts.Algorithm)
@@ -205,18 +199,6 @@ func (correlationEstimator) EstimateIn(ws *Workspace, plan *Plan, src Source, op
 type independenceEstimator struct{}
 
 func (independenceEstimator) Name() string { return "independence" }
-
-func (independenceEstimator) Estimate(plan *Plan, src Source, opts EstimateOptions) (*EstimateResult, error) {
-	res, err := plan.Independence(src, opts.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	return &EstimateResult{
-		Estimator:      "independence",
-		CongestionProb: res.CongestionProb,
-		Linear:         res,
-	}, nil
-}
 
 func (independenceEstimator) EstimateIn(ws *Workspace, plan *Plan, src Source, opts EstimateOptions) (*EstimateResult, error) {
 	res, err := plan.IndependenceIn(&ws.ws, src, opts.Algorithm)
@@ -237,22 +219,6 @@ func (independenceEstimator) EstimateIn(ws *Workspace, plan *Plan, src Source, o
 type theoremEstimator struct{}
 
 func (theoremEstimator) Name() string { return "theorem" }
-
-func (theoremEstimator) Estimate(plan *Plan, src Source, opts EstimateOptions) (*EstimateResult, error) {
-	ps, ok := src.(measure.PatternSource)
-	if !ok {
-		return nil, fmt.Errorf("tomography: the theorem estimator needs exact congestion-pattern probabilities (measure.PatternSource); %T does not provide them", src)
-	}
-	res, err := plan.Theorem(ps, opts.Theorem)
-	if err != nil {
-		return nil, err
-	}
-	return &EstimateResult{
-		Estimator:      "theorem",
-		CongestionProb: res.CongestionProb,
-		Theorem:        res,
-	}, nil
-}
 
 func (theoremEstimator) EstimateIn(ws *Workspace, plan *Plan, src Source, opts EstimateOptions) (*EstimateResult, error) {
 	ps, ok := src.(measure.PatternSource)
@@ -277,22 +243,6 @@ func (theoremEstimator) EstimateIn(ws *Workspace, plan *Plan, src Source, opts E
 type mleEstimator struct{}
 
 func (mleEstimator) Name() string { return "mle" }
-
-func (mleEstimator) Estimate(plan *Plan, src Source, opts EstimateOptions) (*EstimateResult, error) {
-	ms, ok := src.(mle.Source)
-	if !ok {
-		return nil, fmt.Errorf("tomography: the mle estimator needs per-path and per-pair good-frequencies (FastPairSource); %T does not provide them", src)
-	}
-	res, err := plan.MLE(ms, opts.MLE)
-	if err != nil {
-		return nil, err
-	}
-	return &EstimateResult{
-		Estimator:      "mle",
-		CongestionProb: res.CongestionProb,
-		MLE:            res,
-	}, nil
-}
 
 func (mleEstimator) EstimateIn(ws *Workspace, plan *Plan, src Source, opts EstimateOptions) (*EstimateResult, error) {
 	ms, ok := src.(mle.Source)

@@ -118,6 +118,6 @@ func TestRegisterEstimatorPanics(t *testing.T) {
 type fakeEstimator struct{ name string }
 
 func (f fakeEstimator) Name() string { return f.name }
-func (f fakeEstimator) Estimate(*tomography.Plan, tomography.Source, tomography.EstimateOptions) (*tomography.EstimateResult, error) {
+func (f fakeEstimator) EstimateIn(*tomography.Workspace, *tomography.Plan, tomography.Source, tomography.EstimateOptions) (*tomography.EstimateResult, error) {
 	panic("fakeEstimator must not run")
 }

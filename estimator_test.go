@@ -63,31 +63,52 @@ func TestEstimatorRegistry(t *testing.T) {
 	}
 }
 
-// legacyReference runs the pre-registry one-shot entry point for one
-// estimator name directly against internal/core and internal/mle — the
-// fused implementations the redesign must stay bit-identical to.
+// runLinearOnce, runTheoremOnce and runMLEOnce compile one estimator family
+// directly in internal/core or internal/mle and run it once on a fresh
+// workspace: the one-shot way to call each algorithm.
+func runLinearOnce(top *topology.Topology, src measure.Source, identity bool, opts core.Options) (*core.Result, error) {
+	lp, err := core.CompileLinear(top, identity, opts)
+	if err != nil {
+		return nil, err
+	}
+	return lp.RunIn(core.NewWorkspace(), src)
+}
+
+func runTheoremOnce(top *topology.Topology, src measure.PatternSource, opts core.TheoremOptions) (*core.TheoremResult, error) {
+	tp, err := core.CompileTheorem(top, opts)
+	if err != nil {
+		return nil, err
+	}
+	return tp.RunIn(core.NewWorkspace(), src)
+}
+
+func runMLEOnce(top *topology.Topology, src mle.Source, opts mle.Options) (*mle.Result, error) {
+	mp, err := mle.Compile(top)
+	if err != nil {
+		return nil, err
+	}
+	return mp.EstimateIn(mle.NewWorkspace(), src, opts)
+}
+
+// legacyReference runs one estimator name as a one-shot call straight
+// against internal/core and internal/mle, bypassing the registry and the
+// plan's memo — the reference the registry must stay bit-identical to.
 func legacyReference(name string, top *topology.Topology, src *measure.Empirical, opts tomography.EstimateOptions) ([]float64, error) {
 	switch name {
-	case "correlation":
-		res, err := core.Correlation(top, src, opts.Algorithm)
-		if err != nil {
-			return nil, err
-		}
-		return res.CongestionProb, nil
-	case "independence":
-		res, err := core.Independence(top, src, opts.Algorithm)
+	case "correlation", "independence":
+		res, err := runLinearOnce(top, src, name == "independence", opts.Algorithm)
 		if err != nil {
 			return nil, err
 		}
 		return res.CongestionProb, nil
 	case "theorem":
-		res, err := core.Theorem(top, src, opts.Theorem)
+		res, err := runTheoremOnce(top, src, opts.Theorem)
 		if err != nil {
 			return nil, err
 		}
 		return res.CongestionProb, nil
 	case "mle":
-		res, err := mle.Estimate(top, src, opts.MLE)
+		res, err := runMLEOnce(top, src, opts.MLE)
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +119,7 @@ func legacyReference(name string, top *topology.Topology, src *measure.Empirical
 
 // TestCompileOnceEstimateManyMatchesLegacy is the redesign's core property:
 // compile a plan once, run every registered estimator against it many
-// times, and require bit-identical output to the legacy one-shot paths —
+// times, and require bit-identical output to one-shot runs —
 // including identical errors where an estimator rejects the topology (the
 // theorem algorithm on non-Assumption-4 random graphs).
 func TestCompileOnceEstimateManyMatchesLegacy(t *testing.T) {

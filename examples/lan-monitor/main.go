@@ -132,18 +132,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	corr, err := plan.Correlation(src, tomography.Options{})
+	corr, err := tomography.Estimate("correlation", plan, src, tomography.EstimateOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	indep, err := plan.Independence(src, tomography.Options{UseAllEquations: true})
+	indep, err := tomography.Estimate("independence", plan, src, tomography.EstimateOptions{
+		Algorithm: tomography.Options{UseAllEquations: true},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	truth := congestion.Marginals(model)
+	sys := corr.Linear.System
 	fmt.Printf("\ncorrelation algorithm: rank %d/%d (N1=%d singles, N2=%d pairs), solver %s\n",
-		corr.System.Rank, top.NumLinks(), corr.System.SinglePathEqs, corr.System.PairEqs, corr.Solver)
+		sys.Rank, top.NumLinks(), sys.SinglePathEqs, sys.PairEqs, corr.Linear.Solver)
 	fmt.Printf("\n%-8s %-8s %-12s %-12s\n", "link", "truth", "correlation", "independence")
 	for k := 0; k < top.NumLinks(); k++ {
 		fmt.Printf("%-8s %-8.3f %-12.3f %-12.3f\n",

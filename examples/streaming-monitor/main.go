@@ -64,7 +64,7 @@ func main() {
 	for t := 0; t < snapshots; t++ {
 		stream.Append(rec.PathSnapshot(t))
 		if n := t + 1; n == 500 || n == 2000 || n == 8000 || n == snapshots {
-			res, err := plan.Correlation(stream, tomography.Options{})
+			res, err := tomography.Estimate("correlation", plan, stream, tomography.EstimateOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -78,11 +78,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	resStream, err := plan.Correlation(stream, tomography.Options{})
+	resStream, err := tomography.Estimate("correlation", plan, stream, tomography.EstimateOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	resBatch, err := plan.Correlation(batch, tomography.Options{})
+	resBatch, err := tomography.Estimate("correlation", plan, batch, tomography.EstimateOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,14 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/linalg"
-	"repro/internal/lp"
-	"repro/internal/measure"
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // SolverKind identifies how the final linear system was solved.
 type SolverKind string
@@ -79,106 +71,4 @@ func (o *Options) fill() {
 func (o Options) Normalized() Options {
 	o.fill()
 	return o
-}
-
-// Correlation runs the paper's Section-4 algorithm with the topology's own
-// correlation sets.
-func Correlation(top *topology.Topology, src measure.Source, opts Options) (*Result, error) {
-	return runLinear(top, src, false, opts)
-}
-
-// Independence runs the Nguyen–Thiran baseline: identical machinery with
-// every link in its own correlation set, so all paths and pairs qualify and
-// products over any link set are (incorrectly, when links are correlated)
-// assumed to factorize.
-func Independence(top *topology.Topology, src measure.Source, opts Options) (*Result, error) {
-	return runLinear(top, src, true, opts)
-}
-
-func runLinear(top *topology.Topology, src measure.Source, identity bool, opts Options) (*Result, error) {
-	opts.fill()
-	sys, err := BuildEquations(top, src, buildOptions(top, identity, opts))
-	if err != nil {
-		return nil, err
-	}
-	return solveSystem(sys, opts)
-}
-
-// solveSystem solves a built equation system with the configured completion
-// strategy — the shared back half of the practical algorithms, used by both
-// the fused one-shot path (runLinear) and the compiled-plan path
-// (LinearPlan.Run). opts must already be filled.
-func solveSystem(sys *EquationSystem, opts Options) (*Result, error) {
-	if len(sys.Equations) == 0 {
-		return nil, fmt.Errorf("core: no usable equations (all admissible observations had zero good-probability)")
-	}
-
-	a, y := sys.Matrix()
-	nl := sys.NumLinks
-	var x []float64
-	var err error
-	var kind SolverKind
-
-	switch {
-	case opts.UseAllEquations:
-		x, err = nil, linalg.ErrSingular
-		if a.Rows >= nl && sys.Rank == nl {
-			x, err = linalg.LeastSquares(a, y)
-		}
-		kind = SolverLeastSquares
-		if err != nil {
-			x, err = linalg.MinNormSolve(a, y)
-			kind = SolverMinNorm
-		}
-	case sys.Rank == nl:
-		// Full rank: the selected rows form an invertible square system.
-		x, err = linalg.SolveLU(a, y)
-		kind = SolverSquare
-		if err != nil {
-			// Numerically borderline; fall back to min-norm which handles it.
-			x, err = linalg.MinNormSolve(a, y)
-			kind = SolverMinNorm
-		}
-	default:
-		// Underdetermined: L1-residual-minimal completion under x ≤ 0
-		// (Section 4), with min-norm fallback for very large systems or LP
-		// failure.
-		if nl <= opts.MaxLPSize && !opts.ForceMinNorm {
-			x, err = lp.MinimizeL1ResidualNonPositive(a, y)
-			kind = SolverL1
-			if err != nil {
-				x, err = linalg.MinNormSolve(a, y)
-				kind = SolverMinNorm
-			}
-		} else {
-			x, err = linalg.MinNormSolve(a, y)
-			kind = SolverMinNorm
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: solving the equation system: %w", err)
-	}
-
-	res := &Result{
-		CongestionProb: make([]float64, nl),
-		LogGoodProb:    make([]float64, nl),
-		System:         sys,
-		Solver:         kind,
-	}
-	for k := 0; k < nl; k++ {
-		xv := x[k]
-		if xv > 0 {
-			xv = 0 // log-probabilities cannot be positive
-		}
-		res.LogGoodProb[k] = xv
-		p := 1 - math.Exp(xv)
-		if p < 0 {
-			p = 0
-		}
-		if p > 1 {
-			p = 1
-		}
-		res.CongestionProb[k] = p
-	}
-	return res, nil
 }

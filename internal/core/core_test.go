@@ -22,6 +22,32 @@ func mustEmpirical(t *testing.T, rec *netsim.Record) *measure.Empirical {
 	return src
 }
 
+// correlation, independence and theorem compile an algorithm and run it
+// once on a fresh workspace, the way a one-shot caller does.
+func correlation(top *topology.Topology, src measure.Source, opts Options) (*Result, error) {
+	return runLinearOnce(top, src, false, opts)
+}
+
+func independence(top *topology.Topology, src measure.Source, opts Options) (*Result, error) {
+	return runLinearOnce(top, src, true, opts)
+}
+
+func runLinearOnce(top *topology.Topology, src measure.Source, identity bool, opts Options) (*Result, error) {
+	lp, err := CompileLinear(top, identity, opts)
+	if err != nil {
+		return nil, err
+	}
+	return lp.RunIn(NewWorkspace(), src)
+}
+
+func theorem(top *topology.Topology, src measure.PatternSource, opts TheoremOptions) (*TheoremResult, error) {
+	pl, err := CompileTheorem(top, opts)
+	if err != nil {
+		return nil, err
+	}
+	return pl.RunIn(NewWorkspace(), src)
+}
+
 // fig1aTable is the Figure-1(a) ground truth used across the core tests:
 // correlation set {e1,e2} with a genuinely correlated joint (P(both) = 0.18
 // >> 0.10·0.12), plus independent e3 and e4.
@@ -157,7 +183,7 @@ func TestEquationsAdmissibilityInvariant(t *testing.T) {
 func TestCorrelationExactOnFigure1A(t *testing.T) {
 	top := topology.Figure1A()
 	model := fig1aTable(t)
-	res, err := Correlation(top, exactSource(t, top, model), Options{})
+	res, err := correlation(top, exactSource(t, top, model), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +202,7 @@ func TestIndependenceBiasedOnCorrelatedChain(t *testing.T) {
 	top, model := chainCorr(t)
 	src := exactSource(t, top, model)
 
-	res, err := Independence(top, src, Options{})
+	res, err := independence(top, src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +236,7 @@ func TestIndependenceBiasedOnCorrelatedChain(t *testing.T) {
 func TestCorrelationAbstainsOnCorrelatedChain(t *testing.T) {
 	top, model := chainCorr(t)
 	src := exactSource(t, top, model)
-	res, err := Correlation(top, src, Options{})
+	res, err := correlation(top, src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +266,7 @@ func TestTheoremExactOnFigure1A(t *testing.T) {
 	top := topology.Figure1A()
 	model := fig1aTable(t)
 	src := exactSource(t, top, model)
-	res, err := Theorem(top, src, TheoremOptions{})
+	res, err := theorem(top, src, TheoremOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +308,7 @@ func TestTheoremExactOnFigure1A(t *testing.T) {
 // cannot pin down on chainCorr — it is exact whenever Assumption 4 holds.
 func TestTheoremExactOnCorrelatedChain(t *testing.T) {
 	top, model := chainCorr(t)
-	res, err := Theorem(top, exactSource(t, top, model), TheoremOptions{})
+	res, err := theorem(top, exactSource(t, top, model), TheoremOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +325,7 @@ func TestTheoremRejectsAssumption4Violation(t *testing.T) {
 	p := []float64{0.1, 0.1, 0.1}
 	model, _ := congestion.NewIndependent(p)
 	src := exactSource(t, top, model)
-	if _, err := Theorem(top, src, TheoremOptions{}); err == nil {
+	if _, err := theorem(top, src, TheoremOptions{}); err == nil {
 		t.Fatal("theorem accepted a topology violating Assumption 4")
 	}
 }
@@ -307,7 +333,7 @@ func TestTheoremRejectsAssumption4Violation(t *testing.T) {
 func TestTheoremRejectsHugeSets(t *testing.T) {
 	top, model := chainCorr(t)
 	src := exactSource(t, top, model)
-	if _, err := Theorem(top, src, TheoremOptions{MaxSubsetsPerSet: 2}); err == nil {
+	if _, err := theorem(top, src, TheoremOptions{MaxSubsetsPerSet: 2}); err == nil {
 		t.Fatal("theorem accepted a set above the enumeration cap")
 	}
 }
@@ -324,7 +350,7 @@ func TestTheoremOnEmpiricalMeasurements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Theorem(top, mustEmpirical(t, rec), TheoremOptions{})
+	res, err := theorem(top, mustEmpirical(t, rec), TheoremOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +374,7 @@ func TestCorrelationOnEmpiricalMeasurements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Correlation(top, mustEmpirical(t, rec), Options{})
+	res, err := correlation(top, mustEmpirical(t, rec), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +460,7 @@ func TestCorrelationExactOnRandomGrids(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Correlation(top, exactSource(t, top, model), Options{})
+		res, err := correlation(top, exactSource(t, top, model), Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -483,7 +509,7 @@ func TestTheoremExactOnRandomGrids(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Theorem(top, exactSource(t, top, model), TheoremOptions{})
+		res, err := theorem(top, exactSource(t, top, model), TheoremOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -508,7 +534,7 @@ func TestUseAllEquationsLeastSquares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Correlation(top, mustEmpirical(t, rec), Options{UseAllEquations: true})
+	res, err := correlation(top, mustEmpirical(t, rec), Options{UseAllEquations: true})
 	if err != nil {
 		t.Fatal(err)
 	}

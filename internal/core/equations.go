@@ -2,20 +2,24 @@
 // that identify per-link congestion probabilities from end-to-end path
 // measurements in the presence of correlated links.
 //
-// Three algorithms are provided:
+// Three algorithms are provided, each compiled once per topology and then
+// run on a Workspace against any number of measurement sources:
 //
-//   - Correlation — the practical algorithm of Section 4. It forms the
-//     log-linear system y = A·x over x_k = log P(Xek = 0), using only paths
-//     and pairs of paths that traverse at most one link per correlation set,
-//     and solves it (exactly when full rank, by L1-norm minimization when
+//   - correlation (CompileLinear with identity false, then RunIn) — the
+//     practical algorithm of Section 4. It forms the log-linear system
+//     y = A·x over x_k = log P(Xek = 0), using only paths and pairs of paths
+//     that traverse at most one link per correlation set, and solves it
+//     (exactly when full rank, by L1-norm minimization when
 //     underdetermined).
-//   - Independence — the baseline of Nguyen & Thiran (INFOCOM 2007) as used
-//     in the paper's evaluation: the identical machinery with every link
-//     treated as its own correlation set, so every path and pair qualifies.
-//   - Theorem — the exact, exponential algorithm extracted from the proof of
-//     Theorem 1 (Appendix A): compute congestion factors αA for every
-//     correlation subset in path-coverage order, then recover all marginal
-//     and joint congestion probabilities via Lemma 3.
+//   - independence (CompileLinear with identity true) — the baseline of
+//     Nguyen & Thiran (INFOCOM 2007) as used in the paper's evaluation: the
+//     identical machinery with every link treated as its own correlation
+//     set, so every path and pair qualifies.
+//   - theorem (CompileTheorem, then TheoremPlan.RunIn) — the exact,
+//     exponential algorithm extracted from the proof of Theorem 1
+//     (Appendix A): compute congestion factors αA for every correlation
+//     subset in path-coverage order, then recover all marginal and joint
+//     congestion probabilities via Lemma 3.
 package core
 
 import (
@@ -306,9 +310,10 @@ func enumerateCandidates(top *topology.Topology, opts *BuildOptions, visit func(
 //
 // This is the fused one-shot path: selection and probability lookup are
 // interleaved, so equations dropped for a near-zero measured probability
-// free their slot for later candidates. CompileStructure/Evaluate split the
-// same procedure into a reusable structural phase and a cheap per-source
-// fill (falling back to this function in the rare data-dependent case).
+// free their slot for later candidates. CompileStructure/EvaluateIn split
+// the same procedure into a reusable structural phase and a cheap
+// per-source fill (falling back to this function in the rare
+// data-dependent case).
 func BuildEquations(top *topology.Topology, src measure.Source, opts BuildOptions) (*EquationSystem, error) {
 	if src.NumPaths() != top.NumPaths() {
 		return nil, fmt.Errorf("core: source has %d paths, topology %d", src.NumPaths(), top.NumPaths())
@@ -366,20 +371,6 @@ func BuildEquations(top *topology.Topology, src measure.Source, opts BuildOption
 
 	sys.Rank = basis.rank()
 	return sys, nil
-}
-
-// Matrix materializes the system as (A, y) for the solvers.
-func (s *EquationSystem) Matrix() (*linalg.Matrix, []float64) {
-	a := linalg.NewMatrix(len(s.Equations), s.NumLinks)
-	y := make([]float64, len(s.Equations))
-	for i, eq := range s.Equations {
-		eq.Links.ForEach(func(k int) bool {
-			a.Set(i, k, 1)
-			return true
-		})
-		y[i] = eq.Y
-	}
-	return a, y
 }
 
 // SortPathIDs sorts a PathID slice in place (used by callers presenting

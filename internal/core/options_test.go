@@ -37,7 +37,7 @@ func TestDisablePairsLimitsRank(t *testing.T) {
 func TestForceMinNormSolver(t *testing.T) {
 	top, model := chainCorr(t)
 	src := exactSource(t, top, model)
-	res, err := Correlation(top, src, Options{ForceMinNorm: true})
+	res, err := correlation(top, src, Options{ForceMinNorm: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestGF2ThresholdPath(t *testing.T) {
 		t.Fatalf("GF2 rank %d != float rank %d", gf2.Rank, flt.Rank)
 	}
 	// And inference through the GF(2) path stays exact.
-	res, err := runLinear(top, src, false, Options{})
+	res, err := correlation(top, src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCorrelationOnPacketLevelMeasurements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Correlation(top, mustEmpirical(t, rec), Options{})
+	res, err := correlation(top, mustEmpirical(t, rec), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ type Candidate struct {
 // Everything in a Structure depends only on the topology and the structural
 // options — not on measured data — so one Structure can be evaluated against
 // any number of measurement sources (new records, streaming appends, batch
-// trials) with Evaluate. A Structure is immutable after CompileStructure
+// trials) with EvaluateIn. A Structure is immutable after CompileStructure
 // returns and therefore safe for concurrent use by multiple goroutines.
 type Structure struct {
 	top  *topology.Topology
@@ -51,9 +51,9 @@ type Structure struct {
 // enumerates the admissible single-path and pair candidates in the fused
 // selection's order and records the ones that rank tracking accepts,
 // assuming every accepted observation has a usable (> MinProb) measured
-// probability. Evaluate detects the rare violation of that assumption and
-// transparently replays the fused selection, so Compile+Evaluate is always
-// bit-identical to BuildEquations.
+// probability. EvaluateIn detects the rare violation of that assumption and
+// transparently replays the fused selection, so Compile+EvaluateIn is
+// always bit-identical to BuildEquations.
 func CompileStructure(top *topology.Topology, opts BuildOptions) (*Structure, error) {
 	opts.fill(top)
 	if len(opts.SetOf) != top.NumLinks() {
@@ -110,40 +110,8 @@ func (s *Structure) Rank() int { return s.rank }
 // and its link sets are shared with the structure and must not be mutated.
 func (s *Structure) Candidates() []Candidate { return s.accepted }
 
-// Evaluate fills the compiled structure's right-hand side from a
-// measurement source: one probability lookup per precollected equation, no
-// candidate enumeration, no admissibility checks, no rank tracking. The
-// result is bit-identical to BuildEquations(top, src, opts) on the same
-// inputs.
-//
-// If any precollected observation turns out to be unusable (measured
-// probability ≤ MinProb), the selection becomes source-dependent — a dropped
-// row frees its slot for a later candidate — so Evaluate falls back to the
-// fused BuildEquations, preserving bit-identical output at one-shot cost.
-//
-// Evaluate allocates its outputs and is safe to call concurrently on a
-// shared Structure. It is a thin wrapper over EvaluateIn with a pooled
-// workspace: the probability fill runs on recycled scratch (including the
-// batched pair-count kernel when the source supports it) and the resulting
-// system is detached into fresh storage, bit-identical to the historical
-// allocating implementation.
-func (s *Structure) Evaluate(src measure.Source) (*EquationSystem, error) {
-	ws := wsPool.Get().(*Workspace)
-	defer wsPool.Put(ws)
-	sys, err := s.EvaluateIn(ws, src)
-	if err != nil {
-		return nil, err
-	}
-	if sys != &ws.sys {
-		// Data-dependent fallback: BuildEquations already allocated it.
-		return sys, nil
-	}
-	return cloneSystem(sys), nil
-}
-
 // LinearPlan couples a compiled equation structure with the solver options
-// of one of the practical algorithms: the reusable form of
-// Correlation/Independence.
+// of one of the practical algorithms (correlation or independence).
 type LinearPlan struct {
 	structure *Structure
 	opts      Options
@@ -153,7 +121,7 @@ type LinearPlan struct {
 // for a topology: the paper's correlation-aware selection when identity is
 // false (Correlation), the Nguyen–Thiran identity partition when true
 // (Independence). The returned plan is immutable and safe for concurrent
-// Run calls.
+// RunIn calls, each on its own workspace.
 func CompileLinear(top *topology.Topology, identity bool, opts Options) (*LinearPlan, error) {
 	opts.fill()
 	structure, err := CompileStructure(top, buildOptions(top, identity, opts))
@@ -186,17 +154,3 @@ func buildOptions(top *topology.Topology, identity bool, opts Options) BuildOpti
 
 // Structure returns the plan's compiled equation structure.
 func (p *LinearPlan) Structure() *Structure { return p.structure }
-
-// Run evaluates the compiled plan against a measurement source and solves
-// the system. The output is bit-identical to Correlation (or Independence)
-// called with the plan's topology and options. It wraps RunIn with a pooled
-// workspace and detaches the result.
-func (p *LinearPlan) Run(src measure.Source) (*Result, error) {
-	ws := wsPool.Get().(*Workspace)
-	defer wsPool.Put(ws)
-	res, err := p.RunIn(ws, src)
-	if err != nil {
-		return nil, err
-	}
-	return detachResult(ws, res), nil
-}

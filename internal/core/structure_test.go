@@ -49,6 +49,7 @@ func TestCompileEvaluateMatchesBuildEquations(t *testing.T) {
 		{"pairs-off", BuildOptions{DisablePairs: true}},
 		{"gf2", BuildOptions{GF2RankThreshold: 1}},
 	}
+	ws := NewWorkspace() // reused across seeds, variants and rounds
 	for _, seed := range []int64{3, 17, 91} {
 		top, src := briteFixture(t, seed)
 		identity := make([]int, top.NumLinks())
@@ -65,7 +66,7 @@ func TestCompileEvaluateMatchesBuildEquations(t *testing.T) {
 				t.Fatal(err)
 			}
 			for round := 0; round < 3; round++ {
-				sys, err := st.Evaluate(src)
+				sys, err := st.EvaluateIn(ws, src)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,7 +84,7 @@ func TestCompileEvaluateMatchesBuildEquations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := st.Evaluate(src)
+		sys, err := st.EvaluateIn(ws, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,23 +94,29 @@ func TestCompileEvaluateMatchesBuildEquations(t *testing.T) {
 	}
 }
 
-// TestLinearPlanMatchesAlgorithms pins CompileLinear+Run bit-identical to
-// the one-shot Correlation/Independence entry points.
+// TestLinearPlanMatchesAlgorithms pins CompileLinear+RunIn bit-identical to
+// the fused reference: BuildEquations followed by the solve, on a separate
+// workspace. RunIn reuses one workspace across rounds.
 func TestLinearPlanMatchesAlgorithms(t *testing.T) {
 	top, src := briteFixture(t, 7)
 	cases := []struct {
 		name     string
 		identity bool
 		opts     Options
-		oneShot  func() (*Result, error)
 	}{
-		{"correlation", false, Options{}, func() (*Result, error) { return Correlation(top, src, Options{}) }},
-		{"correlation-pairs-off", false, Options{DisablePairs: true}, func() (*Result, error) { return Correlation(top, src, Options{DisablePairs: true}) }},
-		{"independence", true, Options{}, func() (*Result, error) { return Independence(top, src, Options{}) }},
-		{"independence-all-eq", true, Options{UseAllEquations: true}, func() (*Result, error) { return Independence(top, src, Options{UseAllEquations: true}) }},
+		{"correlation", false, Options{}},
+		{"correlation-pairs-off", false, Options{DisablePairs: true}},
+		{"independence", true, Options{}},
+		{"independence-all-eq", true, Options{UseAllEquations: true}},
 	}
+	ws := NewWorkspace()
 	for _, c := range cases {
-		want, err := c.oneShot()
+		opts := c.opts.Normalized()
+		sys, err := BuildEquations(top, src, buildOptions(top, c.identity, opts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := solveSystemIn(NewWorkspace(), sys, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,12 +125,12 @@ func TestLinearPlanMatchesAlgorithms(t *testing.T) {
 			t.Fatal(err)
 		}
 		for round := 0; round < 2; round++ {
-			got, err := lp.Run(src)
+			got, err := lp.RunIn(ws, src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s round %d: plan result differs from one-shot algorithm", c.name, round)
+				t.Fatalf("%s round %d: plan result differs from BuildEquations + solve", c.name, round)
 			}
 		}
 	}
@@ -161,7 +168,7 @@ func TestEvaluateFallbackOnZeroProb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := st.Evaluate(src)
+	sys, err := st.EvaluateIn(NewWorkspace(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +185,7 @@ func TestEvaluateSourceMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Evaluate(src); err == nil {
+	if _, err := st.EvaluateIn(NewWorkspace(), src); err == nil {
 		t.Fatal("mismatched source accepted")
 	}
 }

@@ -63,7 +63,7 @@ type corrSubset struct {
 // everything that depends only on the topology — the correlation subsets C̃
 // with their path coverages, the Assumption-4 validation, the |ψ(A)|
 // computation order, and each subset's per-set Γ-candidate lists. One plan
-// serves any number of Run calls over different pattern sources; it is
+// serves any number of RunIn calls over different pattern sources; it is
 // immutable after CompileTheorem returns and safe for concurrent use.
 type TheoremPlan struct {
 	top     *topology.Topology
@@ -147,47 +147,6 @@ func CompileTheorem(top *topology.Topology, opts TheoremOptions) (*TheoremPlan, 
 // Topology returns the topology the plan was compiled for.
 func (pl *TheoremPlan) Topology() *topology.Topology { return pl.top }
 
-// Theorem runs the constructive algorithm extracted from the proof of
-// Theorem 1. It requires a PatternSource (exact or empirical estimates of
-// P(ψ(S) = Q)) and a topology satisfying Assumption 4; it returns the
-// congestion factors and per-link congestion probabilities.
-//
-// The computation follows the Appendix step by step:
-//
-//  1. enumerate the correlation subsets C̃ and order them by |ψ(A)|;
-//  2. for each A in order, enumerate the network states Sn with
-//     ψ(Sn) = ψ(A), split them by whether Sqn = A, and solve Eq. 18
-//     αA = (P(ψ(S)=ψ(A))/P(ψ(S)=∅) − ΓĀ)/ΓA, where ΓA and ΓĀ only involve
-//     congestion factors already computed (Lemma 1);
-//  3. recover P(Sᵖ = ∅) = 1/(1 + Σ αA) and P(Sᵖ = A) = αA·P(Sᵖ = ∅), then
-//     P(Xek = 1) = Σ_{A ∋ ek} P(Sᵖ = A) (Lemma 3).
-//
-// Theorem is the one-shot form; CompileTheorem + Run amortizes steps that
-// depend only on the topology across many sources.
-func Theorem(top *topology.Topology, src measure.PatternSource, opts TheoremOptions) (*TheoremResult, error) {
-	pl, err := CompileTheorem(top, opts)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Run(src)
-}
-
-// Run executes the data-dependent phase of the exact algorithm against a
-// pattern source: solve Eq. 18 for every αA in the precompiled order, then
-// recover the joint and marginal probabilities via Lemma 3. The output is
-// bit-identical to Theorem on the same inputs. Run allocates its outputs
-// and is safe to call concurrently on a shared plan; it wraps RunIn with a
-// pooled workspace and detaches the result.
-func (pl *TheoremPlan) Run(src measure.PatternSource) (*TheoremResult, error) {
-	ws := wsPool.Get().(*Workspace)
-	defer wsPool.Put(ws)
-	res, err := pl.RunIn(ws, src)
-	if err != nil {
-		return nil, err
-	}
-	return detachTheoremResult(res), nil
-}
-
 // theoremWorkspace is the exact algorithm's per-run scratch: α factors by
 // computation order, the Γ-enumeration option lists and per-depth coverage
 // unions, and the reused result (whose maps are cleared, not reallocated —
@@ -213,10 +172,24 @@ type gammaOption struct {
 	isA      bool
 }
 
-// RunIn is Run with workspace-owned outputs: identical arithmetic, zero
-// steady-state allocations when the source supports key-addressed pattern
-// queries (measure.PatternKeySource — Empirical does). The result aliases
-// workspace and plan storage — read-only, valid until the next call on ws.
+// RunIn runs the data-dependent phase of the constructive algorithm
+// extracted from the proof of Theorem 1 against a pattern source (exact or
+// empirical estimates of P(ψ(S) = Q)). The plan's topology satisfies
+// Assumption 4 (CompileTheorem checks it). The computation follows the
+// Appendix step by step:
+//
+//  1. the correlation subsets C̃, ordered by |ψ(A)|, come from the plan;
+//  2. for each A in order, enumerate the network states Sn with
+//     ψ(Sn) = ψ(A), split them by whether Sqn = A, and solve Eq. 18
+//     αA = (P(ψ(S)=ψ(A))/P(ψ(S)=∅) − ΓĀ)/ΓA, where ΓA and ΓĀ only involve
+//     congestion factors already computed (Lemma 1);
+//  3. recover P(Sᵖ = ∅) = 1/(1 + Σ αA) and P(Sᵖ = A) = αA·P(Sᵖ = ∅), then
+//     P(Xek = 1) = Σ_{A ∋ ek} P(Sᵖ = A) (Lemma 3).
+//
+// Zero steady-state allocations when the source supports key-addressed
+// pattern queries (measure.PatternKeySource — Empirical does). The result
+// aliases workspace and plan storage — read-only, valid until the next call
+// on ws; Clone detaches it.
 func (pl *TheoremPlan) RunIn(ws *Workspace, src measure.PatternSource) (*TheoremResult, error) {
 	ws.acquire()
 	defer ws.release()
@@ -309,27 +282,6 @@ func (pl *TheoremPlan) RunIn(ws *Workspace, src measure.PatternSource) (*Theorem
 		}
 	}
 	return res, nil
-}
-
-// detachTheoremResult deep-copies a workspace-owned theorem result.
-func detachTheoremResult(res *TheoremResult) *TheoremResult {
-	out := &TheoremResult{
-		CongestionProb: append([]float64(nil), res.CongestionProb...),
-		Alpha:          make(map[string]float64, len(res.Alpha)),
-		Subsets:        make([]*bitset.Set, len(res.Subsets)),
-		ProbSetEmpty:   append([]float64(nil), res.ProbSetEmpty...),
-		JointProb:      make(map[string]float64, len(res.JointProb)),
-	}
-	for k, v := range res.Alpha {
-		out.Alpha[k] = v
-	}
-	for k, v := range res.JointProb {
-		out.JointProb[k] = v
-	}
-	for i, s := range res.Subsets {
-		out.Subsets[i] = s.Clone()
-	}
-	return out
 }
 
 // gammaTerms enumerates the network states Sn with ψ(Sn) = ψ(A) and returns

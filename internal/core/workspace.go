@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitset"
@@ -25,18 +24,17 @@ import (
 // mutable. One goroutine may reuse one workspace across any number of calls
 // and across different plans (buffers grow monotonically), but concurrent
 // use of one workspace is a bug, detected and reported by panic. Results
-// returned by the ...In variants alias workspace (and plan) storage: they
+// returned by the ...In methods alias workspace (and plan) storage: they
 // are read-only and valid only until the next call on the same workspace.
-// The allocating APIs (Evaluate, LinearPlan.Run, TheoremPlan.Run) remain
-// the safe default — they borrow a pooled workspace internally and return
-// detached copies, bit-identical to their historical output.
+// Result.Clone and TheoremResult.Clone detach a result that must outlive
+// that.
 type Workspace struct {
 	busy atomic.Int32
 
 	la linalg.Workspace
 	lp lp.Workspace
 
-	// Evaluate scratch.
+	// EvaluateIn scratch.
 	ys      []float64
 	sys     EquationSystem
 	pathSet *bitset.Set // probe scratch for sources without the fast pair path
@@ -66,16 +64,20 @@ func (ws *Workspace) acquire() {
 
 func (ws *Workspace) release() { ws.busy.Store(0) }
 
-// wsPool backs the allocating wrappers: they borrow a workspace, run the
-// identical arithmetic, and detach the result.
-var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
-
-// EvaluateIn is Evaluate with workspace-owned outputs: the returned system's
-// equations alias the structure's candidate link sets and path lists and the
-// workspace's RHS storage — read-only, valid until the next call on ws. On
-// the rare data-dependent fallback (an unusable precollected observation)
-// the returned system is freshly allocated by the fused BuildEquations,
-// exactly like Evaluate.
+// EvaluateIn fills the compiled structure's right-hand side from a
+// measurement source: one probability lookup per precollected equation, no
+// candidate enumeration, no admissibility checks, no rank tracking. The
+// result is bit-identical to BuildEquations(top, src, opts) on the same
+// inputs.
+//
+// If any precollected observation turns out to be unusable (measured
+// probability ≤ MinProb), the selection becomes source-dependent — a dropped
+// row frees its slot for a later candidate — so EvaluateIn falls back to the
+// fused BuildEquations, preserving bit-identical output at one-shot cost.
+// That fallback system is freshly allocated; otherwise the returned
+// system's equations alias the structure's candidate link sets and path
+// lists and the workspace's RHS storage — read-only, valid until the next
+// call on ws.
 func (s *Structure) EvaluateIn(ws *Workspace, src measure.Source) (*EquationSystem, error) {
 	ws.acquire()
 	defer ws.release()
@@ -154,11 +156,28 @@ func (r *Result) Clone() *Result {
 // Clone returns a deep copy of the theorem result — the way to retain a
 // workspace-owned result (TheoremPlan.RunIn) beyond the workspace's next
 // use.
-func (r *TheoremResult) Clone() *TheoremResult { return detachTheoremResult(r) }
+func (r *TheoremResult) Clone() *TheoremResult {
+	out := &TheoremResult{
+		CongestionProb: append([]float64(nil), r.CongestionProb...),
+		Alpha:          make(map[string]float64, len(r.Alpha)),
+		Subsets:        make([]*bitset.Set, len(r.Subsets)),
+		ProbSetEmpty:   append([]float64(nil), r.ProbSetEmpty...),
+		JointProb:      make(map[string]float64, len(r.JointProb)),
+	}
+	for k, v := range r.Alpha {
+		out.Alpha[k] = v
+	}
+	for k, v := range r.JointProb {
+		out.JointProb[k] = v
+	}
+	for i, s := range r.Subsets {
+		out.Subsets[i] = s.Clone()
+	}
+	return out
+}
 
-// cloneSystem detaches a workspace-owned equation system: cloned link sets,
-// copied path lists — the exact materialization Evaluate has always
-// returned.
+// cloneSystem deep-copies an equation system: cloned link sets, copied
+// path lists.
 func cloneSystem(sys *EquationSystem) *EquationSystem {
 	if sys == nil {
 		return nil
@@ -185,9 +204,11 @@ func cloneSystem(sys *EquationSystem) *EquationSystem {
 	return out
 }
 
-// RunIn is Run with workspace-owned outputs: identical arithmetic, zero
-// steady-state allocations. The result (including its System) aliases
-// workspace and plan storage — read-only, valid until the next call on ws.
+// RunIn evaluates the compiled plan against a measurement source and
+// solves the system: exactly when it has full rank, by the L1 completion
+// of Section 4 when it is underdetermined. Zero steady-state allocations.
+// The result (including its System) aliases workspace and plan storage —
+// read-only, valid until the next call on ws; Clone detaches it.
 func (p *LinearPlan) RunIn(ws *Workspace, src measure.Source) (*Result, error) {
 	ws.acquire()
 	defer ws.release()
@@ -198,26 +219,11 @@ func (p *LinearPlan) RunIn(ws *Workspace, src measure.Source) (*Result, error) {
 	return solveSystemIn(ws, sys, p.opts)
 }
 
-// detachResult deep-copies a workspace-owned result so it survives the
-// workspace's next use. A System produced by the fused fallback is already
-// freshly allocated and is kept as-is.
-func detachResult(ws *Workspace, res *Result) *Result {
-	sys := res.System
-	if sys == &ws.sys {
-		sys = cloneSystem(sys)
-	}
-	return &Result{
-		CongestionProb: append([]float64(nil), res.CongestionProb...),
-		LogGoodProb:    append([]float64(nil), res.LogGoodProb...),
-		System:         sys,
-		Solver:         res.Solver,
-	}
-}
-
-// solveSystemIn is solveSystem on workspace storage: the matrix is
-// materialized into reused memory, the completion strategies run through the
-// workspace's linalg/LP scratch, and the result buffers are recycled. opts
-// must already be filled.
+// solveSystemIn solves a built equation system with the configured
+// completion strategy on workspace storage: the matrix is materialized into
+// reused memory, the completion strategies run through the workspace's
+// linalg/LP scratch, and the result buffers are recycled. opts must already
+// be filled.
 func solveSystemIn(ws *Workspace, sys *EquationSystem, opts Options) (*Result, error) {
 	if len(sys.Equations) == 0 {
 		return nil, fmt.Errorf("core: no usable equations (all admissible observations had zero good-probability)")
@@ -292,8 +298,8 @@ func solveSystemIn(ws *Workspace, sys *EquationSystem, opts Options) (*Result, e
 	return res, nil
 }
 
-// matrix materializes sys as (A, y) into workspace storage — the reusable
-// form of EquationSystem.Matrix.
+// matrix materializes sys as (A, y) for the solvers, into workspace
+// storage.
 func (ws *Workspace) matrix(sys *EquationSystem) (*linalg.Matrix, []float64) {
 	ws.mat.Reshape(len(sys.Equations), sys.NumLinks)
 	ws.mat.Zero()

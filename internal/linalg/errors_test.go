@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -16,24 +17,28 @@ func TestSolverDimensionErrors(t *testing.T) {
 		call func() error
 		want string
 	}{
-		{"SolveLU nil matrix", func() error { _, err := SolveLU(nil, nil); return err },
+		{"SolveLU nil matrix", func() error { _, err := new(Workspace).SolveLU(nil, nil); return err },
 			"linalg: SolveLU: nil matrix"},
-		{"SolveLU non-square", func() error { _, err := SolveLU(a32, make([]float64, 3)); return err },
+		{"SolveLU non-square", func() error { _, err := new(Workspace).SolveLU(a32, make([]float64, 3)); return err },
 			"linalg: SolveLU needs a square matrix, got 3×2"},
-		{"SolveLU short rhs", func() error { _, err := SolveLU(NewMatrix(2, 2), []float64{1}); return err },
+		{"SolveLU short rhs", func() error { _, err := new(Workspace).SolveLU(NewMatrix(2, 2), []float64{1}); return err },
 			"linalg: SolveLU rhs has length 1, want 2"},
-		{"LeastSquares nil matrix", func() error { _, err := LeastSquares(nil, nil); return err },
+		{"LeastSquares nil matrix", func() error { _, err := new(Workspace).LeastSquares(nil, nil); return err },
 			"linalg: LeastSquares: nil matrix"},
-		{"LeastSquares underdetermined", func() error { _, err := LeastSquares(a23, make([]float64, 2)); return err },
+		{"LeastSquares underdetermined", func() error { _, err := new(Workspace).LeastSquares(a23, make([]float64, 2)); return err },
 			"linalg: LeastSquares needs rows ≥ cols, got 2×3 (use MinNormSolve)"},
-		{"LeastSquares short rhs", func() error { _, err := LeastSquares(a32, []float64{1}); return err },
+		{"LeastSquares short rhs", func() error { _, err := new(Workspace).LeastSquares(a32, []float64{1}); return err },
 			"linalg: LeastSquares rhs has length 1, want 3"},
-		{"MinNormSolve nil matrix", func() error { _, err := MinNormSolve(nil, nil); return err },
+		{"MinNormSolve nil matrix", func() error { _, err := new(Workspace).MinNormSolve(nil, nil); return err },
 			"linalg: MinNormSolve: nil matrix"},
-		{"MinNormSolve short rhs", func() error { _, err := MinNormSolve(a23, []float64{1}); return err },
+		{"MinNormSolve short rhs", func() error { _, err := new(Workspace).MinNormSolve(a23, []float64{1}); return err },
 			"linalg: MinNormSolve rhs has length 1, want 2"},
 	}
+	// The same checks on a workspace whose buffers an earlier solve grew.
 	var ws Workspace
+	if _, err := ws.SolveLU(NewMatrix(3, 3), make([]float64, 3)); err != ErrSingular {
+		t.Fatalf("warm-up solve: err = %v, want ErrSingular", err)
+	}
 	wsCases := []struct {
 		name string
 		call func() error
@@ -60,7 +65,7 @@ func TestSolverDimensionErrors(t *testing.T) {
 }
 
 // TestSolversSurviveRandomShapes: fuzz-style randomized shapes must never
-// panic any solver, allocating or workspace-backed.
+// panic any solver, on a workspace reused across every shape.
 func TestSolversSurviveRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	var ws Workspace
@@ -74,35 +79,33 @@ func TestSolversSurviveRandomShapes(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		_, _ = SolveLU(a, b)
-		_, _ = LeastSquares(a, b)
-		_, _ = MinNormSolve(a, b)
 		_, _ = ws.SolveLU(a, b)
 		_, _ = ws.LeastSquares(a, b)
 		_, _ = ws.MinNormSolve(a, b)
 	}
 }
 
-// TestWorkspaceSolversMatchAllocating pins the workspace solvers against
-// their allocating counterparts across a reused workspace: identical
-// results, bit for bit.
+// TestWorkspaceSolversMatchAllocating pins a workspace reused across
+// systems of changing shapes against a fresh workspace per solve (the
+// allocating way to call the solvers): leftover buffers must never leak
+// into a result, so the solutions agree bit for bit.
 func TestWorkspaceSolversMatchAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var ws Workspace
 	check := func(name string, want, got []float64, wantErr, gotErr error) {
 		t.Helper()
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("%s: workspace err %v, allocating err %v", name, gotErr, wantErr)
+			t.Fatalf("%s: reused workspace err %v, fresh err %v", name, gotErr, wantErr)
 		}
 		if wantErr != nil {
 			return
 		}
 		if len(want) != len(got) {
-			t.Fatalf("%s: workspace len %d, allocating %d", name, len(got), len(want))
+			t.Fatalf("%s: reused workspace len %d, fresh %d", name, len(got), len(want))
 		}
 		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("%s: x[%d] workspace %v != allocating %v", name, i, got[i], want[i])
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("%s: x[%d] reused workspace %v != fresh %v", name, i, got[i], want[i])
 			}
 		}
 	}
@@ -126,15 +129,15 @@ func TestWorkspaceSolversMatchAllocating(t *testing.T) {
 			bm[i] = rng.NormFloat64()
 		}
 
-		want, wantErr := SolveLU(sq, bn)
+		want, wantErr := new(Workspace).SolveLU(sq, bn)
 		got, gotErr := ws.SolveLU(sq, bn)
 		check("SolveLU", want, got, wantErr, gotErr)
 
-		want, wantErr = LeastSquares(tall, bm)
+		want, wantErr = new(Workspace).LeastSquares(tall, bm)
 		got, gotErr = ws.LeastSquares(tall, bm)
 		check("LeastSquares", want, got, wantErr, gotErr)
 
-		want, wantErr = MinNormSolve(tall, bm)
+		want, wantErr = new(Workspace).MinNormSolve(tall, bm)
 		got, gotErr = ws.MinNormSolve(tall, bm)
 		check("MinNormSolve", want, got, wantErr, gotErr)
 	}

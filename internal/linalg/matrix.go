@@ -132,21 +132,6 @@ func (m *Matrix) TransposeMulVecInto(x, out []float64) {
 // singular matrix.
 var ErrSingular = errors.New("linalg: matrix is singular")
 
-// SolveLU solves the square system A·x = b by Gaussian elimination with
-// partial pivoting. A and b are not modified.
-func SolveLU(a *Matrix, b []float64) ([]float64, error) {
-	if err := checkSolveLU(a, b); err != nil {
-		return nil, err
-	}
-	m := a.Clone()
-	x := make([]float64, a.Rows)
-	copy(x, b)
-	if err := solveLUInPlace(m, x); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 func checkSolveLU(a *Matrix, b []float64) error {
 	if a == nil {
 		return fmt.Errorf("linalg: SolveLU: nil matrix")
@@ -160,9 +145,9 @@ func checkSolveLU(a *Matrix, b []float64) error {
 	return nil
 }
 
-// solveLUInPlace is the elimination core shared by SolveLU and the
-// workspace variants: m is destroyed, x holds b on entry and the solution on
-// return. Dimensions must already be validated.
+// solveLUInPlace is the elimination core of Workspace.SolveLU and of the
+// min-norm Gram solve: m is destroyed, x holds b on entry and the solution
+// on return. Dimensions must already be validated.
 func solveLUInPlace(m *Matrix, x []float64) error {
 	n := m.Rows
 	for col := 0; col < n; col++ {
@@ -208,23 +193,6 @@ func solveLUInPlace(m *Matrix, x []float64) error {
 	return nil
 }
 
-// LeastSquares solves min‖A·x − b‖₂ for an m×n matrix with m ≥ n using
-// Householder QR. Returns ErrSingular if A is (numerically) rank deficient.
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	if err := checkLeastSquares(a, b); err != nil {
-		return nil, err
-	}
-	qr := a.Clone()
-	y := make([]float64, a.Rows)
-	copy(y, b)
-	rdiag := make([]float64, a.Cols)
-	x := make([]float64, a.Cols)
-	if err := leastSquaresInPlace(qr, y, rdiag, x); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 func checkLeastSquares(a *Matrix, b []float64) error {
 	if a == nil {
 		return fmt.Errorf("linalg: LeastSquares: nil matrix")
@@ -238,10 +206,9 @@ func checkLeastSquares(a *Matrix, b []float64) error {
 	return nil
 }
 
-// leastSquaresInPlace is the QR core shared by LeastSquares and the
-// workspace variant: qr and y are destroyed, rdiag (length Cols) is scratch,
-// and the solution lands in x (length Cols). Dimensions must already be
-// validated.
+// leastSquaresInPlace is the QR core of Workspace.LeastSquares: qr and y
+// are destroyed, rdiag (length Cols) is scratch, and the solution lands in
+// x (length Cols). Dimensions must already be validated.
 func leastSquaresInPlace(qr *Matrix, y, rdiag, x []float64) error {
 	m, n := qr.Rows, qr.Cols
 
@@ -301,21 +268,6 @@ func leastSquaresInPlace(qr *Matrix, y, rdiag, x []float64) error {
 	return nil
 }
 
-// MinNormSolve returns the minimum-L2-norm x with A·x ≈ b for an
-// underdetermined (or any) system, computed as x = Aᵀ·(A·Aᵀ + λI)⁻¹·b with a
-// tiny Tikhonov term λ for numerical safety.
-func MinNormSolve(a *Matrix, b []float64) ([]float64, error) {
-	if err := checkMinNorm(a, b); err != nil {
-		return nil, err
-	}
-	g := NewMatrix(a.Rows, a.Rows)
-	w := make([]float64, a.Rows)
-	if err := minNormGram(a, b, g, w); err != nil {
-		return nil, err
-	}
-	return a.TransposeMulVec(w), nil
-}
-
 func checkMinNorm(a *Matrix, b []float64) error {
 	if a == nil {
 		return fmt.Errorf("linalg: MinNormSolve: nil matrix")
@@ -328,8 +280,8 @@ func checkMinNorm(a *Matrix, b []float64) error {
 
 // minNormGram builds the regularized Gram system G = A·Aᵀ + λI into g
 // (pre-reshaped to Rows×Rows) and solves G·w = b in place: g is destroyed
-// and w (length Rows, holding b on entry... filled here) receives the dual
-// solution. Shared by MinNormSolve and the workspace variant.
+// and w (length Rows) receives the dual solution. The core of
+// Workspace.MinNormSolve.
 func minNormGram(a *Matrix, b []float64, g *Matrix, w []float64) error {
 	m := a.Rows
 	for i := 0; i < m; i++ {

@@ -24,7 +24,7 @@ func vecAlmostEqual(a, b []float64, tol float64) bool {
 func TestSolveLUKnownSystem(t *testing.T) {
 	// 2x + y = 5; x + 3y = 10  => x = 1, y = 3
 	a := FromRows([][]float64{{2, 1}, {1, 3}})
-	x, err := SolveLU(a, []float64{5, 10})
+	x, err := new(Workspace).SolveLU(a, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestSolveLUKnownSystem(t *testing.T) {
 
 func TestSolveLUSingular(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := SolveLU(a, []float64{1, 2}); err == nil {
+	if _, err := new(Workspace).SolveLU(a, []float64{1, 2}); err == nil {
 		t.Fatal("expected ErrSingular")
 	}
 }
@@ -43,7 +43,7 @@ func TestSolveLUSingular(t *testing.T) {
 func TestSolveLUNeedsPivoting(t *testing.T) {
 	// Zero on the initial diagonal forces a row swap.
 	a := FromRows([][]float64{{0, 1}, {1, 0}})
-	x, err := SolveLU(a, []float64{2, 3})
+	x, err := new(Workspace).SolveLU(a, []float64{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestSolveLUNeedsPivoting(t *testing.T) {
 
 func TestSolveLUDimensionErrors(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	if _, err := SolveLU(a, []float64{1, 2}); err == nil {
+	if _, err := new(Workspace).SolveLU(a, []float64{1, 2}); err == nil {
 		t.Fatal("non-square accepted")
 	}
 	sq := FromRows([][]float64{{1, 0}, {0, 1}})
-	if _, err := SolveLU(sq, []float64{1}); err == nil {
+	if _, err := new(Workspace).SolveLU(sq, []float64{1}); err == nil {
 		t.Fatal("bad rhs accepted")
 	}
 }
@@ -67,6 +67,7 @@ func TestSolveLUDimensionErrors(t *testing.T) {
 // planted solution.
 func TestSolveLURandomRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var ws Workspace // reused across trials
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(12)
 		a := NewMatrix(n, n)
@@ -82,7 +83,7 @@ func TestSolveLURandomRoundTrip(t *testing.T) {
 			want[i] = rng.NormFloat64()
 		}
 		b := a.MulVec(want)
-		got, err := SolveLU(a, b)
+		got, err := ws.SolveLU(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -97,7 +98,7 @@ func TestLeastSquaresExact(t *testing.T) {
 	a := FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
 	want := []float64{2, -3}
 	b := a.MulVec(want)
-	got, err := LeastSquares(a, b)
+	got, err := new(Workspace).LeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +110,7 @@ func TestLeastSquaresExact(t *testing.T) {
 func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 	// The least-squares residual must be orthogonal to the column space.
 	rng := rand.New(rand.NewSource(2))
+	var ws Workspace // reused across trials
 	for trial := 0; trial < 50; trial++ {
 		m, n := 8+rng.Intn(8), 2+rng.Intn(5)
 		a := NewMatrix(m, n)
@@ -119,7 +121,7 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, err := LeastSquares(a, b)
+		x, err := ws.LeastSquares(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -135,14 +137,14 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 
 func TestLeastSquaresRankDeficient(t *testing.T) {
 	a := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
-	if _, err := LeastSquares(a, []float64{1, 2, 3}); err == nil {
+	if _, err := new(Workspace).LeastSquares(a, []float64{1, 2, 3}); err == nil {
 		t.Fatal("rank-deficient system accepted")
 	}
 }
 
 func TestLeastSquaresUnderdeterminedRejected(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}})
-	if _, err := LeastSquares(a, []float64{1}); err == nil {
+	if _, err := new(Workspace).LeastSquares(a, []float64{1}); err == nil {
 		t.Fatal("underdetermined system accepted")
 	}
 }
@@ -150,7 +152,7 @@ func TestLeastSquaresUnderdeterminedRejected(t *testing.T) {
 func TestMinNormSolve(t *testing.T) {
 	// x + y = 2 has min-norm solution (1, 1).
 	a := FromRows([][]float64{{1, 1}})
-	x, err := MinNormSolve(a, []float64{2})
+	x, err := new(Workspace).MinNormSolve(a, []float64{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +175,7 @@ func TestMinNormSolveIsMinimal(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, err := MinNormSolve(a, b)
+		x, err := new(Workspace).MinNormSolve(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -187,7 +189,7 @@ func TestMinNormSolveIsMinimal(t *testing.T) {
 		}
 		// Project z onto null space: z - Aᵀ(AAᵀ)⁻¹Az
 		az := a.MulVec(z)
-		corr, err := MinNormSolve(a, az)
+		corr, err := new(Workspace).MinNormSolve(a, az)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,17 +2,13 @@ package linalg
 
 import "repro/internal/scratch"
 
-// Workspace holds the scratch state of the solver variants that do not
-// allocate per call: clone targets for the destructive elimination cores and
+// Workspace holds the scratch state of the solvers, which do not allocate
+// per call: clone targets for the destructive elimination cores and
 // reusable solution buffers. A Workspace may be reused across any number of
 // solves of any sizes (buffers grow monotonically and are retained), but a
 // single Workspace must not be used by two goroutines at once, and every
 // returned slice aliases workspace storage — it is valid only until the next
 // call on the same workspace.
-//
-// The allocating package-level solvers (SolveLU, LeastSquares, MinNormSolve)
-// remain the safe default; the workspace variants run the identical
-// arithmetic on reused memory, so their results are bit-identical.
 type Workspace struct {
 	m     Matrix    // clone/Gram scratch destroyed by the elimination cores
 	x     []float64 // solution buffer returned to the caller
@@ -20,9 +16,9 @@ type Workspace struct {
 	rdiag []float64 // R-diagonal scratch of the QR core
 }
 
-// SolveLU solves the square system A·x = b like the package-level SolveLU
-// (A and b are not modified; identical arithmetic), returning a
-// workspace-owned solution slice.
+// SolveLU solves the square system A·x = b by Gaussian elimination with
+// partial pivoting. A and b are not modified; the solution slice is
+// workspace-owned.
 func (ws *Workspace) SolveLU(a *Matrix, b []float64) ([]float64, error) {
 	if err := checkSolveLU(a, b); err != nil {
 		return nil, err
@@ -36,9 +32,9 @@ func (ws *Workspace) SolveLU(a *Matrix, b []float64) ([]float64, error) {
 	return ws.x, nil
 }
 
-// LeastSquares solves min‖A·x − b‖₂ like the package-level LeastSquares
-// (A and b are not modified; identical arithmetic), returning a
-// workspace-owned solution slice.
+// LeastSquares solves min‖A·x − b‖₂ for an m×n matrix with m ≥ n using
+// Householder QR. Returns ErrSingular if A is (numerically) rank deficient.
+// A and b are not modified; the solution slice is workspace-owned.
 func (ws *Workspace) LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	if err := checkLeastSquares(a, b); err != nil {
 		return nil, err
@@ -54,9 +50,10 @@ func (ws *Workspace) LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	return ws.x, nil
 }
 
-// MinNormSolve computes the minimum-L2-norm solution like the package-level
-// MinNormSolve (A and b are not modified; identical arithmetic), returning a
-// workspace-owned solution slice.
+// MinNormSolve returns the minimum-L2-norm x with A·x ≈ b for an
+// underdetermined (or any) system, computed as x = Aᵀ·(A·Aᵀ + λI)⁻¹·b with a
+// tiny Tikhonov term λ for numerical safety. A and b are not modified; the
+// solution slice is workspace-owned.
 func (ws *Workspace) MinNormSolve(a *Matrix, b []float64) ([]float64, error) {
 	if err := checkMinNorm(a, b); err != nil {
 		return nil, err

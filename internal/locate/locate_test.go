@@ -177,11 +177,19 @@ func TestCorrelatedLocalizationBeatsIndependent(t *testing.T) {
 
 	// Learn with the theorem algorithm (joints) and the independence
 	// baseline (marginals only).
-	thm, err := core.Theorem(top, src, core.TheoremOptions{})
+	tp, err := core.CompileTheorem(top, core.TheoremOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	indep, err := core.Independence(top, src, core.Options{UseAllEquations: true})
+	thm, err := tp.RunIn(core.NewWorkspace(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp, err := core.CompileLinear(top, true, core.Options{UseAllEquations: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indep, err := lp.RunIn(core.NewWorkspace(), src)
 	if err != nil {
 		t.Fatal(err)
 	}

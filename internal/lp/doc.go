@@ -1,19 +1,18 @@
 // Package lp implements a dense two-phase primal simplex solver and the L1
-// objectives built on it.
+// completion built on it.
 //
 // Paper mapping: Section 4's practical algorithm solves the log-linear
 // system of Eqs. 9–10 for the link variables. When Assumption 4 holds only
 // partially and the collected equations leave the system underdetermined,
 // the paper completes it with the solution that "minimizes the L1 norm
-// error". MinimizeL1ResidualNonPositive is that completion — min ‖A·x − y‖₁
-// plus a tiny ‖x‖₁ tie-break, subject to x ≤ 0 — and the only entry point
-// production code calls: core's linear estimators run it, through a
-// reusable Workspace, on every underdetermined system. (Full-rank systems
-// and the UseAllEquations ablation are solved by internal/linalg instead.)
+// error". Workspace.MinimizeL1ResidualNonPositive is that completion —
+// min ‖A·x − y‖₁ plus a tiny ‖x‖₁ tie-break, subject to x ≤ 0 — and the
+// only entry point production code calls: core's linear estimators run it
+// on every underdetermined system. (Full-rank systems and the
+// UseAllEquations ablation are solved by internal/linalg instead.)
 //
-// The other front ends — MinimizeL1Residual (free x), BasisPursuitNonPositive
-// (hard equalities A·x = y, x ≤ 0) and the IRLSL1 approximation — have no
-// caller outside this package's tests.
+// Both entry points, Workspace.Solve and the L1 completion, are methods of
+// a reusable Workspace; there are no allocating package-level forms.
 //
 // The solver: Workspace.Solve runs phase 1 on the artificial variables,
 // pivots any artificial left at level zero out of the basis, then runs

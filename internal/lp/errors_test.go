@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,33 +14,22 @@ import (
 // style).
 func TestSolverDimensionErrors(t *testing.T) {
 	a23 := linalg.NewMatrix(2, 3)
+	var ws Workspace
 	cases := []struct {
 		name string
 		call func() error
 		want string
 	}{
-		{"Solve nil matrix", func() error { _, err := Solve(Problem{C: []float64{1}, B: []float64{1}}); return err },
+		{"Solve nil matrix", func() error { _, err := ws.Solve(Problem{C: []float64{1}, B: []float64{1}}); return err },
 			"lp: nil constraint matrix"},
-		{"Solve short b", func() error { _, err := Solve(Problem{C: make([]float64, 3), A: a23, B: []float64{1}}); return err },
+		{"Solve short b", func() error { _, err := ws.Solve(Problem{C: make([]float64, 3), A: a23, B: []float64{1}}); return err },
 			"lp: b has length 1, want 2"},
-		{"Solve short c", func() error { _, err := Solve(Problem{C: []float64{1}, A: a23, B: make([]float64, 2)}); return err },
+		{"Solve short c", func() error { _, err := ws.Solve(Problem{C: []float64{1}, A: a23, B: make([]float64, 2)}); return err },
 			"lp: c has length 1, want 3"},
-		{"MinimizeL1Residual nil matrix", func() error { _, err := MinimizeL1Residual(nil, []float64{1}); return err },
-			"lp: MinimizeL1Residual: nil matrix"},
-		{"MinimizeL1Residual short y", func() error { _, err := MinimizeL1Residual(a23, []float64{1}); return err },
-			"lp: y has length 1, want 2"},
-		{"BasisPursuitNonPositive nil matrix", func() error { _, err := BasisPursuitNonPositive(nil, nil); return err },
-			"lp: BasisPursuitNonPositive: nil matrix"},
-		{"BasisPursuitNonPositive short y", func() error { _, err := BasisPursuitNonPositive(a23, nil); return err },
-			"lp: y has length 0, want 2"},
-		{"MinimizeL1ResidualNonPositive nil matrix", func() error { _, err := MinimizeL1ResidualNonPositive(nil, nil); return err },
+		{"MinimizeL1ResidualNonPositive nil matrix", func() error { _, err := ws.MinimizeL1ResidualNonPositive(nil, nil); return err },
 			"lp: MinimizeL1ResidualNonPositive: nil matrix"},
-		{"MinimizeL1ResidualNonPositive short y", func() error { _, err := MinimizeL1ResidualNonPositive(a23, []float64{1, 2, 3}); return err },
+		{"MinimizeL1ResidualNonPositive short y", func() error { _, err := ws.MinimizeL1ResidualNonPositive(a23, []float64{1, 2, 3}); return err },
 			"lp: y has length 3, want 2"},
-		{"IRLSL1 nil matrix", func() error { _, err := IRLSL1(nil, nil, 0); return err },
-			"lp: IRLSL1: nil matrix"},
-		{"IRLSL1 short y", func() error { _, err := IRLSL1(a23, []float64{1}, 0); return err },
-			"lp: y has length 1, want 2"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -59,6 +49,7 @@ func TestSolverDimensionErrors(t *testing.T) {
 // result or an error — and never panic.
 func TestSolversSurviveRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	var ws Workspace // reused, so every shape also meets leftover buffers
 	for trial := 0; trial < 300; trial++ {
 		m, n := rng.Intn(5), rng.Intn(5)
 		a := linalg.NewMatrix(m, n)
@@ -70,19 +61,15 @@ func TestSolversSurviveRandomShapes(t *testing.T) {
 			y[i] = rng.NormFloat64()
 		}
 		c := make([]float64, rng.Intn(6))
-		_, _ = Solve(Problem{C: c, A: a, B: y})
-		_, _ = MinimizeL1Residual(a, y)
-		_, _ = BasisPursuitNonPositive(a, y)
-		_, _ = MinimizeL1ResidualNonPositive(a, y)
-		_, _ = IRLSL1(a, y, 3)
-		var ws Workspace
+		_, _ = ws.Solve(Problem{C: c, A: a, B: y})
 		_, _ = ws.MinimizeL1ResidualNonPositive(a, y)
 	}
 }
 
-// TestWorkspaceSolveMatchesSolve pins the workspace simplex against the
-// allocating entry point: same problems, bit-identical solutions, across a
-// reused workspace.
+// TestWorkspaceSolveMatchesSolve pins a workspace reused across programs of
+// changing shapes against a fresh workspace per program (the allocating
+// way to call it): leftover buffers must never leak into a result, so the
+// solutions and errors agree bit for bit.
 func TestWorkspaceSolveMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var ws Workspace
@@ -96,17 +83,17 @@ func TestWorkspaceSolveMatchesSolve(t *testing.T) {
 		for i := range y {
 			y[i] = rng.NormFloat64()
 		}
-		want, wantErr := MinimizeL1ResidualNonPositive(a, y)
+		want, wantErr := new(Workspace).MinimizeL1ResidualNonPositive(a, y)
 		got, gotErr := ws.MinimizeL1ResidualNonPositive(a, y)
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d: workspace err %v, allocating err %v", trial, gotErr, wantErr)
+			t.Fatalf("trial %d: reused workspace err %v, fresh err %v", trial, gotErr, wantErr)
 		}
 		if wantErr != nil {
 			continue
 		}
 		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("trial %d: workspace x[%d]=%v, allocating %v", trial, i, got[i], want[i])
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("trial %d: reused workspace x[%d]=%v, fresh %v", trial, i, got[i], want[i])
 			}
 		}
 	}

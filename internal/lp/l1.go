@@ -2,89 +2,10 @@ package lp
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/linalg"
 	"repro/internal/scratch"
 )
-
-// MinimizeL1Residual solves min ‖A·x − y‖₁ with x free, as a linear program:
-//
-//	min 1ᵀ(s⁺ + s⁻)  s.t.  A·x + s⁺ − s⁻ = y,  s± ≥ 0,  x = x⁺ − x⁻ ≥ split.
-//
-// The free x is split into x⁺ − x⁻ with both parts nonnegative.
-func MinimizeL1Residual(a *linalg.Matrix, y []float64) ([]float64, error) {
-	if a == nil {
-		return nil, fmt.Errorf("lp: MinimizeL1Residual: nil matrix")
-	}
-	m, n := a.Rows, a.Cols
-	if len(y) != m {
-		return nil, fmt.Errorf("lp: y has length %d, want %d", len(y), m)
-	}
-	// Variables: x⁺ (n), x⁻ (n), s⁺ (m), s⁻ (m).
-	nv := 2*n + 2*m
-	pa := linalg.NewMatrix(m, nv)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			v := a.At(i, j)
-			pa.Set(i, j, v)
-			pa.Set(i, n+j, -v)
-		}
-		pa.Set(i, 2*n+i, 1)
-		pa.Set(i, 2*n+m+i, -1)
-	}
-	c := make([]float64, nv)
-	for j := 2 * n; j < nv; j++ {
-		c[j] = 1
-	}
-	res, err := Solve(Problem{C: c, A: pa, B: y})
-	if err != nil {
-		return nil, err
-	}
-	x := make([]float64, n)
-	for j := 0; j < n; j++ {
-		x[j] = res.X[j] - res.X[n+j]
-	}
-	return x, nil
-}
-
-// BasisPursuitNonPositive solves
-//
-//	min ‖x‖₁  s.t.  A·x = y,  x ≤ 0.
-//
-// This is the completion rule used when the tomography equation system is
-// underdetermined: among all non-positive log-probability vectors consistent
-// with the measurements, pick the one closest to "no congestion anywhere"
-// (Section 4: minimize the L1 norm error). Substituting u = −x ≥ 0 turns it
-// into the standard-form LP  min 1ᵀu  s.t. (−A)·u = y, u ≥ 0.
-func BasisPursuitNonPositive(a *linalg.Matrix, y []float64) ([]float64, error) {
-	if a == nil {
-		return nil, fmt.Errorf("lp: BasisPursuitNonPositive: nil matrix")
-	}
-	m, n := a.Rows, a.Cols
-	if len(y) != m {
-		return nil, fmt.Errorf("lp: y has length %d, want %d", len(y), m)
-	}
-	na := linalg.NewMatrix(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			na.Set(i, j, -a.At(i, j))
-		}
-	}
-	c := make([]float64, n)
-	for j := range c {
-		c[j] = 1
-	}
-	res, err := Solve(Problem{C: c, A: na, B: y})
-	if err != nil {
-		return nil, err
-	}
-	x := make([]float64, n)
-	for j := 0; j < n; j++ {
-		x[j] = -res.X[j]
-	}
-	return x, nil
-}
 
 // MinimizeL1ResidualNonPositive solves
 //
@@ -99,20 +20,9 @@ func BasisPursuitNonPositive(a *linalg.Matrix, y []float64) ([]float64, error) {
 // With u = −x ≥ 0 it is the standard-form LP
 //
 //	min 1ᵀ(s⁺+s⁻) + ε·1ᵀu  s.t.  −A·u + s⁺ − s⁻ = y,  u, s± ≥ 0.
-func MinimizeL1ResidualNonPositive(a *linalg.Matrix, y []float64) ([]float64, error) {
-	ws := wsPool.Get().(*Workspace)
-	x, err := ws.MinimizeL1ResidualNonPositive(a, y)
-	if err == nil {
-		x = append([]float64(nil), x...)
-	}
-	wsPool.Put(ws)
-	return x, err
-}
-
-// MinimizeL1ResidualNonPositive is the workspace form of the package-level
-// function: identical arithmetic, but the standard-form program and the
-// solution live in reused workspace storage. The returned slice aliases the
-// workspace.
+//
+// The standard-form program and the solution live in reused workspace
+// storage; the returned slice aliases the workspace.
 func (ws *Workspace) MinimizeL1ResidualNonPositive(a *linalg.Matrix, y []float64) ([]float64, error) {
 	if a == nil {
 		return nil, fmt.Errorf("lp: MinimizeL1ResidualNonPositive: nil matrix")
@@ -151,76 +61,6 @@ func (ws *Workspace) MinimizeL1ResidualNonPositive(a *linalg.Matrix, y []float64
 	x := ws.xOut
 	for j := 0; j < n; j++ {
 		x[j] = -res.X[j]
-	}
-	return x, nil
-}
-
-// IRLSL1 approximately solves min ‖A·x − y‖₁ by iteratively reweighted least
-// squares with a small ridge term. It is the fallback for systems too large
-// for the dense simplex. iters ≤ 0 selects a default of 30.
-func IRLSL1(a *linalg.Matrix, y []float64, iters int) ([]float64, error) {
-	if a == nil {
-		return nil, fmt.Errorf("lp: IRLSL1: nil matrix")
-	}
-	m, n := a.Rows, a.Cols
-	if len(y) != m {
-		return nil, fmt.Errorf("lp: y has length %d, want %d", len(y), m)
-	}
-	if iters <= 0 {
-		iters = 30
-	}
-	const (
-		eps   = 1e-6
-		ridge = 1e-8
-	)
-	w := make([]float64, m)
-	for i := range w {
-		w[i] = 1
-	}
-	var x []float64
-	for it := 0; it < iters; it++ {
-		// Solve the weighted normal equations (AᵀWA + ridge·I)·x = AᵀW·y.
-		g := linalg.NewMatrix(n, n)
-		rhs := make([]float64, n)
-		for i := 0; i < m; i++ {
-			row := a.Row(i)
-			wi := w[i]
-			for p := 0; p < n; p++ {
-				vp := row[p]
-				if vp == 0 {
-					continue
-				}
-				rhs[p] += wi * vp * y[i]
-				for q := p; q < n; q++ {
-					g.Data[p*n+q] += wi * vp * row[q]
-				}
-			}
-		}
-		for p := 0; p < n; p++ {
-			for q := 0; q < p; q++ {
-				g.Set(p, q, g.At(q, p))
-			}
-			g.Set(p, p, g.At(p, p)+ridge)
-		}
-		nx, err := linalg.SolveLU(g, rhs)
-		if err != nil {
-			return nil, fmt.Errorf("lp: IRLS inner solve: %w", err)
-		}
-		if x != nil {
-			diff := 0.0
-			for i := range nx {
-				diff = math.Max(diff, math.Abs(nx[i]-x[i]))
-			}
-			if diff < 1e-10 {
-				x = nx
-				break
-			}
-		}
-		x = nx
-		r := linalg.Sub(a.MulVec(x), y)
-		for i := range w {
-			w[i] = 1 / math.Max(math.Abs(r[i]), eps)
-		}
 	}
 	return x, nil
 }

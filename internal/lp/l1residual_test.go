@@ -18,7 +18,7 @@ func TestMinimizeL1ResidualNonPositiveExact(t *testing.T) {
 	})
 	want := []float64{-0.2, -0.5, -0.1}
 	y := a.MulVec(want)
-	x, err := MinimizeL1ResidualNonPositive(a, y)
+	x, err := new(Workspace).MinimizeL1ResidualNonPositive(a, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestMinimizeL1ResidualNonPositiveSignConstraint(t *testing.T) {
 		{0, 1},
 	})
 	y := []float64{-1, 0.5}
-	x, err := MinimizeL1ResidualNonPositive(a, y)
+	x, err := new(Workspace).MinimizeL1ResidualNonPositive(a, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestMinimizeL1ResidualNonPositiveInfeasibleEqualities(t *testing.T) {
 	})
 	// y2 > y1 forces x3 = y2 − y1 > 0 in the equality system.
 	y := []float64{-0.4, -0.3}
-	x, err := MinimizeL1ResidualNonPositive(a, y)
+	x, err := new(Workspace).MinimizeL1ResidualNonPositive(a, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestMinimizeL1ResidualNonPositiveInfeasibleEqualities(t *testing.T) {
 
 func TestMinimizeL1ResidualNonPositiveDimensions(t *testing.T) {
 	a := linalg.FromRows([][]float64{{1, 0}})
-	if _, err := MinimizeL1ResidualNonPositive(a, []float64{1, 2}); err == nil {
+	if _, err := new(Workspace).MinimizeL1ResidualNonPositive(a, []float64{1, 2}); err == nil {
 		t.Fatal("bad rhs accepted")
 	}
 }
@@ -104,7 +104,7 @@ func TestMinimizeL1ResidualNeverWorseThanZero(t *testing.T) {
 		for i := range y {
 			y[i] = -rng.Float64()
 		}
-		x, err := MinimizeL1ResidualNonPositive(a, y)
+		x, err := new(Workspace).MinimizeL1ResidualNonPositive(a, y)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

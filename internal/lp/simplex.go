@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/scratch"
@@ -44,7 +43,7 @@ const (
 
 // Workspace holds the reusable state of one simplex solver: the tableau,
 // the phase objectives, the reduced-cost buffer, and the problem-construction
-// scratch of the L1 front ends. Buffers grow monotonically and are retained
+// scratch of the L1 completion. Buffers grow monotonically and are retained
 // across calls, so a steady-state caller solving same-shaped programs
 // allocates nothing. A Workspace must not be used by two goroutines at once;
 // slices returned by workspace methods alias workspace storage and are valid
@@ -55,28 +54,11 @@ type Workspace struct {
 	phase1, phase2 []float64
 	x              []float64 // Solve's basic-solution buffer
 
-	// L1 front-end scratch: the standard-form problem built from (A, y) and
+	// L1 completion scratch: the standard-form problem built from (A, y) and
 	// the recovered solution (kept separate from x, which Solve owns).
 	pa   linalg.Matrix
 	c    []float64
 	xOut []float64
-}
-
-// wsPool backs the allocating package-level entry points: they borrow a
-// workspace, run the identical arithmetic, and copy the solution out, so
-// their behavior (and results) are unchanged while their transient state is
-// recycled.
-var wsPool = sync.Pool{New: func() any { return new(Workspace) }}
-
-// Solve runs the two-phase primal simplex method on p.
-func Solve(p Problem) (Result, error) {
-	ws := wsPool.Get().(*Workspace)
-	res, err := ws.Solve(p)
-	if err == nil {
-		res.X = append([]float64(nil), res.X...)
-	}
-	wsPool.Put(ws)
-	return res, err
 }
 
 // Solve runs the two-phase primal simplex method on p using workspace

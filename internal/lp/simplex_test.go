@@ -17,7 +17,7 @@ func TestSolveTextbook(t *testing.T) {
 		{0, 2, 0, 1, 0},
 		{3, 2, 0, 0, 1},
 	})
-	res, err := Solve(Problem{
+	res, err := new(Workspace).Solve(Problem{
 		C: []float64{-3, -5, 0, 0, 0},
 		A: a,
 		B: []float64{4, 12, 18},
@@ -40,7 +40,7 @@ func TestSolveInfeasible(t *testing.T) {
 		{1, 1},
 		{1, 1},
 	})
-	_, err := Solve(Problem{C: []float64{1, 1}, A: a, B: []float64{1, 2}})
+	_, err := new(Workspace).Solve(Problem{C: []float64{1, 1}, A: a, B: []float64{1, 2}})
 	if err != ErrInfeasible {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -49,7 +49,7 @@ func TestSolveInfeasible(t *testing.T) {
 func TestSolveUnbounded(t *testing.T) {
 	// min -x1 s.t. x1 - x2 = 0: x1 can grow without bound.
 	a := linalg.FromRows([][]float64{{1, -1}})
-	_, err := Solve(Problem{C: []float64{-1, 0}, A: a, B: []float64{0}})
+	_, err := new(Workspace).Solve(Problem{C: []float64{-1, 0}, A: a, B: []float64{0}})
 	if err != ErrUnbounded {
 		t.Fatalf("err = %v, want ErrUnbounded", err)
 	}
@@ -58,7 +58,7 @@ func TestSolveUnbounded(t *testing.T) {
 func TestSolveNegativeRHS(t *testing.T) {
 	// -x1 = -3 ⇒ x1 = 3; row normalization must handle b < 0.
 	a := linalg.FromRows([][]float64{{-1, 0}})
-	res, err := Solve(Problem{C: []float64{1, 1}, A: a, B: []float64{-3}})
+	res, err := new(Workspace).Solve(Problem{C: []float64{1, 1}, A: a, B: []float64{-3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +69,10 @@ func TestSolveNegativeRHS(t *testing.T) {
 
 func TestSolveDimensionErrors(t *testing.T) {
 	a := linalg.FromRows([][]float64{{1, 0}})
-	if _, err := Solve(Problem{C: []float64{1}, A: a, B: []float64{1}}); err == nil {
+	if _, err := new(Workspace).Solve(Problem{C: []float64{1}, A: a, B: []float64{1}}); err == nil {
 		t.Fatal("bad c accepted")
 	}
-	if _, err := Solve(Problem{C: []float64{1, 2}, A: a, B: []float64{1, 2}}); err == nil {
+	if _, err := new(Workspace).Solve(Problem{C: []float64{1, 2}, A: a, B: []float64{1, 2}}); err == nil {
 		t.Fatal("bad b accepted")
 	}
 }
@@ -84,7 +84,7 @@ func TestSolveDegenerateRedundantRow(t *testing.T) {
 		{0, 1, 0, 1},
 		{1, 1, 1, 1},
 	})
-	res, err := Solve(Problem{C: []float64{1, 1, 0, 0}, A: a, B: []float64{2, 3, 5}})
+	res, err := new(Workspace).Solve(Problem{C: []float64{1, 1, 0, 0}, A: a, B: []float64{2, 3, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSolveItersCountsDriveOutPivots(t *testing.T) {
 		{1, -1},
 		{2, 0},
 	})
-	res, err := Solve(Problem{C: []float64{1, 1}, A: a, B: []float64{0, 0, 0}})
+	res, err := new(Workspace).Solve(Problem{C: []float64{1, 1}, A: a, B: []float64{0, 0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +121,7 @@ func TestSolveItersCountsDriveOutPivots(t *testing.T) {
 // Property: the simplex optimum is no worse than any random feasible point.
 func TestSolveOptimalityAgainstRandomFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var ws Workspace // reused across trials
 	for trial := 0; trial < 40; trial++ {
 		m, n := 2+rng.Intn(3), 5+rng.Intn(5)
 		a := linalg.NewMatrix(m, n)
@@ -138,7 +139,7 @@ func TestSolveOptimalityAgainstRandomFeasible(t *testing.T) {
 		for i := range c {
 			c[i] = rng.Float64() // nonnegative costs keep it bounded
 		}
-		res, err := Solve(Problem{C: c, A: a, B: b})
+		res, err := ws.Solve(Problem{C: c, A: a, B: b})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -159,12 +160,67 @@ func TestSolveOptimalityAgainstRandomFeasible(t *testing.T) {
 	}
 }
 
+// l1Fit solves min ‖A·x − y‖₁ with x free as the standard-form program
+//
+//	min 1ᵀ(s⁺ + s⁻)  s.t.  A·x⁺ − A·x⁻ + s⁺ − s⁻ = y,  x±, s± ≥ 0,
+//
+// exercising the simplex on free-variable splits.
+func l1Fit(ws *Workspace, a *linalg.Matrix, y []float64) ([]float64, error) {
+	m, n := a.Rows, a.Cols
+	nv := 2*n + 2*m
+	pa := linalg.NewMatrix(m, nv)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			pa.Set(i, j, a.At(i, j))
+			pa.Set(i, n+j, -a.At(i, j))
+		}
+		pa.Set(i, 2*n+i, 1)
+		pa.Set(i, 2*n+m+i, -1)
+	}
+	c := make([]float64, nv)
+	for j := 2 * n; j < nv; j++ {
+		c[j] = 1
+	}
+	res, err := ws.Solve(Problem{C: c, A: pa, B: y})
+	if err != nil {
+		return nil, err
+	}
+	x := make([]float64, n)
+	for j := range x {
+		x[j] = res.X[j] - res.X[n+j]
+	}
+	return x, nil
+}
+
+// basisPursuitNonPositive solves min ‖x‖₁ s.t. A·x = y, x ≤ 0 as the
+// standard-form program min 1ᵀu s.t. (−A)·u = y, u ≥ 0, exercising the
+// simplex on hard equality constraints.
+func basisPursuitNonPositive(ws *Workspace, a *linalg.Matrix, y []float64) ([]float64, error) {
+	na := linalg.NewMatrix(a.Rows, a.Cols)
+	c := make([]float64, a.Cols)
+	for i := range na.Data {
+		na.Data[i] = -a.Data[i]
+	}
+	for j := range c {
+		c[j] = 1
+	}
+	res, err := ws.Solve(Problem{C: c, A: na, B: y})
+	if err != nil {
+		return nil, err
+	}
+	x := make([]float64, a.Cols)
+	for j := range x {
+		x[j] = -res.X[j]
+	}
+	return x, nil
+}
+
 func TestMinimizeL1Residual(t *testing.T) {
 	// Overdetermined system with one gross outlier: L1 regression must
 	// ignore the outlier where L2 would not.
 	a := linalg.FromRows([][]float64{{1}, {1}, {1}, {1}, {1}})
 	y := []float64{1, 1, 1, 1, 100}
-	x, err := MinimizeL1Residual(a, y)
+	x, err := l1Fit(new(Workspace), a, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,6 +231,7 @@ func TestMinimizeL1Residual(t *testing.T) {
 
 func TestMinimizeL1ResidualExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
+	var ws Workspace // reused across trials
 	for trial := 0; trial < 20; trial++ {
 		m, n := 8, 3
 		a := linalg.NewMatrix(m, n)
@@ -183,7 +240,7 @@ func TestMinimizeL1ResidualExact(t *testing.T) {
 		}
 		want := []float64{1, -2, 0.5}
 		y := a.MulVec(want)
-		x, err := MinimizeL1Residual(a, y)
+		x, err := l1Fit(&ws, a, y)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -199,7 +256,7 @@ func TestBasisPursuitNonPositive(t *testing.T) {
 	// x1 + x2 = -1, x ≤ 0: the L1-minimal solutions put all mass on one
 	// coordinate or split it; total must be -1 and ‖x‖₁ = 1.
 	a := linalg.FromRows([][]float64{{1, 1}})
-	x, err := BasisPursuitNonPositive(a, []float64{-1})
+	x, err := basisPursuitNonPositive(new(Workspace), a, []float64{-1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +275,7 @@ func TestBasisPursuitPicksSparse(t *testing.T) {
 	// y = A·x* with sparse nonpositive x*: basis pursuit must achieve an L1
 	// norm no larger than ‖x*‖₁.
 	rng := rand.New(rand.NewSource(13))
+	var ws Workspace // reused across trials
 	for trial := 0; trial < 25; trial++ {
 		m, n := 4, 10
 		a := linalg.NewMatrix(m, n)
@@ -227,7 +285,7 @@ func TestBasisPursuitPicksSparse(t *testing.T) {
 		xs := make([]float64, n)
 		xs[rng.Intn(n)] = -1 - rng.Float64()
 		y := a.MulVec(xs)
-		x, err := BasisPursuitNonPositive(a, y)
+		x, err := basisPursuitNonPositive(&ws, a, y)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -241,29 +299,12 @@ func TestBasisPursuitPicksSparse(t *testing.T) {
 	}
 }
 
-func TestIRLSL1MatchesSimplexOnOutliers(t *testing.T) {
-	a := linalg.FromRows([][]float64{{1}, {1}, {1}, {1}, {1}, {1}, {1}})
-	y := []float64{2, 2, 2, 2, 2, 2, 50}
-	x, err := IRLSL1(a, y, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-2) > 1e-3 {
-		t.Fatalf("IRLS fit = %v, want ≈2", x[0])
-	}
-}
-
-func TestIRLSL1Errors(t *testing.T) {
-	a := linalg.FromRows([][]float64{{1, 2}})
-	if _, err := IRLSL1(a, []float64{1, 2}, 5); err == nil {
-		t.Fatal("bad rhs accepted")
-	}
-}
-
 // Property: on random overdetermined systems, the simplex L1 objective is at
-// least as good as (≤) both the IRLS approximation and the least-squares fit.
+// least as good as (≤) the least-squares fit's.
 func TestL1ObjectiveOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
+	var ws Workspace
+	var la linalg.Workspace
 	for trial := 0; trial < 20; trial++ {
 		m, n := 12, 4
 		a := linalg.NewMatrix(m, n)
@@ -276,20 +317,13 @@ func TestL1ObjectiveOrdering(t *testing.T) {
 		}
 		l1 := func(x []float64) float64 { return linalg.Norm1(linalg.Sub(a.MulVec(x), y)) }
 
-		xs, err := MinimizeL1Residual(a, y)
+		xs, err := l1Fit(&ws, a, y)
 		if err != nil {
 			t.Fatalf("trial %d simplex: %v", trial, err)
 		}
-		xi, err := IRLSL1(a, y, 0)
-		if err != nil {
-			t.Fatalf("trial %d IRLS: %v", trial, err)
-		}
-		xl, err := linalg.LeastSquares(a, y)
+		xl, err := la.LeastSquares(a, y)
 		if err != nil {
 			t.Fatalf("trial %d LS: %v", trial, err)
-		}
-		if l1(xs) > l1(xi)+1e-6 {
-			t.Fatalf("trial %d: simplex L1 %.8f worse than IRLS %.8f", trial, l1(xs), l1(xi))
 		}
 		if l1(xs) > l1(xl)+1e-6 {
 			t.Fatalf("trial %d: simplex L1 %.8f worse than least-squares %.8f", trial, l1(xs), l1(xl))

@@ -25,7 +25,6 @@ package mle
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitset"
@@ -102,7 +101,7 @@ func (r *Result) Clone() *Result {
 // obs is one composite-likelihood observation: the link set whose q-product
 // predicts the all-good frequency of a single path or a link-sharing path
 // pair. Which frequency to query is structural; the frequency itself is
-// data and is looked up per Estimate call.
+// data and is looked up per EstimateIn call.
 type obs struct {
 	links []int
 	i, j  topology.PathID // j < 0 for a single-path observation
@@ -111,7 +110,7 @@ type obs struct {
 // Plan is the compiled structural phase of the estimator: the observation
 // set (every path plus link-sharing pairs, capped at 2·|E|) and the
 // observation↔link incidence in both directions. Everything here depends
-// only on the topology, so one plan serves any number of Estimate calls;
+// only on the topology, so one plan serves any number of EstimateIn calls;
 // it is immutable after Compile returns and safe for concurrent use.
 type Plan struct {
 	top          *topology.Topology
@@ -196,17 +195,6 @@ pairScan:
 // Topology returns the topology the plan was compiled for.
 func (p *Plan) Topology() *topology.Topology { return p.top }
 
-// Estimate runs the composite-likelihood MLE on the empirical per-path
-// good-frequencies of a measurement source. The one-shot form of
-// Compile + Plan.Estimate.
-func Estimate(top *topology.Topology, src Source, opts Options) (*Result, error) {
-	plan, err := Compile(top)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Estimate(src, opts)
-}
-
 // Workspace holds the optimizer's transient state — observation
 // frequencies, the iterate, gradient, line-search trial, per-observation
 // good-probabilities, and the reused result — so steady-state estimation
@@ -214,7 +202,7 @@ func Estimate(top *topology.Topology, src Source, opts Options) (*Result, error)
 // plans (buffers grow monotonically); concurrent use of one workspace is
 // detected and reported by panic. Results returned by EstimateIn alias
 // workspace storage: read-only, valid until the next call on the same
-// workspace. The allocating Estimate remains the safe default.
+// workspace.
 type Workspace struct {
 	busy atomic.Int32
 
@@ -237,9 +225,6 @@ func (ws *Workspace) acquire() {
 }
 
 func (ws *Workspace) release() { ws.busy.Store(0) }
-
-// wsPool backs the allocating Estimate wrapper.
-var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 
 // logG returns Σ_{k∈links(obs i)} x_k — the log of observation i's predicted
 // good-probability.
@@ -268,32 +253,13 @@ func (p *Plan) likelihood(x, f []float64) float64 {
 	return ll
 }
 
-// Estimate fills the compiled observation structure's frequencies from the
-// source and maximizes the composite likelihood. Bit-identical to the
-// one-shot Estimate; it wraps EstimateIn with a pooled workspace and
-// detaches the result, so concurrent calls on a shared plan are safe.
-func (p *Plan) Estimate(src Source, opts Options) (*Result, error) {
-	ws := wsPool.Get().(*Workspace)
-	defer wsPool.Put(ws)
-	res, err := p.EstimateIn(ws, src, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		CongestionProb: append([]float64(nil), res.CongestionProb...),
-		LogGoodProb:    append([]float64(nil), res.LogGoodProb...),
-		LogLikelihood:  res.LogLikelihood,
-		Iters:          res.Iters,
-	}, nil
-}
-
-// EstimateIn is Estimate with workspace-owned state: every per-call and
+// EstimateIn fills the compiled observation structure's frequencies from
+// the source and maximizes the composite likelihood. Every per-call and
 // per-iteration buffer (frequencies, iterate, gradient, line-search trial,
-// the per-observation g vector that used to be allocated inside every
-// gradient step) lives in ws, and pair frequencies are resolved by one
-// batched cache-blocked pass when the source supports it
-// (measure.BatchPairSource). Identical arithmetic to Estimate; the result
-// aliases ws and is valid until its next use.
+// the per-observation g vector) lives in ws, and pair frequencies are
+// resolved by one batched cache-blocked pass when the source supports it
+// (measure.BatchPairSource). The result aliases ws and is valid until its
+// next use; Clone detaches it.
 func (p *Plan) EstimateIn(ws *Workspace, src Source, opts Options) (*Result, error) {
 	ws.acquire()
 	defer ws.release()

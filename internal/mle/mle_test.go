@@ -28,6 +28,24 @@ func simulate(t *testing.T, top *topology.Topology, model congestion.Model, n in
 	return src
 }
 
+// estimate compiles the estimator and runs it once on a fresh workspace.
+func estimate(top *topology.Topology, src Source, opts Options) (*Result, error) {
+	p, err := Compile(top)
+	if err != nil {
+		return nil, err
+	}
+	return p.EstimateIn(NewWorkspace(), src, opts)
+}
+
+// runLinearOnce runs one of core's linear algorithms once on a fresh workspace.
+func runLinearOnce(top *topology.Topology, src measure.Source, identity bool, opts core.Options) (*core.Result, error) {
+	lp, err := core.CompileLinear(top, identity, opts)
+	if err != nil {
+		return nil, err
+	}
+	return lp.RunIn(core.NewWorkspace(), src)
+}
+
 func TestEstimateRecoversIndependentTruth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow convergence test; run without -short")
@@ -38,7 +56,7 @@ func TestEstimateRecoversIndependentTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := simulate(t, top, model, 150000, 3)
-	res, err := Estimate(top, src, Options{})
+	res, err := estimate(top, src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +81,7 @@ func TestEstimateValidation(t *testing.T) {
 	other := topology.Figure1B()
 	model, _ := congestion.NewIndependent([]float64{0.1, 0.1, 0.1})
 	src := simulate(t, other, model, 1000, 1)
-	if _, err := Estimate(top, src, Options{}); err == nil {
+	if _, err := estimate(top, src, Options{}); err == nil {
 		t.Fatal("path-count mismatch accepted")
 	}
 }
@@ -98,7 +116,7 @@ func TestEstimateBiasedUnderCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := simulate(t, top, model, 200000, 5)
-	res, err := Estimate(top, src, Options{})
+	res, err := estimate(top, src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +133,7 @@ func TestEstimateBiasedUnderCorrelation(t *testing.T) {
 		t.Fatalf("expected visible bias under correlation, worst error %v", worst)
 	}
 	// And the correlation algorithm on the same measurements is accurate.
-	corr, err := core.Correlation(top, src, core.Options{})
+	corr, err := runLinearOnce(top, src, false, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +173,11 @@ func TestEstimateCompetitiveWithLinearOnIndependentScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mleRes, err := Estimate(top, src, Options{})
+	mleRes, err := estimate(top, src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	linRes, err := core.Independence(top, src, core.Options{UseAllEquations: true})
+	linRes, err := runLinearOnce(top, src, true, core.Options{UseAllEquations: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +195,11 @@ func TestEstimateMonotoneLikelihood(t *testing.T) {
 	top := topology.Figure1A()
 	model, _ := congestion.NewIndependent([]float64{0.3, 0.2, 0.25, 0.15})
 	src := simulate(t, top, model, 20000, 7)
-	short, err := Estimate(top, src, Options{MaxIters: 3})
+	short, err := estimate(top, src, Options{MaxIters: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := Estimate(top, src, Options{MaxIters: 500})
+	long, err := estimate(top, src, Options{MaxIters: 500})
 	if err != nil {
 		t.Fatal(err)
 	}

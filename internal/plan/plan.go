@@ -14,10 +14,11 @@
 //     budget.
 //
 // Every compiled structure is memoized under a sync.Once, so concurrent
-// first uses compile exactly once; all Plan methods are safe for concurrent
-// use and produce results bit-identical to the corresponding one-shot
-// algorithms (core.Correlation, core.Independence, core.Theorem,
-// mle.Estimate).
+// first uses compile exactly once, and all Plan methods are safe for
+// concurrent use. Estimators run only through the ...In methods, on a
+// caller-owned Workspace (one per goroutine); their results alias the
+// workspace, and core.Result.Clone, core.TheoremResult.Clone and
+// mle.Result.Clone detach a result that must outlive it.
 package plan
 
 import (
@@ -98,7 +99,7 @@ type identEntry struct {
 // Plan is a compiled, reusable inference plan for one topology. Compile it
 // once, then run any estimator against any number of measurement sources;
 // the expensive topology-dependent work is shared. All methods are safe for
-// concurrent use.
+// concurrent use, given one Workspace per goroutine.
 type Plan struct {
 	top *topology.Topology
 
@@ -199,18 +200,8 @@ func (p *Plan) theoremPlan(opts core.TheoremOptions) (*core.TheoremPlan, error) 
 	return e.tp, e.err
 }
 
-// Correlation runs the paper's Section-4 algorithm through the compiled
-// plan. Bit-identical to core.Correlation(top, src, opts).
-func (p *Plan) Correlation(src measure.Source, opts core.Options) (*core.Result, error) {
-	lp, err := p.linearPlan(false, opts)
-	if err != nil {
-		return nil, err
-	}
-	return lp.Run(src)
-}
-
-// CorrelationIn is Correlation with workspace-owned outputs: zero
-// steady-state allocations, identical arithmetic. The result aliases ws.
+// CorrelationIn runs the paper's Section-4 algorithm through the compiled
+// plan: zero steady-state allocations. The result aliases ws.
 func (p *Plan) CorrelationIn(ws *Workspace, src measure.Source, opts core.Options) (*core.Result, error) {
 	lp, err := p.linearPlan(false, opts)
 	if err != nil {
@@ -219,18 +210,8 @@ func (p *Plan) CorrelationIn(ws *Workspace, src measure.Source, opts core.Option
 	return lp.RunIn(&ws.core, src)
 }
 
-// Independence runs the Nguyen–Thiran baseline through the compiled plan.
-// Bit-identical to core.Independence(top, src, opts).
-func (p *Plan) Independence(src measure.Source, opts core.Options) (*core.Result, error) {
-	lp, err := p.linearPlan(true, opts)
-	if err != nil {
-		return nil, err
-	}
-	return lp.Run(src)
-}
-
-// IndependenceIn is Independence with workspace-owned outputs: zero
-// steady-state allocations, identical arithmetic. The result aliases ws.
+// IndependenceIn runs the Nguyen–Thiran baseline through the compiled
+// plan: zero steady-state allocations. The result aliases ws.
 func (p *Plan) IndependenceIn(ws *Workspace, src measure.Source, opts core.Options) (*core.Result, error) {
 	lp, err := p.linearPlan(true, opts)
 	if err != nil {
@@ -239,19 +220,9 @@ func (p *Plan) IndependenceIn(ws *Workspace, src measure.Source, opts core.Optio
 	return lp.RunIn(&ws.core, src)
 }
 
-// Theorem runs the exact Appendix-A algorithm through the compiled plan.
-// Bit-identical to core.Theorem(top, src, opts).
-func (p *Plan) Theorem(src measure.PatternSource, opts core.TheoremOptions) (*core.TheoremResult, error) {
-	tp, err := p.theoremPlan(opts)
-	if err != nil {
-		return nil, err
-	}
-	return tp.Run(src)
-}
-
-// TheoremIn is Theorem with workspace-owned outputs: zero steady-state
-// allocations when the source supports key-addressed pattern queries,
-// identical arithmetic. The result aliases ws.
+// TheoremIn runs the exact Appendix-A algorithm through the compiled plan:
+// zero steady-state allocations when the source supports key-addressed
+// pattern queries. The result aliases ws.
 func (p *Plan) TheoremIn(ws *Workspace, src measure.PatternSource, opts core.TheoremOptions) (*core.TheoremResult, error) {
 	tp, err := p.theoremPlan(opts)
 	if err != nil {
@@ -260,18 +231,9 @@ func (p *Plan) TheoremIn(ws *Workspace, src measure.PatternSource, opts core.The
 	return tp.RunIn(&ws.core, src)
 }
 
-// MLE runs the composite-likelihood estimator through the compiled plan.
-// Bit-identical to mle.Estimate(top, src, opts).
-func (p *Plan) MLE(src mle.Source, opts mle.Options) (*mle.Result, error) {
-	mp, err := p.mlePlanCompiled()
-	if err != nil {
-		return nil, err
-	}
-	return mp.Estimate(src, opts)
-}
-
-// MLEIn is MLE with workspace-owned optimizer state: every per-iteration
-// buffer is reused, identical arithmetic. The result aliases ws.
+// MLEIn runs the composite-likelihood estimator through the compiled plan
+// on workspace-owned optimizer state: every per-iteration buffer is reused.
+// The result aliases ws.
 func (p *Plan) MLEIn(ws *Workspace, src mle.Source, opts mle.Options) (*mle.Result, error) {
 	mp, err := p.mlePlanCompiled()
 	if err != nil {

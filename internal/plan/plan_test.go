@@ -76,49 +76,65 @@ func fig1aFixture(t *testing.T) (*topology.Topology, *measure.Empirical) {
 	return top, src
 }
 
-// TestPlanMatchesOneShotAlgorithms pins every plan-routed estimator
-// bit-identical to its one-shot counterpart.
+// oneShotLinear and oneShotTheorem compile a structure outside any plan
+// and run it once on a fresh workspace: the reference a memoized plan must
+// reproduce.
+func oneShotLinear(t *testing.T, top *topology.Topology, src measure.Source, identity bool, opts core.Options) *core.Result {
+	t.Helper()
+	lp, err := core.CompileLinear(top, identity, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := lp.RunIn(core.NewWorkspace(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestPlanMatchesOneShotAlgorithms pins every plan-routed estimator, run
+// through the plan's memoized structures on one reused workspace,
+// bit-identical to a structure compiled outside the plan.
 func TestPlanMatchesOneShotAlgorithms(t *testing.T) {
 	top, src := briteFixture(t, 11)
 	p, err := Compile(top, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ws := p.NewWorkspace()
 
-	wantCorr, err := core.Correlation(top, src, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotCorr, err := p.Correlation(src, core.Options{})
+	wantCorr := oneShotLinear(t, top, src, false, core.Options{})
+	gotCorr, err := p.CorrelationIn(ws, src, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wantCorr, gotCorr) {
-		t.Fatal("plan Correlation differs from core.Correlation")
+		t.Fatal("plan CorrelationIn differs from a one-shot correlation run")
 	}
 
-	wantIndep, err := core.Independence(top, src, core.Options{UseAllEquations: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotIndep, err := p.Independence(src, core.Options{UseAllEquations: true})
+	wantIndep := oneShotLinear(t, top, src, true, core.Options{UseAllEquations: true})
+	gotIndep, err := p.IndependenceIn(ws, src, core.Options{UseAllEquations: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wantIndep, gotIndep) {
-		t.Fatal("plan Independence differs from core.Independence")
+		t.Fatal("plan IndependenceIn differs from a one-shot independence run")
 	}
 
-	wantMLE, err := mle.Estimate(top, src, mle.Options{MaxIters: 60})
+	mp, err := mle.Compile(top)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotMLE, err := p.MLE(src, mle.Options{MaxIters: 60})
+	wantMLE, err := mp.EstimateIn(mle.NewWorkspace(), src, mle.Options{MaxIters: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotMLE, err := p.MLEIn(ws, src, mle.Options{MaxIters: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wantMLE, gotMLE) {
-		t.Fatal("plan MLE differs from mle.Estimate")
+		t.Fatal("plan MLEIn differs from a one-shot mle run")
 	}
 
 	ftop, fsrc := fig1aFixture(t)
@@ -126,16 +142,20 @@ func TestPlanMatchesOneShotAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantThm, err := core.Theorem(ftop, fsrc, core.TheoremOptions{})
+	tp, err := core.CompileTheorem(ftop, core.TheoremOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotThm, err := fp.Theorem(fsrc, core.TheoremOptions{})
+	wantThm, err := tp.RunIn(core.NewWorkspace(), fsrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotThm, err := fp.TheoremIn(ws, fsrc, core.TheoremOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wantThm, gotThm) {
-		t.Fatal("plan Theorem differs from core.Theorem")
+		t.Fatal("plan TheoremIn differs from a one-shot theorem run")
 	}
 }
 
@@ -190,14 +210,8 @@ func TestPlanConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCorr, err := core.Correlation(top, src, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIndep, err := core.Independence(top, src, core.Options{UseAllEquations: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantCorr := oneShotLinear(t, top, src, false, core.Options{})
+	wantIndep := oneShotLinear(t, top, src, true, core.Options{UseAllEquations: true})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
@@ -205,8 +219,9 @@ func TestPlanConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			ws := p.NewWorkspace() // one per goroutine
 			for i := 0; i < 3; i++ {
-				corr, err := p.Correlation(src, core.Options{})
+				corr, err := p.CorrelationIn(ws, src, core.Options{})
 				if err != nil {
 					errs <- err
 					return
@@ -215,7 +230,7 @@ func TestPlanConcurrentUse(t *testing.T) {
 					errs <- fmt.Errorf("goroutine %d: concurrent Correlation differs", g)
 					return
 				}
-				indep, err := p.Independence(src, core.Options{UseAllEquations: true})
+				indep, err := p.IndependenceIn(ws, src, core.Options{UseAllEquations: true})
 				if err != nil {
 					errs <- err
 					return

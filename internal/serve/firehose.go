@@ -12,7 +12,6 @@ import (
 	"time"
 
 	tomography "repro"
-	"repro/internal/benchmeta"
 	"repro/internal/bitset"
 )
 
@@ -58,44 +57,42 @@ type FirehoseConfig struct {
 // phase exists to measure.
 const wireCompareBatch = 512
 
-// FirehoseReport summarizes one firehose run — the content of
-// BENCH_serve.json. The count fields are deterministic functions of the
-// configuration; the timing fields measure this run's hardware, which the
-// Machine block identifies.
+// FirehoseReport summarizes one firehose run. The count fields are
+// deterministic functions of the configuration; the timing fields measure
+// this run's hardware.
 type FirehoseReport struct {
-	Machine            benchmeta.Machine `json:"machine"`
-	Scenario           string            `json:"scenario"`
-	Estimator          string            `json:"estimator"`
-	Tenants            int               `json:"tenants"`
-	SnapshotsPerTenant int               `json:"snapshots_per_tenant"`
-	Window             int               `json:"window"`
-	Batch              int               `json:"batch"`
-	SnapshotsIngested  int64             `json:"snapshots_ingested"`
-	Estimates          int64             `json:"estimates"`
-	Rejected429        int64             `json:"rejected_429"`
-	ElapsedSec         float64           `json:"elapsed_sec"`
-	SnapshotsPerSec    float64           `json:"snapshots_per_sec"`
-	EstimateP50Ms      float64           `json:"estimate_p50_ms"`
-	EstimateP99Ms      float64           `json:"estimate_p99_ms"`
+	Scenario           string
+	Estimator          string
+	Tenants            int
+	SnapshotsPerTenant int
+	Window             int
+	Batch              int
+	SnapshotsIngested  int64
+	Estimates          int64
+	Rejected429        int64
+	ElapsedSec         float64
+	SnapshotsPerSec    float64
+	EstimateP50Ms      float64
+	EstimateP99Ms      float64
 	// The under-load block measures estimate throughput while every tenant
 	// stream is being replayed at full rate — the read-replica serving
 	// path's headline number: estimates served from published views while
 	// the ingest queues stay saturated.
-	EstimatesUnderLoad       int64   `json:"estimates_under_load"`
-	EstimatesUnderLoadPerSec float64 `json:"estimates_under_load_per_sec"`
-	EstimateUnderLoadP50Ms   float64 `json:"estimate_under_load_p50_ms"`
-	EstimateUnderLoadP99Ms   float64 `json:"estimate_under_load_p99_ms"`
+	EstimatesUnderLoad       int64
+	EstimatesUnderLoadPerSec float64
+	EstimateUnderLoadP50Ms   float64
+	EstimateUnderLoadP99Ms   float64
 	// The wire block compares the two probe wire formats head to head on
 	// the same pre-simulated snapshot streams: each format's pure-ingest
 	// replay throughput in snapshots and request-body megabytes per second
 	// (batched at wireCompareBatch snapshots per POST so decode cost, not
 	// per-request HTTP overhead, dominates). WireFormat is the format the
 	// measured phases above used.
-	WireFormat            string  `json:"wire_format"`
-	JSONSnapshotsPerSec   float64 `json:"json_snapshots_per_sec"`
-	JSONIngestMBPerSec    float64 `json:"json_ingest_mb_per_sec"`
-	BinarySnapshotsPerSec float64 `json:"binary_snapshots_per_sec"`
-	BinaryIngestMBPerSec  float64 `json:"binary_ingest_mb_per_sec"`
+	WireFormat            string
+	JSONSnapshotsPerSec   float64
+	JSONIngestMBPerSec    float64
+	BinarySnapshotsPerSec float64
+	BinaryIngestMBPerSec  float64
 }
 
 // RunFirehose drives a daemon with synthetic probe traffic and returns the
@@ -325,7 +322,6 @@ estimateLoop:
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	sort.Slice(loadedLat, func(i, j int) bool { return loadedLat[i] < loadedLat[j] })
 	report := &FirehoseReport{
-		Machine:            benchmeta.Collect(),
 		Scenario:           cfg.Scenario,
 		Estimator:          cfg.Estimator,
 		Tenants:            cfg.Tenants,

@@ -147,13 +147,16 @@ func Run(cfg Config) (*Report, error) {
 	opts := cfg.Options
 	opts.PathFilter = func(id topology.PathID) bool { return !heldOut[id] }
 
+	// The workspace serves this one run, so the report may keep the result
+	// that aliases it.
+	ws := p.NewWorkspace()
 	var res *core.Result
 	switch cfg.Algorithm {
 	case Correlation:
-		res, err = p.Correlation(src, opts)
+		res, err = p.CorrelationIn(ws, src, opts)
 	case Independence:
 		opts.UseAllEquations = true // the [12] baseline uses all observations
-		res, err = p.Independence(src, opts)
+		res, err = p.IndependenceIn(ws, src, opts)
 	default:
 		return nil, fmt.Errorf("tomographer: unknown algorithm %q", cfg.Algorithm)
 	}

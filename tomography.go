@@ -13,9 +13,10 @@
 //     them from a ground-truth congestion model; a real deployment would
 //     fill a Record from probe measurements instead.
 //  3. Compile the topology into an inference Plan, then run any registered
-//     Estimator — Correlation (the paper's Section-4 algorithm),
-//     Independence (the Nguyen–Thiran baseline), Theorem (the exact
-//     Appendix-A algorithm), or MLE (composite-likelihood) — to recover
+//     Estimator — "correlation" (the paper's Section-4 algorithm),
+//     "independence" (the Nguyen–Thiran baseline), "theorem" (the exact
+//     Appendix-A algorithm), or "mle" (composite-likelihood) — with
+//     Estimate, or with EstimateIn on a reused Workspace, to recover
 //     P(link congested) for every link. The plan precomputes everything
 //     that depends only on the topology (admissible path/pair selection,
 //     equation sparsity, identifiability), so repeated inference over new
@@ -243,51 +244,6 @@ func Compile(top *Topology, opts PlanOptions) (*Plan, error) {
 	return plan.Compile(top, opts)
 }
 
-// Correlation runs the paper's correlation-aware algorithm (Section 4):
-// it forms log-linear equations only from paths and pairs of paths that
-// traverse at most one link per correlation set, and solves for every
-// link's congestion probability.
-//
-// This is the fused one-shot form — selection and probability lookup in a
-// single pass, with nothing retained. Callers running repeated inference
-// over one topology should Compile once and go through the plan (or the
-// estimator registry); plan-based results are bit-identical.
-func Correlation(top *Topology, src Source, opts Options) (*Result, error) {
-	return core.Correlation(top, src, opts)
-}
-
-// Independence runs the Nguyen–Thiran baseline, which assumes all links are
-// uncorrelated. When links are correlated its equations factorize joint
-// probabilities incorrectly; the paper (and this library's benchmarks)
-// quantify the resulting error. One-shot form; see Correlation for the
-// plan-based alternative.
-func Independence(top *Topology, src Source, opts Options) (*Result, error) {
-	return core.Independence(top, src, opts)
-}
-
-// Theorem runs the exact algorithm extracted from the proof of Theorem 1
-// (Appendix A). It requires Assumption 4 and small correlation sets, and
-// additionally needs exact-congestion-pattern probabilities, which the
-// Empirical source provides. One-shot form; see Correlation for the
-// plan-based alternative.
-func Theorem(top *Topology, src measure.PatternSource, opts TheoremOptions) (*TheoremResult, error) {
-	return core.Theorem(top, src, opts)
-}
-
-// MLE runs the composite-likelihood maximum-likelihood estimator (the
-// Boolean-tomography baseline style of [12]/[17]): same information set as
-// Independence, but observations weighted by their binomial information
-// content. The source must provide per-path and per-pair good-frequencies
-// (Empirical does). One-shot form; see Correlation for the plan-based
-// alternative.
-func MLE(top *Topology, src Source, opts MLEOptions) (*MLEResult, error) {
-	ms, ok := src.(mle.Source)
-	if !ok {
-		return nil, fmt.Errorf("tomography: MLE needs per-path and per-pair good-frequencies (FastPairSource); %T does not provide them", src)
-	}
-	return mle.Estimate(top, ms, opts)
-}
-
 // Localize identifies the most likely congested-link set behind one
 // snapshot's congested-path observation, assuming links fail independently
 // with the given marginal probabilities (learned by any estimator). This is
@@ -464,16 +420,15 @@ func EvaluateBatch(ctx context.Context, scenarios []*Scenario, opts BatchOptions
 	}
 	plans := newPlanCache(PlanOptions{Algorithm: opts.Algorithm})
 	pool := &runner.Runner{Workers: opts.Workers, Progress: opts.Progress}
-	// One evaluate workspace per concurrently active worker: tasks borrow a
-	// workspace for their inference calls and return it, so the per-scenario
-	// solver state (equation RHS, matrices, LP tableaus) is recycled across
-	// the whole batch instead of reallocated per trial.
-	workspaces := sync.Pool{New: func() any { return &plan.Workspace{} }}
+	// Tasks borrow a workspace from Estimate's pool for their inference
+	// calls and return it, so the per-scenario solver state (equation RHS,
+	// matrices, LP tableaus) is recycled across the whole batch instead of
+	// reallocated per trial.
 	return runner.Map(ctx, pool, len(scenarios), func(ctx context.Context, i int) (BatchResult, error) {
-		ws := workspaces.Get().(*plan.Workspace)
-		defer workspaces.Put(ws)
+		ws := wsPool.Get().(*Workspace)
+		defer wsPool.Put(ws)
 		res := BatchResult{Scenario: scenarios[i]}
-		res.fill(ctx, opts, plans, ws, runner.DeriveSeed(opts.Seed, i))
+		res.fill(ctx, opts, plans, &ws.ws, runner.DeriveSeed(opts.Seed, i))
 		return res, nil
 	})
 }

@@ -68,7 +68,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	truth := congestion.Marginals(model)
-	corr, err := tomography.Correlation(top, src, tomography.Options{})
+	plan, err := tomography.Compile(top, tomography.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corr, err := tomography.Estimate("correlation", plan, src, tomography.EstimateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +82,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		}
 	}
 
-	if _, err := tomography.Independence(top, src, tomography.Options{}); err != nil {
+	if _, err := tomography.Estimate("independence", plan, src, tomography.EstimateOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
-	thm, err := tomography.Theorem(top, src, tomography.TheoremOptions{})
+	thm, err := tomography.Estimate("theorem", plan, src, tomography.EstimateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
