@@ -115,21 +115,14 @@ func countAllocs(b *testing.B, op func()) float64 {
 }
 
 // BenchmarkBatchPairCount prices the cache-blocked batched pair-count
-// kernel (snapstore.CountPairsGood) against the per-pair path the pair
+// kernel (snapstore.CountPairsGoodWS) against the per-pair path the pair
 // cache used before it: one copy+OR+popcount streaming pass over both full
 // columns per pair. The store is sized past the last-level cache so the
 // baseline re-streams every column from memory once per pair that uses it,
 // while the blocked sweep reads each column block from memory once and
 // serves all its pairs from cache — the kernel's cache reuse shows up as
-// memory traffic saved, on top of fusing three word passes into one.
-//
-// The workspace sub-benchmarks price the multicore kernel on top: the
-// serial workspace run isolates the block-summary skip path and the fused
-// OR+POPCNT sweep, and the 8-worker run adds the deterministic fan-out.
-// All three produce bit-identical counts; on a single-core machine the
-// 8-worker figure degrades to roughly the serial one (the workers
-// time-slice one core), so interpret the parallel speedup together with
-// the machine block writeBenchJSONFile records.
+// memory traffic saved, on top of fusing three word passes into one and
+// the block-summary skips.
 func BenchmarkBatchPairCount(b *testing.B) {
 	const (
 		paths     = 128
@@ -172,11 +165,12 @@ func BenchmarkBatchPairCount(b *testing.B) {
 		benchSink += float64(sum)
 		metrics["per-pair-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
-	b.Run("batched-blocked", func(b *testing.B) {
+	b.Run("batched", func(b *testing.B) {
+		var ws snapstore.CountWorkspace
 		sum := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			store.CountPairsGood(pairs, out)
+			store.CountPairsGoodWS(&ws, pairs, out)
 			for _, c := range out {
 				sum += c
 			}
@@ -184,38 +178,10 @@ func BenchmarkBatchPairCount(b *testing.B) {
 		benchSink += float64(sum)
 		metrics["batched-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
-	var ws snapstore.CountWorkspace
-	defer ws.Close()
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"batched-ws-serial", 1},
-		{"batched-parallel-8", 8},
-	} {
-		key := bc.name + "-ns/op"
-		b.Run(bc.name, func(b *testing.B) {
-			sum := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				store.CountPairsGoodWS(&ws, pairs, out, bc.workers)
-				for _, c := range out {
-					sum += c
-				}
-			}
-			benchSink += float64(sum)
-			metrics[key] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		})
-	}
 	if pp, bb := metrics["per-pair-ns/op"], metrics["batched-ns/op"]; pp > 0 && bb > 0 {
 		metrics["speedup"] = pp / bb
-		ser, par := metrics["batched-ws-serial-ns/op"], metrics["batched-parallel-8-ns/op"]
-		if ser > 0 && par > 0 {
-			metrics["parallel-vs-serial"] = ser / par
-		}
-		b.Logf("pair counting over %d pairs × %d snapshots: per-pair %.2f ms, batched blocked %.2f ms (%.1f×), ws serial %.2f ms, 8 workers %.2f ms (%.2f× vs ws serial)",
-			len(pairs), snapshots, pp/1e6, bb/1e6, metrics["speedup"],
-			ser/1e6, par/1e6, metrics["parallel-vs-serial"])
+		b.Logf("pair counting over %d pairs × %d snapshots: per-pair %.2f ms, batched %.2f ms (%.1f×)",
+			len(pairs), snapshots, pp/1e6, bb/1e6, metrics["speedup"])
 	}
 	writeBenchJSONFile(b, "BENCH_alloc.json", "BenchmarkBatchPairCount", metrics)
 }

@@ -1,8 +1,8 @@
-// Out-of-core segment-store benchmarks (BENCH_store.json): price the fused
-// count kernels running over mmap-backed sealed segments against the same
-// kernels on the RAM-resident ring, and record the spill write path's
-// throughput. The acceptance target for this artifact is warm mapped counts
-// at ≥ 0.8× the RAM store — pages are resident after the first pass, so the
+// Segment-store benchmarks (BENCH_store.json): price the fused count
+// kernels running over mmap-backed sealed segments against the same
+// kernels over RAM chunks, and record the spill write path's throughput.
+// The acceptance target for this artifact is warm mapped counts at ≥ 0.8×
+// the RAM store — pages are resident after the first pass, so the
 // remaining gap is the per-segment dispatch and boundary masking.
 package tomography_test
 
@@ -15,15 +15,20 @@ import (
 	"repro/internal/snapstore"
 )
 
-// storeBenchFixture appends the same deterministic bursty rows to a
-// RAM-resident ring and a tiered store whose window covers every row, so
-// both answer identical count queries. snapshots is a multiple of segRows:
-// every tiered row but the last segment's worth is sealed to disk and
-// queried through the mapped read path.
-func storeBenchFixture(b *testing.B, series, snapshots, segRows int) (*snapstore.Store, *segstore.TieredStore, []snapstore.Pair) {
+// storeBenchFixture appends the same deterministic bursty rows to a RAM
+// window store and a spilling one with equal chunk sizes, whose windows
+// cover every row, so both answer identical count queries. snapshots is a
+// multiple of segRows: every row but the last chunk's worth is sealed —
+// kept in RAM by one store, written to disk and queried through the mapped
+// read path by the other.
+func storeBenchFixture(b *testing.B, series, snapshots, segRows int) (ram, tiered *segstore.TieredStore, pairs []snapstore.Pair) {
 	b.Helper()
-	ram := snapstore.NewRing(series, snapshots)
-	tiered, err := segstore.NewTiered(series, snapshots, segstore.Options{
+	ram, err := segstore.NewTiered(series, snapshots, segstore.Options{SegmentRows: segRows})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(ram.Close)
+	tiered, err = segstore.NewTiered(series, snapshots, segstore.Options{
 		Dir: b.TempDir(), SegmentRows: segRows, Reset: true,
 	})
 	if err != nil {
@@ -42,10 +47,9 @@ func storeBenchFixture(b *testing.B, series, snapshots, segRows int) (*snapstore
 		if t%97 < 13 {
 			row.Add(series - 1 - t%7)
 		}
-		ram.Append(row)
-		tiered.Append(row)
+		ram.AppendEvictWords(row.Words(), nil)
+		tiered.AppendEvictWords(row.Words(), nil)
 	}
-	var pairs []snapstore.Pair
 	for i := 0; i < series; i++ {
 		for d := 1; d <= 8 && i+d < series; d++ {
 			pairs = append(pairs, snapstore.Pair{A: i, B: i + d})
@@ -56,7 +60,7 @@ func storeBenchFixture(b *testing.B, series, snapshots, segRows int) (*snapstore
 
 // BenchmarkSegmentStoreCounts is the mapped-vs-RAM count comparison the
 // BENCH_store.json artifact records: the batched pair kernel and the
-// all-good set kernel on the RAM ring versus the tiered store's warm mapped
+// all-good set kernel over RAM chunks versus the spill store's warm mapped
 // read path (one throwaway pass faults every page in first). Counts are
 // verified identical before timing.
 func BenchmarkSegmentStoreCounts(b *testing.B) {
@@ -68,19 +72,18 @@ func BenchmarkSegmentStoreCounts(b *testing.B) {
 	ram, tiered, pairs := storeBenchFixture(b, series, snapshots, segRows)
 	outRAM := make([]int, len(pairs))
 	outMapped := make([]int, len(pairs))
-	scratch := make([]uint64, ram.Words())
 	sets := [][]int{{0, 1, 2}, {5, 40, 90, 100}, {7}, {30, 31, 32, 33, 34}}
 
 	// Warm + verify: identical counts from both tiers before any timing.
 	ram.CountPairsGood(pairs, outRAM)
-	tiered.CountPairsGood(pairs, outMapped, 0)
+	tiered.CountPairsGood(pairs, outMapped)
 	for k := range pairs {
 		if outRAM[k] != outMapped[k] {
 			b.Fatalf("pair %v: RAM %d, mapped %d", pairs[k], outRAM[k], outMapped[k])
 		}
 	}
 	for _, s := range sets {
-		if r, m := ram.CountAllGood(s, scratch), tiered.CountAllGood(s); r != m {
+		if r, m := ram.CountAllGood(s), tiered.CountAllGood(s); r != m {
 			b.Fatalf("set %v: RAM %d, mapped %d", s, r, m)
 		}
 	}
@@ -101,14 +104,14 @@ func BenchmarkSegmentStoreCounts(b *testing.B) {
 	})
 	b.Run("pairs-mapped-warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tiered.CountPairsGood(pairs, outMapped, 0)
+			tiered.CountPairsGood(pairs, outMapped)
 		}
 		metrics["pairs-mapped-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
 	b.Run("allgood-ram", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, s := range sets {
-				benchSink += float64(ram.CountAllGood(s, scratch))
+				benchSink += float64(ram.CountAllGood(s))
 			}
 		}
 		metrics["allgood-ram-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -129,7 +132,7 @@ func BenchmarkSegmentStoreCounts(b *testing.B) {
 			b.StopTimer()
 			tiered.ReleaseMapped()
 			b.StartTimer()
-			tiered.CountPairsGood(pairs, outMapped, 0)
+			tiered.CountPairsGood(pairs, outMapped)
 		}
 		metrics["pairs-mapped-cold-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
@@ -145,8 +148,8 @@ func BenchmarkSegmentStoreCounts(b *testing.B) {
 }
 
 // BenchmarkSegmentSpill prices the write path: streaming appends through
-// the tiered store including encode + CRC + fsync'd seal of every segment,
-// against appends into the RAM ring.
+// the spill store including encode + CRC + fsync'd seal of every segment,
+// against appends into a RAM window store with the same chunk size.
 func BenchmarkSegmentSpill(b *testing.B) {
 	const (
 		series  = 128
@@ -162,9 +165,13 @@ func BenchmarkSegmentSpill(b *testing.B) {
 	}
 	metrics := map[string]float64{"series": series, "segment-rows": segRows}
 	b.Run("ram-append", func(b *testing.B) {
-		ram := snapstore.NewRing(series, 4*segRows)
+		ram, err := segstore.NewTiered(series, 4*segRows, segstore.Options{SegmentRows: segRows})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ram.Close()
 		for i := 0; i < b.N; i++ {
-			ram.AppendEvict(rows[i%len(rows)], nil)
+			ram.AppendEvictWords(rows[i%len(rows)].Words(), nil)
 		}
 		metrics["ram-append-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
@@ -177,7 +184,7 @@ func BenchmarkSegmentSpill(b *testing.B) {
 		}
 		defer tiered.Close()
 		for i := 0; i < b.N; i++ {
-			tiered.AppendEvict(rows[i%len(rows)], nil)
+			tiered.AppendEvictWords(rows[i%len(rows)].Words(), nil)
 		}
 		metrics["spill-append-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		metrics["spilled-bytes"] = float64(tiered.SpilledBytes())

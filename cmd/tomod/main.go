@@ -1,7 +1,7 @@
 // Command tomod is the long-running tomography inference daemon: it serves
 // the sliding-window estimators over HTTP for many tenants at once. Each
 // tenant is one measurement topology with its own compiled inference plan
-// and ring-buffer window; probe-report batches are POSTed per tenant,
+// and sliding window; probe-report batches are POSTed per tenant,
 // flow through bounded per-shard queues (full queues answer 429 +
 // Retry-After), and estimates, health and Prometheus metrics are served
 // while the stream keeps flowing. SIGTERM drains the queues, flushes one
@@ -68,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		snapshots = fs.Int("snapshots", 2000, "selftest: probe-stream length per tenant")
 		batch     = fs.Int("batch", 64, "selftest: snapshots per ingest POST")
 		estEvery  = fs.Int("estimate-every", 4, "selftest: request an estimate after this many accepted batches")
-		countWork = fs.Int("count-workers", 0, "fan each tenant's batched pair-count kernel out across this many workers during estimates (0/1 = serial); estimates are bit-identical for every setting")
 		estWork   = fs.Int("estimate-workers", 0, "run estimates on this many read-replica workers against published window views (0/1 = one worker); estimates are bit-identical for every setting")
 		spillDir  = fs.String("spill-dir", "", "back every tenant window with the out-of-core segment store under this directory (per-tenant subdirectories, reset at registration); estimates are bit-identical to the in-RAM windows")
 		wire      = fs.String("wire", "json", "selftest: probe wire format the firehose POSTs: json | binary (TOMOW1 columnar)")
@@ -102,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}()
 
 	d := serve.New(serve.Config{
-		Shards: *shards, QueueDepth: *queue, CountWorkers: *countWork,
+		Shards: *shards, QueueDepth: *queue,
 		EstimateWorkers: *estWork, SpillDir: *spillDir,
 		PublishEveryBatches: *pubEvery, PublishMaxAge: *pubMaxAge,
 	})
@@ -115,10 +114,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "  window:      %d\n", *window)
 	fmt.Fprintf(stdout, "  estimator:   %s\n", *estimator)
 	fmt.Fprintf(stdout, "  seed:        %d\n", *seed)
-	if cfg.CountWorkers > 1 {
-		// Printed only when enabled so default-config goldens are unchanged.
-		fmt.Fprintf(stdout, "  count workers: %d\n", cfg.CountWorkers)
-	}
 	if cfg.EstimateWorkers > 1 {
 		// Printed only when enabled so default-config goldens are unchanged.
 		fmt.Fprintf(stdout, "  estimate workers: %d\n", cfg.EstimateWorkers)

@@ -5,68 +5,45 @@ import (
 	"repro/internal/snapstore"
 )
 
-// columnBackend is the storage-and-counting seam an Empirical estimator
-// runs on: path-major bit columns with window semantics and the batched
-// count kernels. Two implementations exist — ringColumns wraps the
-// RAM-resident snapstore.Store (the default), and segstore.TieredStore
-// spills sealed column segments to disk and counts across the tier
-// boundary (NewSlidingWindowSpill). The estimator's probabilities are pure
-// functions of the integer counts this interface returns, so any two
-// backends holding the same retained rows produce bit-identical estimates.
+// columnBackend is the read-only counting seam an Empirical estimator
+// queries: path-major bit columns and their count kernels. Windows and
+// streaming estimators count on their segstore.TieredStore, snapshot views
+// on a segstore.TieredView, and record-backed estimators on the record's
+// fixed snapstore.Store through recordColumns. The estimator's
+// probabilities are pure functions of the integer counts returned here, so
+// any two backends holding the same rows produce bit-identical estimates.
 type columnBackend interface {
 	NumSeries() int
 	Snapshots() int
+	// Capacity is the sliding-window size, 0 for an unbounded source.
 	Capacity() int
-	// AppendEvict ingests one snapshot, evicting the oldest retained one
-	// first when the window is full; the evicted row is left in evicted
-	// when non-nil. Passing evicted == nil lets a backend skip
-	// materializing the row (the out-of-core backend pays O(series) for
-	// it).
-	AppendEvict(congested, evicted *bitset.Set) bool
-	// AppendEvictWords is AppendEvict with the snapshot as packed words
-	// (bit i of word w ⇒ series w*64+i congested) — the wire-ingest path
-	// that appends straight from a decoded wire row without materializing
-	// a bitset per snapshot. Bit-identical to AppendEvict.
-	AppendEvictWords(rowWords []uint64, evicted *bitset.Set) bool
-	EvictOldest(evicted *bitset.Set) bool
-	DropOldest(k int) int
 	RowInto(t int, dst *bitset.Set)
 	CongestedCount(i int) int
-	// CountAllGood counts the retained snapshots in which none of the
-	// given series was congested; any scratch it needs is its own.
+	// CountAllGood counts the snapshots in which none of the given series
+	// was congested; any scratch it needs is its own.
 	CountAllGood(series []int) int
 	CountPairGood(i, j int) int
-	CountPairsGood(pairs []Pair, out []int, workers int)
+	CountPairsGood(pairs []Pair, out []int)
 	Close()
 }
 
-// ringColumns adapts snapstore.Store to the backend seam, owning the
-// OR-reduction scratch and the parallel count workspace the store's
+// recordColumns adapts a record's fixed snapstore.Store to the backend
+// seam, owning the OR-reduction scratch and the count workspace the store's
 // kernels take as arguments.
-type ringColumns struct {
+type recordColumns struct {
 	store   *snapstore.Store
 	scratch []uint64
 	ws      snapstore.CountWorkspace
 }
 
-func newRingColumns(store *snapstore.Store) *ringColumns { return &ringColumns{store: store} }
+func (rc *recordColumns) NumSeries() int                 { return rc.store.NumSeries() }
+func (rc *recordColumns) Snapshots() int                 { return rc.store.Snapshots() }
+func (rc *recordColumns) Capacity() int                  { return 0 }
+func (rc *recordColumns) RowInto(t int, dst *bitset.Set) { rc.store.RowInto(t, dst) }
+func (rc *recordColumns) CongestedCount(i int) int       { return rc.store.CongestedCount(i) }
+func (rc *recordColumns) Close()                         {}
 
-func (rc *ringColumns) NumSeries() int { return rc.store.NumSeries() }
-func (rc *ringColumns) Snapshots() int { return rc.store.Snapshots() }
-func (rc *ringColumns) Capacity() int  { return rc.store.Capacity() }
-
-func (rc *ringColumns) AppendEvict(congested, evicted *bitset.Set) bool {
-	return rc.store.AppendEvict(congested, evicted)
-}
-func (rc *ringColumns) AppendEvictWords(rowWords []uint64, evicted *bitset.Set) bool {
-	return rc.store.AppendEvictWords(rowWords, evicted)
-}
-func (rc *ringColumns) EvictOldest(evicted *bitset.Set) bool { return rc.store.EvictOldest(evicted) }
-func (rc *ringColumns) DropOldest(k int) int                 { return rc.store.DropOldest(k) }
-func (rc *ringColumns) RowInto(t int, dst *bitset.Set)       { rc.store.RowInto(t, dst) }
-func (rc *ringColumns) CongestedCount(i int) int             { return rc.store.CongestedCount(i) }
-
-func (rc *ringColumns) CountAllGood(series []int) int {
+func (rc *recordColumns) CountAllGood(series []int) int {
 	if w := rc.store.Words(); cap(rc.scratch) < w {
 		rc.scratch = make([]uint64, w)
 	}
@@ -75,14 +52,10 @@ func (rc *ringColumns) CountAllGood(series []int) int {
 
 // CountPairGood is the two-column fused OR+POPCNT — the per-pair miss path
 // behind the pair cache.
-func (rc *ringColumns) CountPairGood(i, j int) int {
+func (rc *recordColumns) CountPairGood(i, j int) int {
 	return rc.store.Snapshots() - bitset.OrPopCountWords(rc.store.Column(i), rc.store.Column(j))
 }
 
-func (rc *ringColumns) CountPairsGood(pairs []Pair, out []int, workers int) {
-	rc.store.CountPairsGoodWS(&rc.ws, pairs, out, workers)
+func (rc *recordColumns) CountPairsGood(pairs []Pair, out []int) {
+	rc.store.CountPairsGoodWS(&rc.ws, pairs, out)
 }
-
-// Close parks the workspace's pool goroutines; the backend remains usable
-// (the pool respawns on the next parallel count).
-func (rc *ringColumns) Close() { rc.ws.Close() }

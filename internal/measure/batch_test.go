@@ -1,12 +1,12 @@
 package measure
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/snapstore"
 	"repro/internal/topology"
 )
 
@@ -22,6 +22,23 @@ func randomBatchRows(rng *rand.Rand, paths, n int) []*bitset.Set {
 		}
 	}
 	return rows
+}
+
+// packRows lays rows out back to back as packed word-rows of ⌈paths/64⌉
+// words — the AppendBatchWords layout.
+func packRows(rows []*bitset.Set, paths int) (words []uint64, stride int) {
+	stride = (paths + 63) / 64
+	words = make([]uint64, len(rows)*stride)
+	for r, row := range rows {
+		copy(words[r*stride:(r+1)*stride], row.Words())
+	}
+	return words, stride
+}
+
+// appendBatch appends rows through AppendBatchWords.
+func appendBatch(e *Empirical, rows []*bitset.Set) {
+	words, stride := packRows(rows, e.NumPaths())
+	e.AppendBatchWords(words, stride, len(rows))
 }
 
 // queryAll snapshots every observable the estimator exposes, as Float64bits
@@ -45,8 +62,8 @@ func queryAll(t *testing.T, e *Empirical, paths int, sets []*bitset.Set) []uint6
 	return out
 }
 
-// TestAppendBatchMatchesAppendLoop pins AppendBatch bit-identical to a
-// per-row Append loop across batch shapes that exercise every eviction
+// TestAppendBatchMatchesAppendLoop pins AppendBatchWords bit-identical to
+// a per-row Append loop across batch shapes that exercise every eviction
 // path: batches into an unfilled window, batches that exactly fill it,
 // batches forcing partial and full displacement, batches larger than the
 // window, and unbounded streaming estimators — with the pattern histogram
@@ -73,7 +90,7 @@ func TestAppendBatchMatchesAppendLoop(t *testing.T) {
 		}
 		batched, looped := build(), build()
 		seed := randomBatchRows(rng, paths, 3)
-		batched.AppendBatch(seed[:1])
+		appendBatch(batched, seed[:1])
 		for _, r := range seed[:1] {
 			looped.Append(r)
 		}
@@ -86,7 +103,7 @@ func TestAppendBatchMatchesAppendLoop(t *testing.T) {
 				continue
 			}
 			rows := randomBatchRows(rng, paths, m)
-			batched.AppendBatch(rows)
+			appendBatch(batched, rows)
 			for _, r := range rows {
 				looped.Append(r)
 			}
@@ -101,44 +118,6 @@ func TestAppendBatchMatchesAppendLoop(t *testing.T) {
 	}
 }
 
-// TestPrimePairsParallelMatchesSerial pins PrimePairs bit-identical across
-// count-worker settings {1, 2, 7, 8}: the cached pair probabilities after a
-// parallel prime must equal a serial estimator's, bit for bit.
-func TestPrimePairsParallelMatchesSerial(t *testing.T) {
-	const paths, snapshots = 19, 3000
-	rng := rand.New(rand.NewSource(37))
-	rows := randomBatchRows(rng, paths, snapshots)
-	var pairs []snapstore.Pair
-	for q := 0; q < 200; q++ {
-		pairs = append(pairs, snapstore.Pair{A: rng.Intn(paths), B: rng.Intn(paths)})
-	}
-	build := func(workers int) *Empirical {
-		e := NewStreaming(paths)
-		e.SetCountWorkers(workers)
-		e.AppendBatch(rows)
-		return e
-	}
-	serial := build(1)
-	defer serial.Close()
-	serial.PrimePairs(pairs)
-	for _, workers := range []int{2, 7, 8} {
-		par := build(workers)
-		par.PrimePairs(pairs)
-		for _, p := range pairs {
-			got := par.ProbPairGood(topology.PathID(p.A), topology.PathID(p.B))
-			want := serial.ProbPairGood(topology.PathID(p.A), topology.PathID(p.B))
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("workers=%d pair %v: parallel %v != serial %v", workers, p, got, want)
-			}
-		}
-		if got := par.CountWorkers(); got != workers {
-			t.Fatalf("CountWorkers = %d, want %d", got, workers)
-		}
-		par.Close()
-		par.Close() // idempotent
-	}
-}
-
 // TestProbPathsGoodMemoHitAllocs pins the allocation audit of the general
 // ProbPathsGood path: once a set's probability is memoized, re-querying it
 // must not allocate (zero-copy key lookup, reusable index buffer).
@@ -146,10 +125,26 @@ func TestProbPathsGoodMemoHitAllocs(t *testing.T) {
 	const paths = 12
 	rng := rand.New(rand.NewSource(41))
 	e := NewStreaming(paths)
-	e.AppendBatch(randomBatchRows(rng, paths, 500))
+	appendBatch(e, randomBatchRows(rng, paths, 500))
 	set := bitset.FromIndices(1, 4, 7, 9)
 	e.ProbPathsGood(set) // warm the memo
 	if allocs := testing.AllocsPerRun(20, func() { e.ProbPathsGood(set) }); allocs != 0 {
 		t.Fatalf("memoized ProbPathsGood: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestAppendOutOfRangePanics pins the out-of-range panic of the packed
+// per-row path, for a bit inside the row's last word and one past it.
+func TestAppendOutOfRangePanics(t *testing.T) {
+	for _, bit := range []int{9, 64, 200} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("segstore: series %d out of range (9 series)", bit)
+				if r := recover(); r != want {
+					t.Errorf("Append with path %d: panic %v, want %q", bit, r, want)
+				}
+			}()
+			NewStreaming(9).Append(bitset.FromIndices(1, bit))
+		}()
 	}
 }

@@ -17,8 +17,9 @@
 // for the single-path and path-pair queries that dominate equation
 // building, bypassing path-set materialization entirely.
 //
-// Empirical estimates all three from columnar observations (a path-major
-// snapstore.Store, as produced by netsim or fed incrementally): each query
+// Empirical estimates all three from columnar observations — the
+// path-major snapstore.Store of a finished netsim record, or the chunked
+// segstore.TieredStore of a streaming estimator or sliding window: each query
 // is an OR of bit columns plus a popcount rather than a scan over row-major
 // snapshots, and repeated queries hit per-path, per-pair, and per-set memo
 // caches. Construct it with NewEmpirical over a finished netsim.Record, or

@@ -3,6 +3,7 @@ package measure
 import (
 	"fmt"
 	"math"
+	mathbits "math/bits"
 	"sync"
 
 	"repro/internal/bitset"
@@ -77,9 +78,9 @@ const (
 )
 
 // Empirical estimates probabilities as frequencies over columnar snapshot
-// observations. Queries run on the path-major bit columns of a
-// snapstore.Store: P(path set all good) is an OR of the set's columns plus a
-// popcount, O(snapshots/64 · |paths|) with sequential memory access.
+// observations. Queries run on path-major bit columns: P(path set all
+// good) is an OR of the set's columns plus a popcount, O(snapshots/64 ·
+// |paths|) with sequential memory access.
 //
 // Repeated queries are memoized: single-path and pair probabilities (the
 // bulk of BuildEquations' lookups) in dedicated caches, arbitrary path sets
@@ -87,21 +88,15 @@ const (
 // concurrent use, except Append which must not run concurrently with
 // queries or other Appends.
 type Empirical struct {
-	// cols is the storage/counting backend: RAM ring columns by default,
-	// the out-of-core tiered segment store for spill-enabled windows. The
-	// estimator is a pure function of the integer counts cols returns.
+	// cols is the counting backend every query runs on. The estimator is a
+	// pure function of the integer counts cols returns.
 	cols columnBackend
-	// ring is the RAM store when cols wraps one (the Store accessor);
-	// nil for a spill-backed estimator.
-	ring *snapstore.Store
-	// tiered is the segment store when cols is one (the SpillStore
-	// accessor); nil otherwise.
-	tiered *segstore.TieredStore
-	// streaming marks estimators that own their store (NewStreaming).
-	// Record-backed estimators alias the record's path store, where an
-	// Append would silently desync the record's link store — so only
-	// streaming estimators accept Append.
-	streaming bool
+	// store is the chunked window store of an estimator that accepts
+	// appends (NewStreaming, NewSlidingWindow, NewSlidingWindowSpill);
+	// cols is then store itself. It is nil for record-backed estimators,
+	// whose columns alias the record's path store — an Append there would
+	// silently desync the record's link store — and for views.
+	store *segstore.TieredStore
 	// view marks an immutable snapshot view built by SnapshotView: a frozen
 	// copy of another estimator's window that answers every query
 	// bit-identically but rejects all mutation. Views are what the serving
@@ -124,6 +119,8 @@ type Empirical struct {
 	// evictScratch receives the evicted row of a sliding-window Append so
 	// the pattern histogram can forget it incrementally.
 	evictScratch *bitset.Set
+	// rowBuf is Append's packed word row, ⌈paths/64⌉ words.
+	rowBuf []uint64
 	// keyBuf is the reusable pattern-key encoding buffer (histogram lookups
 	// use the zero-copy m[string(buf)] form).
 	keyBuf []byte
@@ -132,11 +129,6 @@ type Empirical struct {
 	pairCounts []int
 	// idxBuf is the reusable index buffer of ProbPathsGood's general case.
 	idxBuf []int
-	// countWorkers is handed to the backend's batched pair-count kernel:
-	// the RAM backend fans snapstore.CountPairsGoodWS across that many
-	// workers (block-summary skips always; bit-identical for every
-	// setting), the tiered backend counts serially and ignores it.
-	countWorkers int
 }
 
 // NewEmpirical wraps a simulation record. It returns an error for a nil or
@@ -149,31 +141,24 @@ func NewEmpirical(rec *netsim.Record) (*Empirical, error) {
 	if rec.Snapshots() == 0 {
 		return nil, fmt.Errorf("measure: record has no snapshots; estimates would be 0/0")
 	}
-	return newEmpirical(rec.Paths), nil
+	return newEmpirical(&recordColumns{store: rec.Paths}), nil
 }
 
-// NewSlidingWindowSpill returns a sliding-window estimator whose columns
-// live in an out-of-core segment store (segstore.TieredStore): appended
+// NewSlidingWindowSpill is NewSlidingWindow with the window's sealed
+// chunks spilled to disk (segstore.TieredStore with opts.Dir): appended
 // snapshots accumulate in a RAM buffer that is sealed to mmap-backed disk
 // segments, and count queries sweep the mapped segments plus the buffer.
 // Estimates are bit-identical to NewSlidingWindow over the same rows; what
-// changes is that window no longer has to fit in RAM. The estimator owns
-// the store — Close unmaps it, after which the estimator must not be used
-// (unlike a RAM estimator's Close). Append-side disk failures panic with a
-// "segstore:" message; see segstore.TieredStore.
+// changes is that window no longer has to fit in RAM. Append-side disk
+// failures panic with a "segstore:" message; see segstore.TieredStore.
 func NewSlidingWindowSpill(numPaths, window int, opts segstore.Options) (*Empirical, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("measure: sliding window size = %d, want > 0", window)
 	}
-	ts, err := segstore.NewTiered(numPaths, window, opts)
-	if err != nil {
-		return nil, err
+	if opts.Dir == "" {
+		return nil, fmt.Errorf("measure: spill window needs a directory (Options.Dir)")
 	}
-	e := newEmpiricalBackend(ts)
-	e.tiered = ts
-	e.streaming = true
-	e.evictScratch = bitset.New(numPaths)
-	return e, nil
+	return newWindowed(numPaths, window, opts)
 }
 
 // NewStreaming returns an empty streaming estimator over numPaths paths.
@@ -181,8 +166,10 @@ func NewSlidingWindowSpill(numPaths, window int, opts segstore.Options) (*Empiri
 // Append every probability is reported as 0 (and the empty-set probability
 // as 1), never NaN.
 func NewStreaming(numPaths int) *Empirical {
-	e := newEmpirical(snapstore.New(numPaths))
-	e.streaming = true
+	e, err := newWindowed(max(numPaths, 0), 0, segstore.Options{})
+	if err != nil {
+		panic(err)
+	}
 	return e
 }
 
@@ -196,19 +183,24 @@ func NewSlidingWindow(numPaths, window int) (*Empirical, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("measure: sliding window size = %d, want > 0", window)
 	}
-	e := newEmpirical(snapstore.NewRing(numPaths, window))
-	e.streaming = true
+	return newWindowed(numPaths, window, segstore.Options{})
+}
+
+// newWindowed builds an estimator that owns a chunked window store
+// retaining at most window snapshots (0: all of them).
+func newWindowed(numPaths, window int, opts segstore.Options) (*Empirical, error) {
+	ts, err := segstore.NewTiered(numPaths, window, opts)
+	if err != nil {
+		return nil, err
+	}
+	e := newEmpirical(ts)
+	e.store = ts
 	e.evictScratch = bitset.New(numPaths)
+	e.rowBuf = make([]uint64, (numPaths+63)/64)
 	return e, nil
 }
 
-func newEmpirical(store *snapstore.Store) *Empirical {
-	e := newEmpiricalBackend(newRingColumns(store))
-	e.ring = store
-	return e
-}
-
-func newEmpiricalBackend(cols columnBackend) *Empirical {
+func newEmpirical(cols columnBackend) *Empirical {
 	return &Empirical{
 		cols:  cols,
 		pairs: make(map[int64]float64),
@@ -216,111 +208,61 @@ func newEmpiricalBackend(cols columnBackend) *Empirical {
 	}
 }
 
-// Store exposes the underlying columnar snapshot store (read-only). It is
-// nil for a spill-backed estimator (NewSlidingWindowSpill), whose columns
-// live in the segment store SpillStore returns instead.
-func (e *Empirical) Store() *snapstore.Store { return e.ring }
+// SpillStore exposes the window store of a spill-backed estimator
+// (read-only), or nil for a RAM-resident one.
+func (e *Empirical) SpillStore() *segstore.TieredStore {
+	if e.store == nil || e.store.Dir() == "" {
+		return nil
+	}
+	return e.store
+}
 
-// SpillStore exposes the out-of-core segment store of a spill-backed
-// estimator (read-only), or nil for a RAM-resident one.
-func (e *Empirical) SpillStore() *segstore.TieredStore { return e.tiered }
+// mutable panics unless the estimator accepts appends.
+func (e *Empirical) mutable(op string) {
+	if e.view {
+		panic("measure: " + op + " on an immutable snapshot view (SnapshotView)")
+	}
+	if e.store == nil {
+		panic("measure: Append requires a streaming estimator (NewStreaming); record-backed estimators are read-only views")
+	}
+}
 
-// Append ingests one more snapshot (the set of congested paths) and keeps
-// the pattern histogram current, so PatternSource queries stay valid
-// mid-stream. On a sliding-window estimator a full window first evicts its
-// oldest snapshot — from the columns and from the histogram. The probability
-// caches are reset: every estimate's numerators (and possibly denominator)
-// just changed. Append must not run concurrently with queries, and panics on
-// a record-backed estimator (whose store is a read-only view of the record —
-// appending there would desync the record's link store).
+// Append ingests one more snapshot (the set of congested paths) as a
+// one-row AppendBatchWords: the set is packed into a zero-padded row of
+// ⌈paths/64⌉ words. On a sliding-window estimator a full window first
+// evicts its oldest snapshot — from the columns and from the pattern
+// histogram — and the probability caches are reset. Append must not run
+// concurrently with queries, and panics on a record-backed estimator
+// (whose store is a read-only view of the record — appending there would
+// desync the record's link store) and on a path index out of range.
 func (e *Empirical) Append(congested *bitset.Set) {
-	if e.view {
-		panic("measure: Append on an immutable snapshot view (SnapshotView)")
+	e.mutable("Append")
+	w := congested.Words()
+	k := copy(e.rowBuf, w)
+	clear(e.rowBuf[k:])
+	for wi := k; wi < len(w); wi++ {
+		if w[wi] != 0 {
+			i := wi*64 + mathbits.TrailingZeros64(w[wi])
+			panic(fmt.Sprintf("segstore: series %d out of range (%d series)", i, e.cols.NumSeries()))
+		}
 	}
-	if !e.streaming {
-		panic("measure: Append requires a streaming estimator (NewStreaming); record-backed estimators are read-only views")
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// Only the pattern histogram consumes evicted rows; when it is not
-	// materialized, let the backend skip producing them (the out-of-core
-	// backend pays O(paths) per eviction otherwise).
-	ev := e.evictScratch
-	if e.patterns == nil {
-		ev = nil
-	}
-	if e.cols.AppendEvict(congested, ev) && ev != nil {
-		e.forgetPattern(ev)
-	}
-	e.recordPattern(congested)
-	e.resetCaches()
+	e.AppendBatchWords(e.rowBuf, len(e.rowBuf), 1)
 }
 
-// AppendBatch ingests a batch of snapshots in one mutation, bit-identical
-// to calling Append on each row in order but paying the bookkeeping once:
-// the evictions a full window's batch forces are applied as one batched
-// snapstore.DropOldest (each affected column word written once instead of
-// once per evicted snapshot) and the probability caches are reset once for
-// the whole batch instead of once per row. Like Append, it panics on a
-// record-backed estimator and must not run concurrently with queries.
-func (e *Empirical) AppendBatch(rows []*bitset.Set) {
-	if e.view {
-		panic("measure: AppendBatch on an immutable snapshot view (SnapshotView)")
-	}
-	if !e.streaming {
-		panic("measure: Append requires a streaming estimator (NewStreaming); record-backed estimators are read-only views")
-	}
-	if len(rows) == 0 {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c := e.cols.Capacity()
-	if d := e.cols.Snapshots() + len(rows) - c; c > 0 && d > 0 && d <= e.cols.Snapshots() {
-		// The batch displaces exactly the d oldest retained snapshots:
-		// forget their histogram entries row by row, then clear their slots
-		// in one blocked pass. (A batch larger than the whole window — d
-		// exceeding the retained count — falls through to the per-row loop,
-		// where AppendEvict handles the mid-batch evictions.)
-		if e.patterns != nil {
-			for t := 0; t < d; t++ {
-				e.cols.RowInto(t, e.evictScratch)
-				e.forgetPattern(e.evictScratch)
-			}
-		}
-		e.cols.DropOldest(d)
-	}
-	ev := e.evictScratch
-	if e.patterns == nil {
-		ev = nil
-	}
-	for _, row := range rows {
-		if e.cols.AppendEvict(row, ev) && ev != nil {
-			e.forgetPattern(ev)
-		}
-		e.recordPattern(row)
-	}
-	e.resetCaches()
-}
-
-// AppendBatchWords is AppendBatch with the batch presented as packed
-// word-rows: rows snapshots, each wordsPerRow uint64 words (bit i of word
-// w ⇒ path w*64+i congested), laid out back to back in words — the layout
-// the binary probe wire format carries and the column stores append
-// directly, so wire ingest materializes no per-snapshot bitset.
-// Bit-identical to AppendBatch over equal rows: same batched-eviction
-// pre-pass, same histogram maintenance (a word row keys identically to its
-// set — AppendKeyWords trims the stride padding), one cache reset. Panics
-// like AppendBatch on views and record-backed estimators, and on a
+// AppendBatchWords ingests a batch of snapshots in one mutation, presented
+// as packed word-rows: rows snapshots, each wordsPerRow uint64 words (bit i
+// of word w ⇒ path w*64+i congested), laid out back to back in words — the
+// layout the binary probe wire format carries and the window store
+// appends directly, so wire ingest materializes no per-snapshot bitset.
+// It is bit-identical to appending the rows one at a time, but pays the
+// bookkeeping once: the evictions a full window's batch forces are applied
+// as one DropOldest, and the probability caches are reset once. The
+// pattern histogram keys a word row identically to its set
+// (AppendKeyWords trims the stride padding). Panics like Append, and on a
 // stride/row-count mismatch. The words may be reused by the caller after
 // the call returns.
 func (e *Empirical) AppendBatchWords(words []uint64, wordsPerRow, rows int) {
-	if e.view {
-		panic("measure: AppendBatchWords on an immutable snapshot view (SnapshotView)")
-	}
-	if !e.streaming {
-		panic("measure: Append requires a streaming estimator (NewStreaming); record-backed estimators are read-only views")
-	}
+	e.mutable("AppendBatchWords")
 	if rows == 0 {
 		return
 	}
@@ -332,24 +274,30 @@ func (e *Empirical) AppendBatchWords(words []uint64, wordsPerRow, rows int) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	c := e.cols.Capacity()
-	if d := e.cols.Snapshots() + rows - c; c > 0 && d > 0 && d <= e.cols.Snapshots() {
-		// Same batched displacement pre-pass as AppendBatch.
+	c := e.store.Capacity()
+	if d := e.store.Snapshots() + rows - c; c > 0 && d > 0 && d <= e.store.Snapshots() {
+		// The batch displaces exactly the d oldest retained snapshots:
+		// forget their histogram entries row by row, then move the window
+		// start once. (A batch larger than the whole window — d exceeding
+		// the retained count — falls through to the per-row loop, where
+		// AppendEvictWords handles the mid-batch evictions.)
 		if e.patterns != nil {
 			for t := 0; t < d; t++ {
-				e.cols.RowInto(t, e.evictScratch)
+				e.store.RowInto(t, e.evictScratch)
 				e.forgetPattern(e.evictScratch)
 			}
 		}
-		e.cols.DropOldest(d)
+		e.store.DropOldest(d)
 	}
+	// Only the pattern histogram consumes evicted rows; when it is not
+	// materialized, let the store skip producing them.
 	ev := e.evictScratch
 	if e.patterns == nil {
 		ev = nil
 	}
 	for r := 0; r < rows; r++ {
 		row := words[r*wordsPerRow : (r+1)*wordsPerRow]
-		if e.cols.AppendEvictWords(row, ev) && ev != nil {
+		if e.store.AppendEvictWords(row, ev) && ev != nil {
 			e.forgetPattern(ev)
 		}
 		e.recordPatternWords(row)
@@ -357,29 +305,10 @@ func (e *Empirical) AppendBatchWords(words []uint64, wordsPerRow, rows int) {
 	e.resetCaches()
 }
 
-// SetCountWorkers sets how many workers the batched pair-count kernel
-// (PrimePairs) fans out across snapstore blocks. n ≤ 1 — and the default —
-// runs on the calling goroutine; results are bit-identical for every
-// setting (see snapstore.CountPairsCongestedWS). An estimator that has run
-// with n > 1 holds parked pool goroutines until Close.
-func (e *Empirical) SetCountWorkers(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.countWorkers = n
-}
-
-// CountWorkers returns the configured count-kernel worker count (0 or 1
-// mean serial).
-func (e *Empirical) CountWorkers() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.countWorkers
-}
-
-// Close releases the backend's resources: the pool goroutines of a RAM
-// estimator's parallel count workspace (the estimator remains fully usable
-// afterwards — the pool respawns on demand), or the segment mappings of a
-// spill-backed estimator (which must not be used after Close). Idempotent.
+// Close releases the estimator's storage: a window's chunks (and, for a
+// spill window, its segment mappings), or a view's chunk references. The
+// estimator must not be used after Close, except that a closed view may be
+// recycled through SnapshotView. Idempotent.
 func (e *Empirical) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -404,7 +333,7 @@ func (e *Empirical) Evict() bool {
 	if e.patterns == nil {
 		ev = nil
 	}
-	if !e.cols.EvictOldest(ev) {
+	if !e.store.EvictOldest(ev) {
 		return false
 	}
 	if ev != nil {
@@ -422,27 +351,30 @@ func (e *Empirical) Window() int { return e.cols.Capacity() }
 func (e *Empirical) IsView() bool { return e.view }
 
 // SnapshotView freezes the estimator's current window into an immutable
-// copy-on-write view: a RAM ring's columns are cloned (reusing recycle's
-// backing, so a steady-state publisher allocates nothing), while a
-// spill-backed estimator shares its sealed mmap'd segments by reference —
-// each view holds a per-segment reference count, so seal, ReleaseMapped and
-// Close on the source can never unmap a page under the view's count sweeps
-// — and copies only the small active-buffer delta. Every probability the
-// view reports is bit-identical to what the source would have reported at
-// snapshot time, because both are pure functions of the same integer
-// counts. The source's pattern histogram, if materialized, is copied so a
-// theorem-estimator view never pays the O(window·paths) rebuild.
+// copy-on-write view: the window's sealed chunks are shared by reference —
+// each view holds a per-chunk reference count, so eviction, ReleaseMapped
+// and Close on the source can never free, recycle or unmap a chunk under
+// the view's count sweeps — and only the filled rows of the write buffer
+// are copied. Every probability the view reports is bit-identical to what
+// the source would have reported at snapshot time, because both are pure
+// functions of the same integer counts. The source's pattern histogram, if
+// materialized, is copied so a theorem-estimator view never pays the
+// O(window·paths) rebuild.
 //
 // recycle, when non-nil, must be a view from a previous SnapshotView on a
-// same-shaped estimator; it is closed and its storage reused. The returned
-// view rejects all mutation (Append/AppendBatch/Evict panic), answers
-// queries from any goroutine like its source, and must be Closed when the
-// last reader is done with it — for spill-backed sources that is what
-// releases the shared segment mappings. SnapshotView must be called by the
-// goroutine that owns the source's appends.
+// same-shaped estimator; it is closed and its storage reused, so a
+// steady-state publisher allocates nothing. The returned view rejects all
+// mutation (Append/Evict panic), answers queries from any goroutine like
+// its source, and must be Closed when the last reader is done with it —
+// that is what releases the shared chunks. SnapshotView must be called by
+// the goroutine that owns the source's appends, and panics on a
+// record-backed estimator.
 func (e *Empirical) SnapshotView(recycle *Empirical) *Empirical {
 	if e.view {
 		panic("measure: SnapshotView of a snapshot view")
+	}
+	if e.store == nil {
+		panic("measure: SnapshotView requires a windowed or streaming estimator")
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -457,22 +389,8 @@ func (e *Empirical) SnapshotView(recycle *Empirical) *Empirical {
 			memo:  make(map[string]float64),
 		}
 	}
-	switch {
-	case e.ring != nil:
-		rc, _ := v.cols.(*ringColumns)
-		if rc == nil {
-			rc = &ringColumns{}
-		}
-		rc.store = e.ring.SnapshotInto(rc.store)
-		v.cols, v.ring = rc, rc.store
-	case e.tiered != nil:
-		tv, _ := v.cols.(*segstore.TieredView)
-		v.cols = e.tiered.SnapshotView(tv)
-		v.ring = nil
-	default:
-		panic("measure: SnapshotView requires a ring- or spill-backed estimator")
-	}
-	v.countWorkers = e.countWorkers
+	tv, _ := v.cols.(*segstore.TieredView)
+	v.cols = e.store.SnapshotView(tv)
 	if len(v.single) != e.cols.NumSeries() {
 		v.single = nil
 	}
@@ -508,28 +426,11 @@ func (e *Empirical) PrimePatterns() {
 	e.materializePatterns(e.cols.Snapshots())
 }
 
-// recordPattern bumps the appended row's histogram entry. A recurring
+// recordPatternWords bumps the appended row's histogram entry. A recurring
 // pattern is a map read plus a boxed increment; only a never-seen pattern
-// materializes its key string. Caller holds e.mu.
-func (e *Empirical) recordPattern(congested *bitset.Set) {
-	if e.patterns == nil {
-		return
-	}
-	e.keyBuf = congested.AppendKey(e.keyBuf[:0])
-	if p, ok := e.patterns[string(e.keyBuf)]; ok {
-		if *p == 0 && e.deadPatterns > 0 {
-			e.deadPatterns--
-		}
-		*p++
-		return
-	}
-	n := 1
-	e.patterns[string(e.keyBuf)] = &n
-}
-
-// recordPatternWords is recordPattern over a packed word row: the key
-// bytes are identical to the equal set's (AppendKeyWords trims trailing
-// zero words, so stride padding does not matter). Caller holds e.mu.
+// materializes its key string. The key bytes are identical to the equal
+// set's (AppendKeyWords trims trailing zero words, so stride padding does
+// not matter). Caller holds e.mu.
 func (e *Empirical) recordPatternWords(row []uint64) {
 	if e.patterns == nil {
 		return
@@ -722,16 +623,14 @@ func (e *Empirical) materializePatterns(n int) {
 	row := bitset.New(e.cols.NumSeries())
 	for t := 0; t < n; t++ {
 		e.cols.RowInto(t, row)
-		e.recordPattern(row)
+		e.recordPatternWords(row.Words())
 	}
 }
 
 // PrimePairs implements BatchPairSource: it resolves every listed pair that
-// is not already cached with one cache-blocked pass over the path columns
-// (snapstore.CountPairsGoodWS — block-summary skips always, fanned out
-// across SetCountWorkers workers when configured) and installs the results
-// in the pair cache, so
-// the ProbPairGood calls that follow are map hits. Values are bit-identical
+// is not already cached with one batched pass over the path columns and
+// installs the results in the pair cache, so the ProbPairGood calls that
+// follow are map hits. Values are bit-identical
 // to per-pair lookups; a steady-state caller (same pair set each estimate)
 // allocates nothing beyond the cache's own warm-up.
 func (e *Empirical) PrimePairs(pairs []Pair) {
@@ -763,7 +662,7 @@ func (e *Empirical) PrimePairs(pairs []Pair) {
 		e.pairCounts = make([]int, len(e.pairBuf))
 	}
 	e.pairCounts = e.pairCounts[:len(e.pairBuf)]
-	e.cols.CountPairsGood(e.pairBuf, e.pairCounts, e.countWorkers)
+	e.cols.CountPairsGood(e.pairBuf, e.pairCounts)
 	if len(e.pairs) >= maxPairEntries {
 		e.pairs = make(map[int64]float64)
 	}

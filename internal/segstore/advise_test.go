@@ -27,7 +27,7 @@ func TestAdviseSequentialHeapFallback(t *testing.T) {
 
 	evicted := bitset.New(series)
 	for i := 0; i < rows; i++ {
-		ts.AppendEvict(bitset.FromIndices(i%series, (i*7)%series, (i*31)%series), evicted)
+		appendRow(ts, bitset.FromIndices(i%series, (i*7)%series, (i*31)%series), evicted)
 	}
 	if got := ts.SealedSegments(); got < 2 {
 		t.Fatalf("sealed %d segments, want at least 2", got)

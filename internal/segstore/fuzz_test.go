@@ -130,3 +130,96 @@ func checkSegmentConsistent(t *testing.T, s *segment) {
 		}
 	}
 }
+
+// FuzzWindow fuzzes the RAM window's ingestion, differentially: the input
+// bytes encode an op sequence (appends with arbitrary bit patterns and
+// explicit evictions) applied to a window store while a plain shadow slice
+// tracks the retained rows. After every op the window's counts and rows
+// must match a recount over the shadow. Small 64-row chunks make seals and
+// chunks leaving the window frequent. No input may panic.
+func FuzzWindow(f *testing.F) {
+	f.Add([]byte{3, 8, 0x01, 0x02, 0xff, 0x00})
+	f.Add([]byte{1, 1, 0x80, 0x80, 0x80})
+	f.Add([]byte{7, 64, 0xaa, 0x55, 0xee})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		series := 1 + int(data[0])%70 // straddles a word boundary
+		capacity := 1 + int(data[1])%90
+		ts, err := NewTiered(series, capacity, Options{SegmentRows: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ts.Close()
+		var shadow []*bitset.Set // retained rows, oldest first
+		evicted := bitset.New(series)
+
+		for _, op := range data[2:] {
+			if op == 0xff {
+				did := ts.EvictOldest(evicted)
+				if did != (len(shadow) > 0) {
+					t.Fatalf("EvictOldest reported %v with %d retained rows", did, len(shadow))
+				}
+				if did {
+					if !evicted.Equal(shadow[0]) {
+						t.Fatalf("evicted %v, want oldest %v", evicted, shadow[0])
+					}
+					shadow = shadow[1:]
+				}
+				continue
+			}
+			row := bitset.New(series)
+			for i := 0; i < series; i++ {
+				if (int(op)+i*7)%5 == 0 {
+					row.Add(i)
+				}
+			}
+			did := ts.AppendEvictWords(row.Words(), evicted)
+			if did != (len(shadow) == capacity) {
+				t.Fatalf("AppendEvictWords reported %v with %d/%d retained", did, len(shadow), capacity)
+			}
+			if did {
+				if !evicted.Equal(shadow[0]) {
+					t.Fatalf("evicted %v, want oldest %v", evicted, shadow[0])
+				}
+				shadow = shadow[1:]
+			}
+			shadow = append(shadow, row)
+
+			if ts.Snapshots() != len(shadow) {
+				t.Fatalf("retained %d, shadow %d", ts.Snapshots(), len(shadow))
+			}
+			for i := 0; i < series; i++ {
+				want := 0
+				for _, r := range shadow {
+					if r.Contains(i) {
+						want++
+					}
+				}
+				if got := ts.CongestedCount(i); got != want {
+					t.Fatalf("series %d: count %d, shadow recount %d", i, got, want)
+				}
+			}
+			set := []int{0, series / 2, series - 1}
+			good := 0
+			for _, r := range shadow {
+				if !r.Contains(set[0]) && !r.Contains(set[1]) && !r.Contains(set[2]) {
+					good++
+				}
+			}
+			if g := ts.CountAllGood(set); g != good {
+				t.Fatalf("all-good %v: %d, shadow recount %d", set, g, good)
+			}
+			got := bitset.New(series)
+			for w, r := range shadow {
+				ts.RowInto(w, got)
+				if !got.Equal(r) {
+					t.Fatalf("row %d: %v, want %v", w, got, r)
+				}
+			}
+		}
+	})
+}

@@ -18,11 +18,11 @@ type colMeta struct {
 	pop    int // set bits in the whole column
 }
 
-// segment is one fixed-size block of rows, either sealed (data aliases a
-// mapped or heap-read file image; meta is immutable) or the tiered store's
-// active write buffer (data is heap words, every span dense over
-// [0, words), pops maintained incrementally by Append). The count kernels
-// below serve both.
+// segment is one fixed-size block of rows: a sealed chunk (data aliases a
+// mapped or heap-read file image, or is a RAM write buffer that was sealed
+// as is; meta is immutable either way) or a window's write buffer (data is
+// heap words, every span dense over [0, words), pops maintained
+// incrementally by the append). The count kernels below serve all of them.
 type segment struct {
 	base   int // absolute index of row 0
 	rows   int
@@ -31,37 +31,26 @@ type segment struct {
 	data   []uint64
 	mapped []byte // non-nil when data aliases an mmap'ed file image
 	path   string
-	crc    uint32 // data CRC of the sealed file (0 for the active buffer)
+	crc    uint32     // data CRC of the sealed file (0 for RAM chunks)
+	pool   *chunkPool // where a RAM chunk goes on its last release; nil for files
 
-	// refs counts owners of the mapping: 1 for the store (or Reader) that
-	// opened the segment, plus one per snapshot view holding it. The last
-	// release unmaps, so a view reader can never fault on a page its owner
-	// tore down — the lifetime half of the ReleaseMapped/Close-under-reader
-	// fix. Zero for the active write buffer, which is never shared.
+	// refs counts owners of a sealed chunk: 1 for the store (or Reader)
+	// that sealed or opened it, plus one per snapshot view holding it. The
+	// last release unmaps a file or recycles a RAM chunk, so a view reader
+	// can never see its words torn down or overwritten. Zero for a write
+	// buffer, which is never shared.
 	refs atomic.Int32
 }
 
-// retain acquires one more reference to a sealed segment's mapping. It
-// fails once the last reference is gone (the mapping is already torn down);
-// callers that hold a live reference — the owning store, under its mutex —
-// may rely on success.
-func (s *segment) retain() bool {
-	for {
-		r := s.refs.Load()
-		if r <= 0 {
-			return false
-		}
-		if s.refs.CompareAndSwap(r, r+1) {
-			return true
-		}
-	}
-}
-
 // release drops one reference; the reference that hits zero unmaps the
-// segment. Callers must hold a reference (from openSegment or retain) and
-// must not touch the segment after releasing it.
+// segment, or returns a RAM chunk to its pool. Callers must hold a
+// reference and must not touch the segment after releasing it.
 func (s *segment) release() {
 	if s.refs.Add(-1) != 0 {
+		return
+	}
+	if s.pool != nil {
+		s.pool.put(s)
 		return
 	}
 	if s.mapped != nil {
@@ -69,6 +58,14 @@ func (s *segment) release() {
 		s.mapped = nil
 	}
 	s.data = nil
+}
+
+// clear empties a dense write buffer for reuse.
+func (s *segment) clear() {
+	bitset.ZeroWords(s.data)
+	for i := range s.meta {
+		s.meta[i].pop = 0
+	}
 }
 
 // span returns the materialized words [lo, hi) of column m; callers must
@@ -207,8 +204,11 @@ func (s *segment) pairCount(a, b, fromRow, toRow int) int {
 
 // anyCount returns the rows in [fromRow, toRow) where at least one of the
 // given columns has a set bit — the OR-reduction kernel behind
-// CountAllGood. Columns with pop == 0 cost one branch per word.
-func (s *segment) anyCount(series []int, fromRow, toRow int) int {
+// CountAllGood. Each column's materialized span inside the range is ORed
+// into acc (at least s.words words, owned by the caller), so columns with
+// pop == 0 cost nothing; the head and tail words are masked to the range
+// before the popcount.
+func (s *segment) anyCount(series []int, fromRow, toRow int, acc []uint64) int {
 	if fromRow >= toRow || len(series) == 0 {
 		return 0
 	}
@@ -216,44 +216,21 @@ func (s *segment) anyCount(series []int, fromRow, toRow int) int {
 		return s.seriesCount(series[0], fromRow, toRow)
 	}
 	wLo, wHi := fromRow/wordBits, (toRow+wordBits-1)/wordBits
-	uLo, uHi := s.words, 0
+	acc = acc[wLo:wHi]
+	clear(acc)
 	for _, i := range series {
 		m := &s.meta[i]
-		if m.pop == 0 {
-			continue
+		lo, hi := max(m.lo, wLo), min(m.hi, wHi)
+		if m.pop != 0 && lo < hi {
+			bitset.OrWords(acc[lo-wLo:hi-wLo], s.span(m, lo, hi))
 		}
-		if m.lo < uLo {
-			uLo = m.lo
-		}
-		if m.hi > uHi {
-			uHi = m.hi
-		}
-	}
-	if wLo < uLo {
-		wLo = uLo
-	}
-	if wHi > uHi {
-		wHi = uHi
 	}
 	headW, headMask, tailW, tailMask := rangeMasks(fromRow, toRow)
-	n := 0
-	for w := wLo; w < wHi; w++ {
-		var v uint64
-		for _, i := range series {
-			m := &s.meta[i]
-			if m.pop != 0 && w >= m.lo && w < m.hi {
-				v |= s.data[m.off+w-m.lo]
-			}
-		}
-		if w == headW {
-			v &= headMask
-		}
-		if w == tailW {
-			v &= tailMask
-		}
-		n += bits.OnesCount64(v)
+	acc[headW-wLo] &= headMask
+	if tailW >= 0 {
+		acc[tailW-wLo] &= tailMask
 	}
-	return n
+	return bitset.PopCountWords(acc)
 }
 
 // bit reports whether column i has row r set.

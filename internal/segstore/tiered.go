@@ -12,21 +12,25 @@ import (
 	"repro/internal/snapstore"
 )
 
-// TieredStore is the out-of-core drop-in for a snapstore ring: snapshots
-// append into a RAM write buffer of SegmentRows columns-in-progress; a full
-// buffer is sealed to disk (span-compressed, checksummed, manifest-listed)
-// and mapped back read-only, and the buffer restarts on the next block.
-// Window-relative count queries sweep the sealed segments that overlap the
-// retained window plus the active buffer, and return exactly the integer
-// counts a RAM-only snapstore ring holding the same rows would — the
-// bit-identity the differential tests pin.
+// TieredStore is the sliding-window column store: snapshots append into a
+// write buffer of SegmentRows columns-in-progress, and a full buffer is
+// sealed into an immutable chunk while the buffer restarts on the next row
+// block. Without a spill directory a sealed chunk is the buffer itself,
+// kept in RAM as is; with one (Options.Dir) it is written to disk
+// (span-compressed, checksummed, manifest-listed) and mapped back
+// read-only. Window-relative count queries sweep the sealed chunks that
+// overlap the retained window plus the write buffer, and return exactly
+// the integer counts a fixed snapstore.Store over the same retained rows
+// holds — the bit-identity the differential tests pin.
 //
-// Semantics mirror snapstore exactly: the store retains at most capacity of
-// the n appended snapshots, window row t addresses absolute row
-// n−retained+t, and DropOldest/EvictOldest shrink the window without
-// touching disk (sealed history stays on disk — that is the point — only
-// the query window moves). Unlike the RAM ring, evicted rows are therefore
-// still readable through OpenReader afterwards.
+// The store retains at most capacity of the n appended snapshots
+// (capacity 0: all of them), and window row t addresses absolute row
+// n−retained+t. DropOldest/EvictOldest only move the window start; a
+// sealed chunk that falls wholly behind it loses the store's reference.
+// A RAM chunk's words are then recycled into a later write buffer once no
+// snapshot view holds it either, so a warm window allocates nothing. A
+// spilled segment is unmapped instead, but its file stays listed in the
+// manifest, so evicted rows remain readable through OpenReader.
 //
 // Append-side I/O errors panic with a "segstore:"-prefixed message: an
 // unwritable spill directory is infrastructure failure, equivalent to the
@@ -37,53 +41,117 @@ import (
 // A TieredStore's mutating and counting methods are owned by one goroutine,
 // like the measurement windows it backs. The exceptions, built for the
 // read-replica serving path, are SnapshotView (called by the owner; the
-// views it returns are read by other goroutines) and ReleaseMapped/Close,
-// which synchronize on mu + per-segment reference counts so a mapping is
-// never torn down or madvised away under a concurrent view reader.
+// views it returns are read by other goroutines) and
+// ReleaseMapped/AdviseSequential/Close, which synchronize on mu +
+// per-chunk reference counts so a chunk is never unmapped, recycled or
+// madvised away under a concurrent view reader.
 type TieredStore struct {
-	dir      string
-	series   int
-	capacity int
-	segRows  int
-	words    int // per segment
+	// chunks is the read side the store shares with its views. The owner
+	// changes chunks.sealed only under mu; its own count sweeps read it
+	// without mu.
+	chunks
+	dir string
 
-	n        int // snapshots appended over the lifetime
-	retained int // snapshots currently in the window
-
-	// mu guards the sealed slice and the segment reference counts against
-	// the cross-goroutine methods (SnapshotView retaining segments,
+	// mu guards chunks.sealed and the chunk reference counts against the
+	// cross-goroutine methods (SnapshotView retaining chunks,
 	// ReleaseMapped deciding a mapping is safe to madvise, Close releasing
-	// the store's references). The owner's count sweeps read sealed without
-	// mu — only the owner appends to it.
+	// the store's references).
 	mu      sync.Mutex
-	sealed  []*segment // sealed[i].base == i*segRows
-	active  segment    // dense write buffer for rows [active.base, active.base+segRows)
-	backing []uint64   // active's column words, one contiguous allocation
+	pool    chunkPool // RAM chunks no window or view references any more
 	man     manifest
+	seals   int // chunks sealed over the lifetime
 	spilled int64
 	closed  bool
 }
 
-// NewTiered creates a spill-enabled window store: series columns, a query
-// window of at most capacity snapshots, segments sealed into opts.Dir.
+// chunks is the read side of a window, shared by TieredStore and
+// TieredView: the sealed chunks that overlap the window, the write buffer,
+// and the window's absolute row range. Every count query is one sweep over
+// these pieces.
+type chunks struct {
+	series   int
+	segRows  int
+	capacity int // 0: unbounded
+	n        int // snapshots appended over the lifetime
+	retained int // snapshots in the window
+
+	sealed []*segment // sealed chunks overlapping the window, oldest first
+	active *segment   // write buffer for rows [active.base, active.base+segRows)
+	acc    []uint64   // CountAllGood's scratch, one chunk's words; never shared
+}
+
+// chunkPool recycles RAM chunks that no window or view references any
+// more. A view may drop the last reference on its own goroutine, hence the
+// lock.
+type chunkPool struct {
+	mu   sync.Mutex
+	free []*segment
+}
+
+func (p *chunkPool) put(s *segment) {
+	p.mu.Lock()
+	p.free = append(p.free, s)
+	p.mu.Unlock()
+}
+
+func (p *chunkPool) get() *segment {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	k := len(p.free) - 1
+	if k < 0 {
+		return nil
+	}
+	s := p.free[k]
+	p.free[k] = nil
+	p.free = p.free[:k]
+	return s
+}
+
+// chunkRows is the seal granularity of a RAM window: about an eighth of
+// the window in whole 64-row words, within [64, DefaultSegmentRows], so a
+// view copies at most about an eighth of the window. An unbounded store
+// seals every DefaultSegmentRows rows.
+func chunkRows(capacity int) int {
+	if capacity <= 0 {
+		return DefaultSegmentRows
+	}
+	r := ((capacity+7)/8 + wordBits - 1) / wordBits * wordBits
+	return min(max(r, wordBits), DefaultSegmentRows)
+}
+
+// NewTiered creates a window store over series columns retaining at most
+// capacity snapshots (0: unbounded). With opts.Dir empty, sealed chunks
+// stay in RAM and opts.SegmentRows defaults to chunkRows(capacity); with
+// it set, they are spilled into opts.Dir and opts.SegmentRows defaults to
+// DefaultSegmentRows.
 func NewTiered(series, capacity int, opts Options) (*TieredStore, error) {
 	if series < 0 || series > maxSeries {
 		return nil, fmt.Errorf("segstore: %d series outside [0, %d]", series, maxSeries)
 	}
-	if capacity < 1 {
-		return nil, fmt.Errorf("segstore: window capacity %d, want ≥ 1", capacity)
-	}
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("segstore: Options.Dir is required")
+	if capacity < 0 {
+		return nil, fmt.Errorf("segstore: window capacity %d, want ≥ 0", capacity)
 	}
 	segRows := opts.SegmentRows
 	if segRows == 0 {
 		segRows = DefaultSegmentRows
+		if opts.Dir == "" {
+			segRows = chunkRows(capacity)
+		}
 	}
 	if segRows < wordBits || segRows > maxSegmentRows || segRows%wordBits != 0 {
 		return nil, fmt.Errorf("segstore: segment rows %d, want a multiple of %d in [%d, %d]",
 			segRows, wordBits, wordBits, maxSegmentRows)
 	}
+	ts := &TieredStore{
+		chunks: chunks{series: series, segRows: segRows, capacity: capacity, acc: make([]uint64, segRows/wordBits)},
+		dir:    opts.Dir,
+		man:    manifest{Version: formatVersion, Series: series, SegmentRows: segRows},
+	}
+	if opts.Dir == "" {
+		ts.active = newBuffer(series, segRows, &ts.pool)
+		return ts, nil
+	}
+	ts.active = newBuffer(series, segRows, nil)
 	if err := os.MkdirAll(opts.Dir, 0o777); err != nil {
 		return nil, fmt.Errorf("segstore: %v", err)
 	}
@@ -96,29 +164,27 @@ func NewTiered(series, capacity int, opts Options) (*TieredStore, error) {
 			return nil, err
 		}
 	}
-	words := segRows / wordBits
-	ts := &TieredStore{
-		dir:      opts.Dir,
-		series:   series,
-		capacity: capacity,
-		segRows:  segRows,
-		words:    words,
-		backing:  make([]uint64, words*series),
-		man:      manifest{Version: formatVersion, Series: series, SegmentRows: segRows},
-	}
-	ts.active = segment{
-		rows:  segRows,
-		words: words,
-		meta:  make([]colMeta, series),
-		data:  ts.backing,
-	}
-	for i := range ts.active.meta {
-		ts.active.meta[i] = colMeta{lo: 0, hi: words, off: i * words}
-	}
 	if err := ts.writeManifest(); err != nil {
 		return nil, fmt.Errorf("segstore: %v", err)
 	}
 	return ts, nil
+}
+
+// newBuffer allocates an empty dense write buffer. A RAM store's buffer
+// becomes a chunk when sealed, and its last release returns it to pool.
+func newBuffer(series, segRows int, pool *chunkPool) *segment {
+	words := segRows / wordBits
+	s := &segment{
+		rows:  segRows,
+		words: words,
+		meta:  make([]colMeta, series),
+		data:  make([]uint64, words*series),
+		pool:  pool,
+	}
+	for i := range s.meta {
+		s.meta[i] = colMeta{lo: 0, hi: words, off: i * words}
+	}
+	return s
 }
 
 // resetDir removes an existing store (manifest, segments, stray temp files)
@@ -148,87 +214,46 @@ func (ts *TieredStore) writeManifest() error {
 }
 
 // NumSeries returns the number of columns.
-func (ts *TieredStore) NumSeries() int { return ts.series }
+func (c *chunks) NumSeries() int { return c.series }
 
 // Snapshots returns the window occupancy — the rows count queries run over.
-func (ts *TieredStore) Snapshots() int { return ts.retained }
+func (c *chunks) Snapshots() int { return c.retained }
 
 // Appended returns the number of snapshots ever appended.
-func (ts *TieredStore) Appended() int { return ts.n }
+func (c *chunks) Appended() int { return c.n }
 
-// Capacity returns the window capacity.
-func (ts *TieredStore) Capacity() int { return ts.capacity }
+// Capacity returns the window capacity, 0 for an unbounded store.
+func (c *chunks) Capacity() int { return c.capacity }
 
 // SegmentRows returns the seal granularity.
-func (ts *TieredStore) SegmentRows() int { return ts.segRows }
+func (c *chunks) SegmentRows() int { return c.segRows }
 
-// SealedSegments returns how many segments have been sealed to disk.
-func (ts *TieredStore) SealedSegments() int { return len(ts.sealed) }
+// SealedSegments returns how many chunks have been sealed over the store's
+// lifetime, including those that have since left the window.
+func (ts *TieredStore) SealedSegments() int { return ts.seals }
 
 // SpilledBytes returns the total bytes of sealed segment files written.
 func (ts *TieredStore) SpilledBytes() int64 { return ts.spilled }
 
-// Dir returns the spill directory.
+// Dir returns the spill directory, "" for a RAM store.
 func (ts *TieredStore) Dir() string { return ts.dir }
 
-// window returns the absolute row range [from, to) of the retained window.
-func (ts *TieredStore) window() (from, to int) { return ts.n - ts.retained, ts.n }
-
-// Append ingests one snapshot and returns its lifetime index, evicting the
-// oldest retained snapshot silently when the window is full.
-func (ts *TieredStore) Append(congested *bitset.Set) int {
-	t := ts.n
-	ts.AppendEvict(congested, nil)
-	return t
-}
-
-// AppendEvict ingests one snapshot, evicting the oldest retained snapshot
+// AppendEvictWords ingests one snapshot presented as packed words (bit i of
+// word w ⇒ series w*64+i congested), evicting the oldest retained snapshot
 // first when the window is full. It reports whether an eviction happened
 // and, when evicted is non-nil, leaves the evicted snapshot's congested
-// series in it (cleared otherwise) — the same contract as
-// snapstore.Store.AppendEvict.
-func (ts *TieredStore) AppendEvict(congested, evicted *bitset.Set) bool {
-	didEvict := false
-	if ts.retained == ts.capacity {
-		didEvict = ts.EvictOldest(evicted)
-	} else if evicted != nil {
-		evicted.Clear()
-	}
-	r := ts.n - ts.active.base
-	w, mask := r/wordBits, uint64(1)<<uint(r%wordBits)
-	congested.ForEach(func(i int) bool {
-		if i >= ts.series {
-			panic(fmt.Sprintf("segstore: series %d out of range (%d series)", i, ts.series))
-		}
-		m := &ts.active.meta[i]
-		p := &ts.backing[m.off+w]
-		if *p&mask == 0 {
-			*p |= mask
-			m.pop++
-		}
-		return true
-	})
-	ts.n++
-	ts.retained++
-	if r+1 == ts.segRows {
-		ts.seal()
-	}
-	return didEvict
-}
-
-// AppendEvictWords is AppendEvict with the snapshot presented as packed
-// words (bit i of word w ⇒ series w*64+i congested) — the wire-ingest fast
-// path, bit-identical to AppendEvict over an equal set. rowWords may carry
-// fewer than ⌈series/64⌉ words (missing words mean all-good); a bit at or
-// past the series count panics like AppendEvict's out-of-range series.
+// series in it (cleared otherwise). rowWords may carry fewer than
+// ⌈series/64⌉ words (missing words mean all-good); a bit at or past the
+// series count panics.
 func (ts *TieredStore) AppendEvictWords(rowWords []uint64, evicted *bitset.Set) bool {
 	didEvict := false
-	if ts.retained == ts.capacity {
+	if ts.capacity > 0 && ts.retained == ts.capacity {
 		didEvict = ts.EvictOldest(evicted)
 	} else if evicted != nil {
 		evicted.Clear()
 	}
-	r := ts.n - ts.active.base
+	a := ts.active
+	r := ts.n - a.base
 	w, mask := r/wordBits, uint64(1)<<uint(r%wordBits)
 	for wi, wv := range rowWords {
 		for wv != 0 {
@@ -238,8 +263,8 @@ func (ts *TieredStore) AppendEvictWords(rowWords []uint64, evicted *bitset.Set) 
 			if i >= ts.series {
 				panic(fmt.Sprintf("segstore: series %d out of range (%d series)", i, ts.series))
 			}
-			m := &ts.active.meta[i]
-			p := &ts.backing[m.off+w]
+			m := &a.meta[i]
+			p := &a.data[m.off+w]
 			if *p&mask == 0 {
 				*p |= mask
 				m.pop++
@@ -255,8 +280,7 @@ func (ts *TieredStore) AppendEvictWords(rowWords []uint64, evicted *bitset.Set) 
 }
 
 // EvictOldest shrinks the window by one snapshot, reporting whether one was
-// evicted and leaving its congested series in evicted when non-nil. The row
-// stays on disk if it was sealed; only the window boundary moves.
+// evicted and leaving its congested series in evicted when non-nil.
 func (ts *TieredStore) EvictOldest(evicted *bitset.Set) bool {
 	if evicted != nil {
 		evicted.Clear()
@@ -268,37 +292,82 @@ func (ts *TieredStore) EvictOldest(evicted *bitset.Set) bool {
 		ts.rowInto(ts.n-ts.retained, evicted)
 	}
 	ts.retained--
+	ts.dropBehind()
 	return true
 }
 
 // DropOldest shrinks the window by the k oldest snapshots and returns how
-// many were dropped (min(k, retained)). Dropped rows are not reported, like
-// snapstore.Store.DropOldest; unlike it, nothing is cleared — sealed rows
-// remain on disk and active-buffer rows simply leave the query range.
+// many were dropped (min(k, retained)). Dropped rows are not reported.
 func (ts *TieredStore) DropOldest(k int) int {
-	if k > ts.retained {
-		k = ts.retained
-	}
+	k = min(k, ts.retained)
 	if k <= 0 {
 		return 0
 	}
 	ts.retained -= k
+	ts.dropBehind()
 	return k
 }
 
-// seal writes the full active buffer to disk, maps it back, and restarts
-// the buffer on the next row block. See the type comment for why I/O
-// failure panics.
+// dropBehind releases the store's reference to every sealed chunk that lies
+// wholly before the window start.
+func (ts *TieredStore) dropBehind() {
+	from := ts.n - ts.retained
+	k := 0
+	for k < len(ts.sealed) && ts.sealed[k].base+ts.segRows <= from {
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	ts.mu.Lock()
+	for _, s := range ts.sealed[:k] {
+		s.release()
+	}
+	m := copy(ts.sealed, ts.sealed[k:])
+	clear(ts.sealed[m:])
+	ts.sealed = ts.sealed[:m]
+	ts.mu.Unlock()
+}
+
+// seal turns the full write buffer into a sealed chunk and restarts the
+// buffer on the next row block. A RAM store keeps the buffer itself as the
+// chunk and takes a recycled (or new) buffer; a spill store writes the
+// buffer to disk, maps it back, and reuses the buffer. See the type
+// comment for why I/O failure panics.
 func (ts *TieredStore) seal() {
-	name := fmt.Sprintf("seg-%08d.seg", len(ts.sealed))
-	buf := encodeSegment(&ts.active)
-	if err := atomicWriteFile(ts.dir, name, buf); err != nil {
+	full, next := ts.active, ts.active
+	base := full.base + ts.segRows
+	if ts.dir == "" {
+		full.refs.Store(1)
+		if next = ts.pool.get(); next == nil {
+			next = newBuffer(ts.series, ts.segRows, &ts.pool)
+		} else {
+			next.clear()
+		}
+	} else {
+		full = ts.spill(full)
+		next.clear()
+	}
+	next.base = base
+	ts.active = next
+	ts.seals++
+	ts.mu.Lock()
+	ts.sealed = append(ts.sealed, full)
+	ts.mu.Unlock()
+}
+
+// spill writes the write buffer to a segment file, lists it in the
+// manifest, and returns the file mapped back.
+func (ts *TieredStore) spill(buf *segment) *segment {
+	name := fmt.Sprintf("seg-%08d.seg", ts.seals)
+	img := encodeSegment(buf)
+	if err := atomicWriteFile(ts.dir, name, img); err != nil {
 		panic(fmt.Sprintf("segstore: sealing %s: %v", name, err))
 	}
 	ts.man.Segments = append(ts.man.Segments, manifestSegment{
 		File: name,
-		Base: uint64(ts.active.base),
-		CRC:  crcOfEncoded(buf),
+		Base: uint64(buf.base),
+		CRC:  crcOfEncoded(img),
 	})
 	if err := ts.writeManifest(); err != nil {
 		panic(fmt.Sprintf("segstore: manifest after sealing %s: %v", name, err))
@@ -307,15 +376,8 @@ func (ts *TieredStore) seal() {
 	if err != nil {
 		panic(fmt.Sprintf("segstore: reading back %s: %v", name, err))
 	}
-	ts.mu.Lock()
-	ts.sealed = append(ts.sealed, seg)
-	ts.mu.Unlock()
-	ts.spilled += int64(len(buf))
-	bitset.ZeroWords(ts.backing)
-	for i := range ts.active.meta {
-		ts.active.meta[i].pop = 0
-	}
-	ts.active.base += ts.segRows
+	ts.spilled += int64(len(img))
+	return seg
 }
 
 // crcOfEncoded extracts the data CRC field from an encoded segment image.
@@ -362,53 +424,31 @@ func openSegment(path string) (*segment, error) {
 }
 
 // overlap clips the window [from, to) to segment s and returns the
-// segment-relative row range.
+// segment-relative row range, empty (lo ≥ hi) when they do not meet.
 func overlap(s *segment, from, to int) (lo, hi int) {
-	lo, hi = from-s.base, to-s.base
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > s.rows {
-		hi = s.rows
-	}
-	return
+	return max(from-s.base, 0), min(to-s.base, s.rows)
 }
 
-// windowSealed returns the sealed segments that overlap the retained
-// window (sealed[i] covers rows [i·segRows, (i+1)·segRows), so the slice
-// starts at the oldest retained row's segment).
-func (ts *TieredStore) windowSealed() []*segment {
-	from, _ := ts.window()
-	i := from / ts.segRows
-	if i > len(ts.sealed) {
-		i = len(ts.sealed)
+// piece returns the k-th piece of the window sweep — sealed chunks oldest
+// first, then the write buffer at k == len(sealed) — with its
+// segment-relative row range inside the window.
+func (c *chunks) piece(k int) (s *segment, lo, hi int) {
+	s = c.active
+	if k < len(c.sealed) {
+		s = c.sealed[k]
 	}
-	return ts.sealed[i:]
-}
-
-// activeOverlap returns the active buffer's row range inside the window,
-// empty when the window ends before the buffer starts.
-func (ts *TieredStore) activeOverlap() (lo, hi int, ok bool) {
-	from, to := ts.window()
-	if to <= ts.active.base {
-		return 0, 0, false
-	}
-	lo, hi = overlap(&ts.active, from, to)
-	return lo, hi, lo < hi
+	lo, hi = overlap(s, c.n-c.retained, c.n)
+	return s, lo, hi
 }
 
 // CongestedCount returns the number of window snapshots in which series i
 // was congested.
-func (ts *TieredStore) CongestedCount(i int) int {
-	ts.checkSeries(i)
-	from, to := ts.window()
+func (c *chunks) CongestedCount(i int) int {
+	c.checkSeries(i)
 	n := 0
-	for _, seg := range ts.windowSealed() {
-		lo, hi := overlap(seg, from, to)
-		n += seg.seriesCount(i, lo, hi)
-	}
-	if lo, hi, ok := ts.activeOverlap(); ok {
-		n += ts.active.seriesCount(i, lo, hi)
+	for k := 0; k <= len(c.sealed); k++ {
+		s, lo, hi := c.piece(k)
+		n += s.seriesCount(i, lo, hi)
 	}
 	return n
 }
@@ -416,112 +456,97 @@ func (ts *TieredStore) CongestedCount(i int) int {
 // CountAllGood returns the number of window snapshots in which none of the
 // given series was congested. An empty series list counts every retained
 // snapshot.
-func (ts *TieredStore) CountAllGood(series []int) int {
+func (c *chunks) CountAllGood(series []int) int {
 	for _, i := range series {
-		ts.checkSeries(i)
+		c.checkSeries(i)
 	}
-	from, to := ts.window()
 	bad := 0
-	for _, seg := range ts.windowSealed() {
-		lo, hi := overlap(seg, from, to)
-		bad += seg.anyCount(series, lo, hi)
+	for k := 0; k <= len(c.sealed); k++ {
+		s, lo, hi := c.piece(k)
+		bad += s.anyCount(series, lo, hi, c.acc)
 	}
-	if lo, hi, ok := ts.activeOverlap(); ok {
-		bad += ts.active.anyCount(series, lo, hi)
-	}
-	return ts.retained - bad
+	return c.retained - bad
 }
 
 // CountPairGood returns the number of window snapshots in which neither
 // series i nor j was congested.
-func (ts *TieredStore) CountPairGood(i, j int) int {
-	ts.checkSeries(i)
-	ts.checkSeries(j)
-	from, to := ts.window()
+func (c *chunks) CountPairGood(i, j int) int {
+	c.checkSeries(i)
+	c.checkSeries(j)
 	bad := 0
-	for _, seg := range ts.windowSealed() {
-		lo, hi := overlap(seg, from, to)
-		bad += seg.pairCount(i, j, lo, hi)
+	for k := 0; k <= len(c.sealed); k++ {
+		s, lo, hi := c.piece(k)
+		bad += s.pairCount(i, j, lo, hi)
 	}
-	if lo, hi, ok := ts.activeOverlap(); ok {
-		bad += ts.active.pairCount(i, j, lo, hi)
-	}
-	return ts.retained - bad
+	return c.retained - bad
 }
 
 // CountPairsGood fills out[i] with the number of window snapshots in which
-// neither series of pairs[i] was congested. The sweep is segment-major so
-// each mapped segment's pages are touched once for the whole batch. The
-// workers argument exists for call-signature parity with the RAM store's
-// parallel kernel; the mapped sweep is serial (the per-segment directory
-// skip does the work multicore does for dense RAM columns).
-func (ts *TieredStore) CountPairsGood(pairs []snapstore.Pair, out []int, workers int) {
+// neither series of pairs[i] was congested. The sweep is chunk-major so
+// each chunk's words (a mapped segment's pages) are touched once for the
+// whole batch; the per-column popcounts skip chunks where a column is
+// all-good.
+func (c *chunks) CountPairsGood(pairs []snapstore.Pair, out []int) {
 	if len(out) < len(pairs) {
 		panic(fmt.Sprintf("segstore: CountPairsGood out has %d slots for %d pairs", len(out), len(pairs)))
 	}
-	_ = workers
 	for i, p := range pairs {
-		ts.checkSeries(p.A)
-		ts.checkSeries(p.B)
+		c.checkSeries(p.A)
+		c.checkSeries(p.B)
 		out[i] = 0
 	}
-	from, to := ts.window()
-	for _, seg := range ts.windowSealed() {
-		lo, hi := overlap(seg, from, to)
+	for k := 0; k <= len(c.sealed); k++ {
+		s, lo, hi := c.piece(k)
 		if lo >= hi {
 			continue
 		}
 		for i, p := range pairs {
-			out[i] += seg.pairCount(p.A, p.B, lo, hi)
-		}
-	}
-	if lo, hi, ok := ts.activeOverlap(); ok {
-		for i, p := range pairs {
-			out[i] += ts.active.pairCount(p.A, p.B, lo, hi)
+			out[i] += s.pairCount(p.A, p.B, lo, hi)
 		}
 	}
 	for i := range pairs {
-		out[i] = ts.retained - out[i]
+		out[i] = c.retained - out[i]
 	}
 }
 
 // Bit reports whether series i was congested in window snapshot t.
-func (ts *TieredStore) Bit(i, t int) bool {
-	ts.checkSeries(i)
-	if t < 0 || t >= ts.retained {
+func (c *chunks) Bit(i, t int) bool {
+	c.checkSeries(i)
+	if t < 0 || t >= c.retained {
 		return false
 	}
-	from, _ := ts.window()
-	abs := from + t
-	if k := abs / ts.segRows; k < len(ts.sealed) {
-		return ts.sealed[k].bit(i, abs-ts.sealed[k].base)
-	}
-	return ts.active.bit(i, abs-ts.active.base)
+	s, r := c.locate(c.n - c.retained + t)
+	return s.bit(i, r)
 }
 
 // RowInto materializes window snapshot t as a set of congested series into
 // dst (cleared first); t = 0 is the oldest retained snapshot.
-func (ts *TieredStore) RowInto(t int, dst *bitset.Set) {
+func (c *chunks) RowInto(t int, dst *bitset.Set) {
 	dst.Clear()
-	if t < 0 || t >= ts.retained {
-		panic(fmt.Sprintf("segstore: snapshot %d outside window [0, %d)", t, ts.retained))
+	if t < 0 || t >= c.retained {
+		panic(fmt.Sprintf("segstore: snapshot %d outside window [0, %d)", t, c.retained))
 	}
-	from, _ := ts.window()
-	ts.rowInto(from+t, dst)
+	c.rowInto(c.n-c.retained+t, dst)
 }
 
-// rowInto materializes absolute row abs into dst (not cleared).
-func (ts *TieredStore) rowInto(abs int, dst *bitset.Set) {
-	if k := abs / ts.segRows; k < len(ts.sealed) {
-		ts.sealed[k].rowInto(abs-ts.sealed[k].base, dst)
-		return
-	}
-	ts.active.rowInto(abs-ts.active.base, dst)
+// rowInto materializes absolute window row abs into dst (not cleared).
+func (c *chunks) rowInto(abs int, dst *bitset.Set) {
+	s, r := c.locate(abs)
+	s.rowInto(r, dst)
 }
 
-func (ts *TieredStore) checkSeries(i int) {
-	if i < 0 || i >= ts.series {
-		panic(fmt.Sprintf("segstore: series %d out of range (%d series)", i, ts.series))
+// locate maps absolute window row abs to its chunk and chunk-relative row.
+func (c *chunks) locate(abs int) (*segment, int) {
+	if len(c.sealed) > 0 && abs < c.active.base {
+		s := c.sealed[(abs-c.sealed[0].base)/c.segRows]
+		return s, abs - s.base
+	}
+	return c.active, abs - c.active.base
+}
+
+func (c *chunks) checkSeries(i int) {
+	if i < 0 || i >= c.series {
+		panic(fmt.Sprintf("segstore: series %d out of range (%d series)", i, c.series))
 	}
 }
 
@@ -546,11 +571,11 @@ func (ts *TieredStore) ReleaseMapped() {
 // AdviseSequential hints the kernel that the sealed mappings are about to
 // be swept front to back (MADV_SEQUENTIAL: doubled readahead, pages dropped
 // soon after use) — the replay-side counterpart of ReleaseMapped, for
-// checkpointed sweeps over cold history. Heap-fallback segments
-// (mapped == nil, the path openSegment takes where mmap is unavailable) are
-// untouched: the hint only means anything for a live mapping. Purely
-// advisory; unlike ReleaseMapped it does not skip segments held by views,
-// because a readahead hint never invalidates resident pages.
+// checkpointed sweeps over cold history. Heap-fallback segments and RAM
+// chunks (mapped == nil) are untouched: the hint only means anything for a
+// live mapping. Purely advisory; unlike ReleaseMapped it does not skip
+// segments held by views, because a readahead hint never invalidates
+// resident pages.
 func (ts *TieredStore) AdviseSequential() {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -561,12 +586,11 @@ func (ts *TieredStore) AdviseSequential() {
 	}
 }
 
-// Close releases the store's reference to every sealed segment; a segment
-// is unmapped as soon as the last snapshot view holding it closes (or
-// immediately, with no views outstanding). The active buffer is
-// deliberately not sealed — only full segments ever reach disk, which keeps
-// the format fixed-size and recovery trivial; rows still in the buffer at
-// Close are gone, exactly as a RAM ring's rows are. Close is idempotent,
+// Close releases the store's reference to every sealed chunk; a chunk is
+// freed as soon as the last snapshot view holding it closes (or
+// immediately, with no views outstanding). The write buffer is
+// deliberately not sealed — only full segments ever reach disk, which
+// keeps the format fixed-size and recovery trivial. Close is idempotent,
 // and no methods may be called after it.
 func (ts *TieredStore) Close() {
 	ts.mu.Lock()
@@ -579,8 +603,7 @@ func (ts *TieredStore) Close() {
 		seg.release()
 	}
 	ts.sealed = nil
-	ts.backing = nil
-	ts.active.data = nil
+	ts.active = nil
 }
 
 // Reader is the recovery-side view of a segment directory: the manifest's

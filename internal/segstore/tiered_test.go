@@ -1,6 +1,7 @@
 package segstore
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,11 +31,50 @@ func testPairs(series int) []snapstore.Pair {
 	return pairs
 }
 
-// TestTieredMatchesRing drives a tiered store and a RAM ring through the
-// same append/evict/drop sequence and requires every count kernel to agree
-// exactly at every step — across segment seals, the ring's wraparound, and
-// windows whose head sits mid-segment. This is the subsystem's core
-// contract: disk is an implementation detail the counts cannot see.
+// windowRows keeps the rows a window should retain — the reference every
+// store test compares against, as a fixed snapstore.Store built from them.
+type windowRows struct {
+	capacity int // 0: unbounded
+	rows     []*bitset.Set
+}
+
+func (w *windowRows) append(row *bitset.Set) {
+	if w.capacity > 0 && len(w.rows) == w.capacity {
+		w.rows = w.rows[1:]
+	}
+	w.rows = append(w.rows, row.Clone())
+}
+
+func (w *windowRows) drop(k int) int {
+	k = min(k, len(w.rows))
+	w.rows = w.rows[k:]
+	return k
+}
+
+func (w *windowRows) fixed(series int) *snapstore.Store {
+	return snapstore.FromRows(series, w.rows)
+}
+
+// appendRow appends a set through the store's word path.
+func appendRow(ts *TieredStore, row, evicted *bitset.Set) bool {
+	return ts.AppendEvictWords(row.Words(), evicted)
+}
+
+// storeModes runs a test over a RAM store and a spilling one.
+func storeModes(t *testing.T, segRows int) map[string]Options {
+	return map[string]Options{
+		"ram":   {SegmentRows: segRows},
+		"spill": {Dir: t.TempDir(), SegmentRows: segRows},
+	}
+}
+
+// TestTieredMatchesRing drives a tiered store and a reference window
+// through the same append/evict/drop sequence and requires every count
+// kernel to agree exactly at every step with a fixed snapstore.Store built
+// from the retained rows — across chunk seals, chunks leaving the window,
+// and windows whose head sits mid-chunk, for RAM and spilled chunks alike.
+// This is the subsystem's core contract: chunking and disk are
+// implementation details the counts cannot see.
 func TestTieredMatchesRing(t *testing.T) {
 	const (
 		series   = 70 // straddles a word boundary
@@ -42,126 +82,278 @@ func TestTieredMatchesRing(t *testing.T) {
 		capacity = 300 // not a multiple of segRows: head usually mid-segment
 		steps    = 1000
 	)
-	dir := t.TempDir()
-	ts, err := NewTiered(series, capacity, Options{Dir: dir, SegmentRows: segRows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	ring := snapstore.NewRing(series, capacity)
+	for mode, opts := range storeModes(t, segRows) {
+		t.Run(mode, func(t *testing.T) {
+			ts, err := NewTiered(series, capacity, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ts.Close()
+			ref := &windowRows{capacity: capacity}
+			appended := 0
 
-	row := bitset.New(series)
-	evT, evR := bitset.New(series), bitset.New(series)
-	pairs := testPairs(series)
-	outT, outR := make([]int, len(pairs)), make([]int, len(pairs))
-	scratch := make([]uint64, ring.Words())
-	all := make([]int, series)
-	for i := range all {
-		all[i] = i
-	}
+			row := bitset.New(series)
+			ev := bitset.New(series)
+			pairs := testPairs(series)
+			out := make([]int, len(pairs))
+			all := make([]int, series)
+			for i := range all {
+				all[i] = i
+			}
 
-	check := func(step int) {
-		t.Helper()
-		if ts.Snapshots() != ring.Snapshots() || ts.Appended() != ring.Appended() {
-			t.Fatalf("step %d: tiered %d/%d snapshots, ring %d/%d",
-				step, ts.Snapshots(), ts.Appended(), ring.Snapshots(), ring.Appended())
-		}
-		for i := 0; i < series; i++ {
-			if g, w := ts.CongestedCount(i), ring.CongestedCount(i); g != w {
-				t.Fatalf("step %d: series %d congested count %d, ring %d", step, i, g, w)
-			}
-		}
-		ts.CountPairsGood(pairs, outT, 1)
-		ring.CountPairsGood(pairs, outR)
-		for i := range pairs {
-			if outT[i] != outR[i] {
-				t.Fatalf("step %d: pair %v good count %d, ring %d", step, pairs[i], outT[i], outR[i])
-			}
-		}
-		for i := 0; i+2 < series; i += 7 {
-			sub := all[i : i+3]
-			if g, w := ts.CountAllGood(sub), ring.CountAllGood(sub, scratch); g != w {
-				t.Fatalf("step %d: all-good %v count %d, ring %d", step, sub, g, w)
-			}
-			want := ring.Snapshots() - ring.CountAnyCongested([]int{i, i + 2}, scratch)
-			if g := ts.CountPairGood(i, i+2); g != want {
-				t.Fatalf("step %d: pair-good (%d,%d) count %d, ring %d", step, i, i+2, g, want)
-			}
-		}
-		if g, w := ts.CountAllGood(nil), ring.CountAllGood(nil, scratch); g != w {
-			t.Fatalf("step %d: empty all-good %d, ring %d", step, g, w)
-		}
-	}
-
-	for step := 0; step < steps; step++ {
-		switch {
-		case step%97 == 96:
-			dT := ts.DropOldest(step % 37)
-			dR := ring.DropOldest(step % 37)
-			if dT != dR {
-				t.Fatalf("step %d: DropOldest dropped %d, ring %d", step, dT, dR)
-			}
-		case step%23 == 22:
-			okT := ts.EvictOldest(evT)
-			okR := ring.EvictOldest(evR)
-			if okT != okR || !evT.Equal(evR) {
-				t.Fatalf("step %d: EvictOldest (%v, %v) vs ring (%v, %v)", step, okT, evT, okR, evR)
-			}
-		default:
-			fillRow(row, series, step, 5+step%11)
-			okT := ts.AppendEvict(row, evT)
-			okR := ring.AppendEvict(row, evR)
-			if okT != okR || !evT.Equal(evR) {
-				t.Fatalf("step %d: AppendEvict (%v, %v) vs ring (%v, %v)", step, okT, evT, okR, evR)
-			}
-		}
-		if step%13 == 0 || step == steps-1 {
-			check(step)
-		}
-		if step%101 == 0 {
-			// Window rows must come back identically, oldest first.
-			for w := 0; w < ts.Snapshots(); w += 29 {
-				ts.RowInto(w, evT)
-				ring.RowInto(w, evR)
-				if !evT.Equal(evR) {
-					t.Fatalf("step %d: window row %d %v, ring %v", step, w, evT, evR)
+			check := func(step int) {
+				t.Helper()
+				fixed := ref.fixed(series)
+				if ts.Snapshots() != fixed.Snapshots() || ts.Appended() != appended {
+					t.Fatalf("step %d: tiered %d/%d snapshots, want %d/%d",
+						step, ts.Snapshots(), ts.Appended(), fixed.Snapshots(), appended)
+				}
+				for i := 0; i < series; i++ {
+					if g, w := ts.CongestedCount(i), fixed.CongestedCount(i); g != w {
+						t.Fatalf("step %d: series %d congested count %d, want %d", step, i, g, w)
+					}
+				}
+				ts.CountPairsGood(pairs, out)
+				for i, p := range pairs {
+					if w := fixed.CountAllGood([]int{p.A, p.B}, nil); out[i] != w {
+						t.Fatalf("step %d: pair %v good count %d, want %d", step, p, out[i], w)
+					}
+				}
+				for i := 0; i+2 < series; i += 7 {
+					sub := all[i : i+3]
+					if g, w := ts.CountAllGood(sub), fixed.CountAllGood(sub, nil); g != w {
+						t.Fatalf("step %d: all-good %v count %d, want %d", step, sub, g, w)
+					}
+					if g, w := ts.CountPairGood(i, i+2), fixed.CountAllGood([]int{i, i + 2}, nil); g != w {
+						t.Fatalf("step %d: pair-good (%d,%d) count %d, want %d", step, i, i+2, g, w)
+					}
+				}
+				if g, w := ts.CountAllGood(nil), fixed.Snapshots(); g != w {
+					t.Fatalf("step %d: empty all-good %d, want %d", step, g, w)
 				}
 			}
-		}
+
+			for step := 0; step < steps; step++ {
+				switch {
+				case step%97 == 96:
+					if got, want := ts.DropOldest(step%37), ref.drop(step%37); got != want {
+						t.Fatalf("step %d: DropOldest dropped %d, want %d", step, got, want)
+					}
+				case step%23 == 22:
+					var want *bitset.Set
+					if len(ref.rows) > 0 {
+						want = ref.rows[0]
+					}
+					ok := ts.EvictOldest(ev)
+					ref.drop(1)
+					if ok != (want != nil) || (ok && !ev.Equal(want)) {
+						t.Fatalf("step %d: EvictOldest (%v, %v), want %v", step, ok, ev, want)
+					}
+				default:
+					fillRow(row, series, step, 5+step%11)
+					var want *bitset.Set
+					if len(ref.rows) == capacity {
+						want = ref.rows[0]
+					}
+					ok := appendRow(ts, row, ev)
+					ref.append(row)
+					appended++
+					if ok != (want != nil) || (ok && !ev.Equal(want)) {
+						t.Fatalf("step %d: AppendEvictWords (%v, %v), want %v", step, ok, ev, want)
+					}
+				}
+				if step%13 == 0 || step == steps-1 {
+					check(step)
+				}
+				if step%101 == 0 {
+					// Window rows must come back identically, oldest first.
+					for w := 0; w < ts.Snapshots(); w += 29 {
+						ts.RowInto(w, ev)
+						if !ev.Equal(ref.rows[w]) {
+							t.Fatalf("step %d: window row %d %v, want %v", step, w, ev, ref.rows[w])
+						}
+					}
+				}
+			}
+			if ts.SealedSegments() == 0 {
+				t.Fatal("no chunks sealed")
+			}
+			check(steps)
+			ts.ReleaseMapped() // pages fault back in; counts must be unchanged
+			check(steps + 1)
+		})
 	}
-	if ts.SealedSegments() == 0 {
-		t.Fatal("no segments sealed — the run never spilled")
-	}
-	check(steps)
-	ts.ReleaseMapped() // pages fault back in; counts must be unchanged
-	check(steps + 1)
 }
 
 // TestTieredBitAndRows pins the row-addressing paths (Bit, RowInto) across
 // the sealed/active boundary.
 func TestTieredBitAndRows(t *testing.T) {
 	const series, segRows, capacity = 10, 64, 200
-	ts, err := NewTiered(series, capacity, Options{Dir: t.TempDir(), SegmentRows: segRows})
-	if err != nil {
-		t.Fatal(err)
+	for mode, opts := range storeModes(t, segRows) {
+		ts, err := NewTiered(series, capacity, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &windowRows{capacity: capacity}
+		row := bitset.New(series)
+		for step := 0; step < 170; step++ {
+			fillRow(row, series, step, 3)
+			appendRow(ts, row, nil)
+			ref.append(row)
+		}
+		fixed := ref.fixed(series)
+		for w := 0; w < fixed.Snapshots(); w++ {
+			for i := 0; i < series; i++ {
+				if g, want := ts.Bit(i, w), fixed.Bit(i, w); g != want {
+					t.Fatalf("%s: Bit(%d, %d) = %v, want %v", mode, i, w, g, want)
+				}
+			}
+		}
+		if ts.Bit(0, -1) || ts.Bit(0, fixed.Snapshots()) {
+			t.Fatalf("%s: out-of-window Bit must be false", mode)
+		}
+		ts.Close()
 	}
-	defer ts.Close()
-	ring := snapstore.NewRing(series, capacity)
-	row := bitset.New(series)
-	for step := 0; step < 170; step++ {
-		fillRow(row, series, step, 3)
-		ts.AppendEvict(row, nil)
-		ring.AppendEvict(row, nil)
+}
+
+// TestChunkRows pins the RAM chunk size derived from the window and the
+// store NewTiered opens with it.
+func TestChunkRows(t *testing.T) {
+	for _, c := range []struct{ capacity, want int }{
+		{0, DefaultSegmentRows}, {1, 64}, {512, 64}, {513, 128}, {2048, 256},
+		{1 << 16, 8192}, {1 << 20, DefaultSegmentRows},
+	} {
+		if got := chunkRows(c.capacity); got != c.want {
+			t.Errorf("chunkRows(%d) = %d, want %d", c.capacity, got, c.want)
+		}
+		ts, err := NewTiered(3, c.capacity, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ts.SegmentRows(); got != c.want {
+			t.Errorf("capacity %d window chunks every %d rows, want %d", c.capacity, got, c.want)
+		}
+		ts.Close()
 	}
-	for w := 0; w < ring.Snapshots(); w++ {
-		for i := 0; i < series; i++ {
-			if g, want := ts.Bit(i, w), ring.Bit(i, w); g != want {
-				t.Fatalf("Bit(%d, %d) = %v, ring %v", i, w, g, want)
+}
+
+// TestDropOldestMatchesEvictLoop pins the batched window drop against a
+// per-snapshot EvictOldest loop on a shadow store, across drop sizes within
+// one word, word-aligned, spanning words and chunks, and overshooting.
+func TestDropOldestMatchesEvictLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, capacity := range []int{1, 63, 64, 65, 200, 700} {
+		a, _ := NewTiered(5, capacity, Options{})
+		b, _ := NewTiered(5, capacity, Options{})
+		row := bitset.New(5)
+		appendRandom := func(n int) {
+			for i := 0; i < n; i++ {
+				row.Clear()
+				for j := 0; j < 5; j++ {
+					if rng.Intn(3) == 0 {
+						row.Add(j)
+					}
+				}
+				appendRow(a, row, nil)
+				appendRow(b, row, nil)
+			}
+		}
+		appendRandom(capacity + capacity/3 + 1)
+		for _, k := range []int{0, 1, 7, 63, 64, 65, capacity / 2, capacity, capacity + 9} {
+			appendRandom(rng.Intn(capacity/2 + 1))
+			wantDropped := 0
+			for i := 0; i < k && b.EvictOldest(nil); i++ {
+				wantDropped++
+			}
+			if got := a.DropOldest(k); got != wantDropped {
+				t.Fatalf("cap=%d k=%d: DropOldest returned %d, evict loop dropped %d", capacity, k, got, wantDropped)
+			}
+			if a.Snapshots() != b.Snapshots() {
+				t.Fatalf("cap=%d k=%d: retained %d vs %d", capacity, k, a.Snapshots(), b.Snapshots())
+			}
+			ra, rb := bitset.New(5), bitset.New(5)
+			for w := 0; w < a.Snapshots(); w++ {
+				a.RowInto(w, ra)
+				b.RowInto(w, rb)
+				if !ra.Equal(rb) {
+					t.Fatalf("cap=%d k=%d: row %d diverged after batched drop", capacity, k, w)
+				}
 			}
 		}
 	}
-	if ts.Bit(0, -1) || ts.Bit(0, ring.Snapshots()) {
-		t.Fatal("out-of-window Bit must be false")
+}
+
+// TestTieredPanics pins the misuse panics and constructor errors.
+func TestTieredPanics(t *testing.T) {
+	if _, err := NewTiered(3, -1, Options{}); err == nil {
+		t.Fatal("NewTiered accepted a negative capacity")
+	}
+	if _, err := NewTiered(3, 8, Options{SegmentRows: 100}); err == nil {
+		t.Fatal("NewTiered accepted a chunk size that is not whole words")
+	}
+	ts, _ := NewTiered(2, 8, Options{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AppendEvictWords with an out-of-range series did not panic")
+		}
+	}()
+	ts.AppendEvictWords(bitset.FromIndices(5).Words(), nil)
+}
+
+// TestChunksLeaveWindow pins that a window keeps only the chunks that
+// overlap it: over many window turnovers at most ⌈window/segRows⌉+1 chunks
+// stay sealed in the window (mapped, for a spill store), while the spill
+// directory keeps every sealed row readable through OpenReader and the
+// lifetime counters keep counting.
+func TestChunksLeaveWindow(t *testing.T) {
+	const (
+		series    = 20
+		segRows   = 64
+		capacity  = 200
+		turnovers = 25
+	)
+	limit := (capacity+segRows-1)/segRows + 1
+	for mode, opts := range storeModes(t, segRows) {
+		ts, err := NewTiered(series, capacity, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var history []*bitset.Set
+		row := bitset.New(series)
+		for step := 0; step < turnovers*capacity; step++ {
+			fillRow(row, series, step, 4+step%5)
+			appendRow(ts, row, nil)
+			history = append(history, row.Clone())
+			if step%37 == 0 {
+				// A view taken and closed mid-stream must not pin chunks.
+				ts.SnapshotView(nil).Close()
+			}
+			if n := len(ts.sealed); n > limit {
+				t.Fatalf("%s step %d: %d chunks in the window, want ≤ %d", mode, step, n, limit)
+			}
+		}
+		if want := turnovers * capacity / segRows; ts.SealedSegments() != want {
+			t.Fatalf("%s: %d chunks sealed over the lifetime, want %d", mode, ts.SealedSegments(), want)
+		}
+		ts.Close()
+		if opts.Dir == "" {
+			continue
+		}
+		r, err := OpenReader(opts.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Rows() != ts.SealedSegments()*segRows {
+			t.Fatalf("reader holds %d rows, want %d", r.Rows(), ts.SealedSegments()*segRows)
+		}
+		got := bitset.New(series)
+		for abs := 0; abs < r.Rows(); abs++ {
+			r.RowInto(abs, got)
+			if !got.Equal(history[abs]) {
+				t.Fatalf("sealed row %d reads back %v, want %v", abs, got, history[abs])
+			}
+		}
+		r.Close()
 	}
 }
 
@@ -179,7 +371,7 @@ func TestTieredRecovery(t *testing.T) {
 	row := bitset.New(series)
 	for step := 0; step < steps; step++ {
 		fillRow(row, series, step, 4+step%7)
-		ts.AppendEvict(row, nil)
+		appendRow(ts, row, nil)
 		history = append(history, row.Clone())
 	}
 	sealed := ts.SealedSegments()
@@ -237,7 +429,7 @@ func TestTieredCorruptionDetected(t *testing.T) {
 	row := bitset.New(series)
 	for step := 0; step < segRows; step++ {
 		fillRow(row, series, step, 3)
-		ts.AppendEvict(row, nil)
+		appendRow(ts, row, nil)
 	}
 	ts.Close()
 	path := filepath.Join(dir, "seg-00000000.seg")
@@ -268,7 +460,7 @@ func TestTieredResetAndRefusal(t *testing.T) {
 	row := bitset.New(series)
 	for step := 0; step < 2*segRows; step++ {
 		fillRow(row, series, step, 2)
-		ts.AppendEvict(row, nil)
+		appendRow(ts, row, nil)
 	}
 	ts.Close()
 	if _, err := NewTiered(series, 500, Options{Dir: dir, SegmentRows: segRows}); err == nil {

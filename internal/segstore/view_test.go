@@ -11,16 +11,22 @@ import (
 // replay and requires every count kernel on the view to keep answering
 // exactly what the store answered at freeze time — while the store moves
 // on, seals new segments, and evicts past the view. Views are recycled the
-// way a steady-state publisher recycles them.
+// way a steady-state publisher recycles them. Over RAM chunks the store
+// recycles chunks that left the window into new write buffers meanwhile.
 func TestViewMatchesStore(t *testing.T) {
+	for mode, opts := range storeModes(t, 128) {
+		t.Run(mode, func(t *testing.T) { viewMatchesStore(t, opts) })
+	}
+}
+
+func viewMatchesStore(t *testing.T, opts Options) {
 	const (
 		series   = 70
-		segRows  = 128
 		capacity = 300
 		steps    = 900
 		stride   = 61
 	)
-	ts, err := NewTiered(series, capacity, Options{Dir: t.TempDir(), SegmentRows: segRows})
+	ts, err := NewTiered(series, capacity, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +64,7 @@ func TestViewMatchesStore(t *testing.T) {
 			t.Fatalf("view all-good %d, frozen %d", g, f.allGood)
 		}
 		out := make([]int, len(pairs))
-		v.CountPairsGood(pairs, out, 1)
+		v.CountPairsGood(pairs, out)
 		for i := range pairs {
 			if out[i] != f.pairsGood[i] {
 				t.Fatalf("pair %v: view good count %d, frozen %d", pairs[i], out[i], f.pairsGood[i])
@@ -81,7 +87,7 @@ func TestViewMatchesStore(t *testing.T) {
 	var recycle *TieredView
 	for step := 0; step < steps; step++ {
 		fillRow(row, series, step, 7)
-		ts.AppendEvict(row, ev)
+		appendRow(ts, row, ev)
 		if (step+1)%stride != 0 {
 			continue
 		}
@@ -90,7 +96,7 @@ func TestViewMatchesStore(t *testing.T) {
 			f.congested[i] = ts.CongestedCount(i)
 		}
 		f.allGood = ts.CountAllGood(all)
-		ts.CountPairsGood(pairs, f.pairsGood, 1)
+		ts.CountPairsGood(pairs, f.pairsGood)
 		for u := 0; u < ts.Snapshots(); u++ {
 			r := bitset.New(series)
 			ts.RowInto(u, r)
@@ -115,34 +121,46 @@ func TestViewMatchesStore(t *testing.T) {
 	}
 }
 
-// TestViewImmutable pins the mutation guards: every append/evict entry
-// point on a view panics rather than corrupting the frozen window.
+// TestViewImmutable pins that nothing the store does afterwards — appends,
+// seals, evictions, drops, chunks leaving the window and being recycled
+// into new write buffers — changes what a view answers.
 func TestViewImmutable(t *testing.T) {
-	ts, err := NewTiered(8, 128, Options{Dir: t.TempDir(), SegmentRows: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	row := bitset.New(8)
-	for i := 0; i < 70; i++ {
-		fillRow(row, 8, i, 3)
-		ts.AppendEvict(row, nil)
-	}
-	v := ts.SnapshotView(nil)
-	defer v.Close()
-	for name, fn := range map[string]func(){
-		"AppendEvict": func() { v.AppendEvict(row, nil) },
-		"EvictOldest": func() { v.EvictOldest(nil) },
-		"DropOldest":  func() { v.DropOldest(1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on a view did not panic", name)
-				}
-			}()
-			fn()
-		}()
+	const series = 8
+	for mode, opts := range storeModes(t, 64) {
+		ts, err := NewTiered(series, 128, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := bitset.New(series)
+		for i := 0; i < 70; i++ {
+			fillRow(row, series, i, 3)
+			appendRow(ts, row, nil)
+		}
+		v := ts.SnapshotView(nil)
+		want := make([]*bitset.Set, v.Snapshots())
+		for u := range want {
+			want[u] = bitset.New(series)
+			v.RowInto(u, want[u])
+		}
+		for i := 70; i < 600; i++ {
+			fillRow(row, series, i+1, 2)
+			appendRow(ts, row, nil)
+			switch i % 50 {
+			case 0:
+				ts.EvictOldest(nil)
+			case 25:
+				ts.DropOldest(30)
+			}
+		}
+		got := bitset.New(series)
+		for u, w := range want {
+			v.RowInto(u, got)
+			if !got.Equal(w) {
+				t.Fatalf("%s: view row %d changed to %v, froze %v", mode, u, got, w)
+			}
+		}
+		v.Close()
+		ts.Close()
 	}
 }
 
@@ -153,15 +171,23 @@ func TestViewImmutable(t *testing.T) {
 // mappings the whole time. ReleaseMapped must skip any segment a view still
 // references (refcount > 1), and Close must leave shared segments mapped
 // until the last view releases them — the counts stay exact throughout.
+//
+// Over RAM chunks the same schedule checks that a chunk leaving the window
+// is recycled only after the last view holding it closes.
 func TestReleaseMappedConcurrentWithViews(t *testing.T) {
+	for mode, opts := range storeModes(t, 64) {
+		t.Run(mode, func(t *testing.T) { releaseConcurrentWithViews(t, opts) })
+	}
+}
+
+func releaseConcurrentWithViews(t *testing.T, opts Options) {
 	const (
 		series   = 70
-		segRows  = 64
 		capacity = 256
 		steps    = 640
 		readers  = 4
 	)
-	ts, err := NewTiered(series, capacity, Options{Dir: t.TempDir(), SegmentRows: segRows})
+	ts, err := NewTiered(series, capacity, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +218,7 @@ func TestReleaseMappedConcurrentWithViews(t *testing.T) {
 					errs <- "all-good count drifted under ReleaseMapped"
 					return
 				}
-				v.CountPairsGood(pairs, out, 1)
+				v.CountPairsGood(pairs, out)
 				for i := range pairs {
 					if out[i] != pairsGood[i] {
 						errs <- "pair count drifted under ReleaseMapped"
@@ -206,7 +232,7 @@ func TestReleaseMappedConcurrentWithViews(t *testing.T) {
 	launched := 0
 	for step := 0; step < steps; step++ {
 		fillRow(row, series, step, 7)
-		ts.AppendEvict(row, ev)
+		appendRow(ts, row, ev)
 		if ts.SealedSegments() == 0 || (step+1)%97 != 0 || launched >= readers {
 			continue
 		}
@@ -216,7 +242,7 @@ func TestReleaseMappedConcurrentWithViews(t *testing.T) {
 		}
 		allGood := ts.CountAllGood(all)
 		pairsGood := make([]int, len(pairs))
-		ts.CountPairsGood(pairs, pairsGood, 1)
+		ts.CountPairsGood(pairs, pairsGood)
 		spawnReader(ts.SnapshotView(nil), congested, allGood, pairsGood)
 		launched++
 		ts.ReleaseMapped() // races the reader's count sweeps — the bugfix under test

@@ -53,7 +53,7 @@ func TestBinaryIngestSteadyStateAllocs(t *testing.T) {
 		win.ObserveBatchWords(wb.words, wb.wordsPerRow, wb.rows)
 	}
 	// Warm-up: two full cycles through the stream fill the window past its
-	// ring capacity and charge every congestion pattern the stream contains
+	// capacity and charge every congestion pattern the stream contains
 	// into the live histogram, so the measured steady state sees no
 	// first-time pattern insertions.
 	for i := 0; i < 2*len(bodies); i++ {

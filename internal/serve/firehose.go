@@ -247,7 +247,7 @@ func RunFirehose(ctx context.Context, cfg FirehoseConfig) (*FirehoseReport, erro
 
 	// Second measured phase: estimate throughput under ingest load. The
 	// tenant streams are replayed once more at full rate to keep every
-	// shard queue busy (the windows are rings, so re-ingesting is
+	// shard queue busy (the windows slide, so re-ingesting is
 	// harmless) while a dedicated client loops over /v1/estimate
 	// round-robin across the now-warm tenants. Estimates are served from
 	// published read-replica views by the estimate pool, so their latency

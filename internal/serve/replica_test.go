@@ -102,14 +102,13 @@ func TestEstimateUnderIngestSaturation(t *testing.T) {
 }
 
 // TestEstimatePoolGoroutineFence runs the full register → ingest →
-// estimate → Shutdown lifecycle with a multi-worker estimate pool and
-// count-worker windows, then fences runtime.NumGoroutine: the shard
-// workers, the estimate pool, the count-kernel pools and every view's
-// mapped state must all be gone after Shutdown.
+// estimate → Shutdown lifecycle with a multi-worker estimate pool, then
+// fences runtime.NumGoroutine: the shard workers, the estimate pool and
+// every view's mapped state must all be gone after Shutdown.
 func TestEstimatePoolGoroutineFence(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	d := New(Config{Shards: 2, QueueDepth: 16, EstimateWorkers: 4, CountWorkers: 2, SpillDir: t.TempDir()})
+	d := New(Config{Shards: 2, QueueDepth: 16, EstimateWorkers: 4, SpillDir: t.TempDir()})
 	warmTenant(t, d, "f0", 16, 8)
 	warmTenant(t, d, "f1", 16, 8)
 

@@ -36,13 +36,6 @@ type Config struct {
 	// stall probe ingestion (0 ⇒ 1). Each worker owns one evaluate
 	// workspace; estimates are bit-identical for every setting.
 	EstimateWorkers int
-	// CountWorkers, when > 1, fans each tenant window's batched pair-count
-	// kernel out across that many workers during estimates. Opt-in: the
-	// default (0 or 1) keeps estimates single-core per shard, which is
-	// right when shards already saturate the machine; a deployment with
-	// few tenants and idle cores can spend them here instead. Estimates
-	// are bit-identical for every setting.
-	CountWorkers int
 	// SpillDir, when non-empty, backs every tenant's window with the
 	// out-of-core segment store: sealed column segments land under
 	// SpillDir/<escaped tenant name> and counts run on the mapped files,
@@ -149,7 +142,7 @@ var errShuttingDown = errors.New("serve: daemon shutting down")
 // is still empty (free) so every published view carries it. Duplicate
 // names are rejected.
 func (d *Daemon) Register(cfg TenantConfig) (*Tenant, error) {
-	t, err := newTenant(cfg, d.cfg.CountWorkers, d.cfg.SpillDir, d.cfg.SpillSegmentRows)
+	t, err := newTenant(cfg, d.cfg.SpillDir, d.cfg.SpillSegmentRows)
 	if err != nil {
 		return nil, err
 	}
@@ -387,8 +380,7 @@ func (d *Daemon) Shutdown(ctx context.Context) ([]FinalEstimate, error) {
 		res, err := d.estimateTenant(ws, t)
 		out = append(out, FinalEstimate{Tenant: name, Response: res, Err: err})
 		// Close the final published view (no readers remain) and the
-		// window — releasing segment mappings and count-kernel pool
-		// goroutines so shutdown leaves none behind.
+		// window, releasing their chunks and segment mappings.
 		if box := t.view.Load(); box != nil {
 			box.retired.Store(true)
 			if box.claim() {

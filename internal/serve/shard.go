@@ -23,7 +23,7 @@ type job struct {
 // shard is one serving partition: a bounded job queue drained by a single
 // worker goroutine. Every tenant maps to exactly one shard, so the worker
 // is the sole writer of its tenants' windows — appends to the columnar
-// ring stores proceed without locks, and per-tenant ingest batches are
+// window stores proceed without locks, and per-tenant ingest batches are
 // totally ordered by queue position.
 type shard struct {
 	queue chan job

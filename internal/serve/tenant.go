@@ -36,7 +36,7 @@ type TenantConfig struct {
 }
 
 // Tenant is one registered inference session: a topology, its compiled
-// plan, and a ring-buffer sliding window over the columnar snapshot store.
+// plan, and a chunked sliding window over columnar snapshot storage.
 // The window (and everything reachable from it) is owned exclusively by
 // the tenant's shard worker — every ingest and estimate for this tenant
 // flows through that shard's queue, so window appends never take a lock
@@ -99,10 +99,10 @@ func (t *Tenant) syncStats() {
 
 // newTenant validates a TenantConfig and builds the tenant (plan compiled,
 // window empty). The shard index is assigned by the daemon, which also
-// passes its configured count-kernel worker fan-out and spill directory
-// down to the window; a non-empty spillDir gives the tenant an out-of-core
-// window whose segments live under its own escaped-name subdirectory.
-func newTenant(cfg TenantConfig, countWorkers int, spillDir string, spillSegRows int) (*Tenant, error) {
+// passes its configured spill directory down to the window; a non-empty
+// spillDir gives the tenant an out-of-core window whose segments live
+// under its own escaped-name subdirectory.
+func newTenant(cfg TenantConfig, spillDir string, spillSegRows int) (*Tenant, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("serve: register: tenant name is empty")
 	}
@@ -132,11 +132,7 @@ func newTenant(cfg TenantConfig, countWorkers int, spillDir string, spillSegRows
 	if estimator == "" {
 		estimator = "correlation"
 	}
-	wcfg := tomography.WindowConfig{
-		Size:         cfg.Window,
-		Estimator:    estimator,
-		CountWorkers: countWorkers,
-	}
+	wcfg := tomography.WindowConfig{Size: cfg.Window, Estimator: estimator}
 	if spillDir != "" {
 		// url.PathEscape keeps arbitrary tenant names from escaping the
 		// spill root, except that it passes dots through — escape them too

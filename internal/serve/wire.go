@@ -5,8 +5,8 @@
 // stream keeps flowing.
 //
 // The hot path is built from the pieces PRs 2–5 prepared: each tenant owns
-// a compiled inference plan (shared, immutable), a ring-buffer sliding
-// window over the columnar snapshot store (single-writer, so appends are
+// a compiled inference plan (shared, immutable), a chunked sliding
+// window over columnar snapshot storage (single-writer, so appends are
 // lock-free), and estimates run on per-worker evaluate workspaces, so the
 // steady state allocates nothing per snapshot. Tenants are partitioned
 // across a fixed set of shards; each shard is one goroutine draining one

@@ -7,11 +7,12 @@ import (
 )
 
 // FuzzAppend fuzzes the store's streaming ingestion, differentially: the
-// input bytes encode an op sequence (appends with arbitrary bit patterns and
-// explicit evictions) that is applied to a ring store while a plain shadow
-// slice tracks the retained rows. After every op the ring's counts must
-// match a recount over the shadow. No input may panic; byte-derived series
-// indices are kept in range (out-of-range appends are a documented panic).
+// input bytes encode a sequence of appended rows with arbitrary bit
+// patterns, applied to a streaming store while a plain shadow slice keeps
+// the rows. After every append the store's counts and rows must match the
+// shadow, and the store must Equal a FromRows store over the shadow. No
+// input may panic; byte-derived series indices are kept in range
+// (out-of-range appends are a documented panic).
 func FuzzAppend(f *testing.F) {
 	f.Add([]byte{3, 8, 0x01, 0x02, 0xff, 0x00})
 	f.Add([]byte{1, 1, 0x80, 0x80, 0x80})
@@ -19,54 +20,30 @@ func FuzzAppend(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		if len(data) < 1 {
 			return
 		}
 		series := 1 + int(data[0])%70 // straddles a word boundary
-		capacity := 1 + int(data[1])%90
-		data = data[2:]
-		ring := NewRing(series, capacity)
-		var shadow []*bitset.Set // retained rows, oldest first
-		evicted := bitset.New(series)
+		store := New(series)
+		var shadow []*bitset.Set
 
-		for _, op := range data {
-			if op == 0xff {
-				did := ring.EvictOldest(evicted)
-				if did != (len(shadow) > 0) {
-					t.Fatalf("EvictOldest reported %v with %d retained rows", did, len(shadow))
-				}
-				if did {
-					if !evicted.Equal(shadow[0]) {
-						t.Fatalf("evicted %v, want oldest %v", evicted, shadow[0])
-					}
-					shadow = shadow[1:]
-				}
-				continue
-			}
-			// Append: derive a row from the op byte — bit i of the row is set
-			// when (op+i) has low bit patterns matching.
+		for _, op := range data[1:] {
+			// Derive a row from the op byte: bit i is set when (op+7i) is a
+			// multiple of 5.
 			row := bitset.New(series)
 			for i := 0; i < series; i++ {
 				if (int(op)+i*7)%5 == 0 {
 					row.Add(i)
 				}
 			}
-			did := ring.AppendEvict(row, evicted)
-			if did != (len(shadow) == capacity) {
-				t.Fatalf("AppendEvict reported %v with %d/%d retained", did, len(shadow), capacity)
-			}
-			if did {
-				if !evicted.Equal(shadow[0]) {
-					t.Fatalf("evicted %v, want oldest %v", evicted, shadow[0])
-				}
-				shadow = shadow[1:]
+			if got := store.Append(row); got != len(shadow) {
+				t.Fatalf("Append returned index %d, want %d", got, len(shadow))
 			}
 			shadow = append(shadow, row)
 
-			if ring.Snapshots() != len(shadow) {
-				t.Fatalf("retained %d, shadow %d", ring.Snapshots(), len(shadow))
+			if store.Snapshots() != len(shadow) {
+				t.Fatalf("store holds %d snapshots, shadow %d", store.Snapshots(), len(shadow))
 			}
-			// Per-series counts against a recount of the shadow.
 			for i := 0; i < series; i++ {
 				want := 0
 				for _, r := range shadow {
@@ -74,15 +51,17 @@ func FuzzAppend(f *testing.F) {
 						want++
 					}
 				}
-				if got := ring.CongestedCount(i); got != want {
+				if got := store.CongestedCount(i); got != want {
 					t.Fatalf("series %d: count %d, shadow recount %d", i, got, want)
 				}
 			}
-			// Window-relative rows come back oldest-first.
 			for w, r := range shadow {
-				if !ring.Row(w).Equal(r) {
-					t.Fatalf("row %d: %v, want %v", w, ring.Row(w), r)
+				if !store.Row(w).Equal(r) {
+					t.Fatalf("row %d: %v, want %v", w, store.Row(w), r)
 				}
+			}
+			if !store.Equal(FromRows(series, shadow)) {
+				t.Fatal("streaming store does not Equal a fixed store over the same rows")
 			}
 		}
 	})

@@ -22,16 +22,13 @@
 //     between Appends always sees a consistent prefix.
 //   - FromRows converts a legacy row-major record ([]*bitset.Set, one per
 //     snapshot) — the compatibility constructor.
-//   - NewRing is the sliding-window variant of the streaming path: the store
-//     keeps a fixed capacity of slots and AppendEvict recycles the oldest
-//     snapshot's slot once the window is full. Because every count kernel is
-//     a permutation-blind popcount, a ring window answers exactly the same
-//     queries as a fresh store over the same retained rows.
+//
+// Sliding windows live in internal/segstore, whose chunked store answers
+// every count exactly like a fixed store over the window's rows.
 package snapstore
 
 import (
 	"fmt"
-	mathbits "math/bits"
 
 	"repro/internal/bitset"
 )
@@ -48,19 +45,9 @@ const BlockSnapshots = wordBits
 // Queries are safe for concurrent use once filling is complete; Append and
 // SetBit are writer-side operations with the ownership rules documented on
 // each.
-//
-// A ring store (NewRing) additionally bounds how many snapshots are
-// retained: appended and retained counts diverge once the window is full,
-// and row indices address window slots rather than absolute time (slot order
-// is a rotation of arrival order; every count kernel is order-blind, so
-// queries are unaffected).
 type Store struct {
-	n    int        // snapshots stored (ring mode: appended over the lifetime)
+	n    int        // snapshots stored
 	cols [][]uint64 // cols[series][t/64] bit t%64
-
-	// Ring-window state (NewRing). capacity == 0 means an unbounded store.
-	capacity int // max snapshots retained; columns hold ⌈capacity/64⌉ words
-	retained int // snapshots currently in the window
 }
 
 // New returns an empty streaming store with the given number of series.
@@ -91,25 +78,6 @@ func NewFixed(series, snapshots int) *Store {
 	return s
 }
 
-// NewRing returns an empty sliding-window store: it accepts snapshots
-// through Append/AppendEvict like a streaming store but retains only the
-// most recent capacity of them, recycling the oldest snapshot's slot once
-// the window is full. Rows are addressed window-relative: Row(0) is the
-// oldest retained snapshot, Row(Snapshots()-1) the newest.
-func NewRing(series, capacity int) *Store {
-	if capacity < 1 {
-		panic(fmt.Sprintf("snapstore: ring capacity %d, want ≥ 1", capacity))
-	}
-	s := New(series)
-	s.capacity = capacity
-	words := (capacity + wordBits - 1) / wordBits
-	backing := make([]uint64, words*series)
-	for i := range s.cols {
-		s.cols[i] = backing[i*words : (i+1)*words : (i+1)*words]
-	}
-	return s
-}
-
 // FromRows builds a store from a row-major record: rows[t] is the set of
 // congested series in snapshot t. This is the compatibility constructor for
 // code that still assembles []*bitset.Set snapshots.
@@ -130,77 +98,36 @@ func FromRows(series int, rows []*bitset.Set) *Store {
 // NumSeries returns the number of series (paths or links).
 func (s *Store) NumSeries() int { return len(s.cols) }
 
-// Snapshots returns the number of snapshots the store currently holds. For a
-// ring store this is the window occupancy, not the lifetime append count
-// (see Appended).
-func (s *Store) Snapshots() int {
-	if s.capacity > 0 {
-		return s.retained
-	}
-	return s.n
-}
-
-// Appended returns the number of snapshots ever appended. It exceeds
-// Snapshots once a ring window has started evicting.
-func (s *Store) Appended() int { return s.n }
-
-// Capacity returns the ring window capacity, or 0 for an unbounded store.
-func (s *Store) Capacity() int { return s.capacity }
+// Snapshots returns the number of snapshots the store holds.
+func (s *Store) Snapshots() int { return s.n }
 
 // Words returns the number of words in every column.
-func (s *Store) Words() int {
-	if s.capacity > 0 {
-		return (s.capacity + wordBits - 1) / wordBits
-	}
-	return (s.n + wordBits - 1) / wordBits
-}
-
-// slot maps a window-relative snapshot index to its physical bit position.
-// Retained snapshots occupy the contiguous (mod capacity) slot range
-// [n−retained, n), so the oldest retained snapshot lives at slot
-// (n−retained) mod capacity.
-func (s *Store) slot(t int) int {
-	if s.capacity == 0 {
-		return t
-	}
-	return (s.n - s.retained + t) % s.capacity
-}
+func (s *Store) Words() int { return (s.n + wordBits - 1) / wordBits }
 
 // SetBit marks series i congested in snapshot t of a fixed store. Concurrent
 // callers must own disjoint 64-snapshot-aligned blocks of t (see
 // BlockSnapshots); SetBit panics if t is outside the preallocated range.
 func (s *Store) SetBit(i, t int) {
-	if s.capacity > 0 {
-		panic("snapstore: SetBit on a ring store (use Append/AppendEvict)")
-	}
 	if t < 0 || t >= s.n {
 		panic(fmt.Sprintf("snapstore: snapshot %d outside fixed range [0,%d)", t, s.n))
 	}
 	s.cols[i][t/wordBits] |= 1 << uint(t%wordBits)
 }
 
-// Bit reports whether series i was congested in snapshot t (window-relative
-// for a ring store: t = 0 is the oldest retained snapshot).
+// Bit reports whether series i was congested in snapshot t.
 func (s *Store) Bit(i, t int) bool {
-	if t < 0 || t >= s.Snapshots() {
+	if t < 0 || t >= s.n {
 		return false
 	}
 	col := s.cols[i]
-	p := s.slot(t)
-	w := p / wordBits
-	return w < len(col) && col[w]&(1<<uint(p%wordBits)) != 0
+	w := t / wordBits
+	return w < len(col) && col[w]&(1<<uint(t%wordBits)) != 0
 }
 
 // Append ingests one snapshot: congested holds the congested series. It
-// returns the new snapshot's lifetime index. On a full ring store the oldest
-// snapshot is evicted silently; use AppendEvict to observe it. Append must
-// not run concurrently with other writers or readers.
+// returns the new snapshot's index. Append must not run concurrently with
+// other writers or readers.
 func (s *Store) Append(congested *bitset.Set) int {
-	if s.capacity > 0 {
-		t := s.n
-		s.AppendEvict(congested, nil)
-		return t
-	}
 	t := s.n
 	s.n++
 	if w := s.Words(); w > 0 && (len(s.cols) == 0 || len(s.cols[0]) < w) {
@@ -216,181 +143,6 @@ func (s *Store) Append(congested *bitset.Set) int {
 		return true
 	})
 	return t
-}
-
-// AppendEvict ingests one snapshot into a ring store, evicting the oldest
-// retained snapshot first when the window is full. It reports whether an
-// eviction happened and, when evicted is non-nil, leaves the evicted
-// snapshot's congested series in it (cleared otherwise). On an unbounded
-// store it behaves like Append and never evicts.
-func (s *Store) AppendEvict(congested, evicted *bitset.Set) bool {
-	if s.capacity == 0 {
-		if evicted != nil {
-			evicted.Clear()
-		}
-		s.Append(congested)
-		return false
-	}
-	didEvict := false
-	if s.retained == s.capacity {
-		didEvict = s.EvictOldest(evicted)
-	} else if evicted != nil {
-		evicted.Clear()
-	}
-	p := s.n % s.capacity
-	w, mask := p/wordBits, uint64(1)<<uint(p%wordBits)
-	congested.ForEach(func(i int) bool {
-		if i >= len(s.cols) {
-			panic(fmt.Sprintf("snapstore: series %d out of range (%d series)", i, len(s.cols)))
-		}
-		s.cols[i][w] |= mask
-		return true
-	})
-	s.n++
-	s.retained++
-	return didEvict
-}
-
-// AppendEvictWords is AppendEvict with the snapshot presented as packed
-// words (bit i of word w ⇒ series w*64+i congested) instead of a bitset —
-// the wire-ingest fast path: set bits are scattered straight from the wire
-// row into the column words, with no per-snapshot set materialized.
-// Results are bit-identical to AppendEvict over an equal set. rowWords may
-// carry fewer than ⌈NumSeries/64⌉ words (missing words mean all-good);
-// a bit at or past NumSeries panics like AppendEvict's out-of-range series.
-func (s *Store) AppendEvictWords(rowWords []uint64, evicted *bitset.Set) bool {
-	if s.capacity == 0 {
-		if evicted != nil {
-			evicted.Clear()
-		}
-		t := s.n
-		s.n++
-		if w := s.Words(); w > 0 && (len(s.cols) == 0 || len(s.cols[0]) < w) {
-			for i := range s.cols {
-				s.cols[i] = append(s.cols[i], 0)
-			}
-		}
-		s.scatterRow(rowWords, t/wordBits, uint64(1)<<uint(t%wordBits))
-		return false
-	}
-	didEvict := false
-	if s.retained == s.capacity {
-		didEvict = s.EvictOldest(evicted)
-	} else if evicted != nil {
-		evicted.Clear()
-	}
-	p := s.n % s.capacity
-	s.scatterRow(rowWords, p/wordBits, uint64(1)<<uint(p%wordBits))
-	s.n++
-	s.retained++
-	return didEvict
-}
-
-// scatterRow ORs mask into column word w of every series set in rowWords.
-func (s *Store) scatterRow(rowWords []uint64, w int, mask uint64) {
-	for wi, wv := range rowWords {
-		for wv != 0 {
-			b := mathbits.TrailingZeros64(wv)
-			wv &= wv - 1
-			i := wi*wordBits + b
-			if i >= len(s.cols) {
-				panic(fmt.Sprintf("snapstore: series %d out of range (%d series)", i, len(s.cols)))
-			}
-			s.cols[i][w] |= mask
-		}
-	}
-}
-
-// EvictOldest drops the oldest retained snapshot of a ring store, shrinking
-// the window by one — the expiry path for time-based windows. It reports
-// whether a snapshot was evicted and, when evicted is non-nil, leaves the
-// dropped snapshot's congested series in it. It panics on an unbounded
-// store (their snapshots are never recycled).
-func (s *Store) EvictOldest(evicted *bitset.Set) bool {
-	if s.capacity == 0 {
-		panic("snapstore: EvictOldest on an unbounded store (NewRing creates ring stores)")
-	}
-	if evicted != nil {
-		evicted.Clear()
-	}
-	if s.retained == 0 {
-		return false
-	}
-	p := s.slot(0)
-	w, mask := p/wordBits, uint64(1)<<uint(p%wordBits)
-	for i := range s.cols {
-		if s.cols[i][w]&mask != 0 {
-			if evicted != nil {
-				evicted.Add(i)
-			}
-			s.cols[i][w] &^= mask
-		}
-	}
-	s.retained--
-	return true
-}
-
-// DropOldest drops the k oldest retained snapshots of a ring store in one
-// blocked pass and returns how many were dropped (min(k, retained)). Where a
-// loop over EvictOldest clears one bit of every column per snapshot,
-// DropOldest resolves the evicted slot range to word masks once and touches
-// each affected column word exactly once — the batch-eviction primitive for
-// sliding windows that ingest whole probe batches. The dropped rows are not
-// reported; callers maintaining per-row state (e.g. a pattern histogram)
-// must read them with RowInto before dropping. It panics on an unbounded
-// store, like EvictOldest.
-func (s *Store) DropOldest(k int) int {
-	if s.capacity == 0 {
-		panic("snapstore: DropOldest on an unbounded store (NewRing creates ring stores)")
-	}
-	if k > s.retained {
-		k = s.retained
-	}
-	if k <= 0 {
-		return 0
-	}
-	// The k oldest retained snapshots occupy the contiguous (mod capacity)
-	// slot range [slot(0), slot(0)+k); the wrap splits it into at most two
-	// linear spans.
-	start := s.slot(0)
-	first := k
-	if start+first > s.capacity {
-		first = s.capacity - start
-	}
-	s.clearSlotSpan(start, first)
-	if rest := k - first; rest > 0 {
-		s.clearSlotSpan(0, rest)
-	}
-	s.retained -= k
-	return k
-}
-
-// clearSlotSpan zeroes bit positions [p, p+n) of every column: full interior
-// words are zeroed outright, the partial head and tail words are masked, so
-// each affected word is written once regardless of how many snapshots the
-// span covers.
-func (s *Store) clearSlotSpan(p, n int) {
-	if n <= 0 {
-		return
-	}
-	loWord, hiWord := p/wordBits, (p+n-1)/wordBits
-	headMask := ^uint64(0) << uint(p%wordBits)
-	tailMask := ^uint64(0) >> uint(wordBits-1-(p+n-1)%wordBits)
-	if loWord == hiWord {
-		mask := headMask & tailMask
-		for i := range s.cols {
-			s.cols[i][loWord] &^= mask
-		}
-		return
-	}
-	for i := range s.cols {
-		col := s.cols[i]
-		col[loWord] &^= headMask
-		for w := loWord + 1; w < hiWord; w++ {
-			col[w] = 0
-		}
-		col[hiWord] &^= tailMask
-	}
 }
 
 // Column exposes series i's packed column. The slice aliases store storage
@@ -428,7 +180,7 @@ func (s *Store) CountAnyCongested(series []int, scratch []uint64) int {
 }
 
 // CountAllGood returns the number of snapshots in which none of the given
-// series was congested. An empty series list counts every retained snapshot.
+// series was congested. An empty series list counts every snapshot.
 func (s *Store) CountAllGood(series []int, scratch []uint64) int {
 	return s.Snapshots() - s.CountAnyCongested(series, scratch)
 }
@@ -439,62 +191,19 @@ type Pair struct {
 	A, B int
 }
 
-// pairBlockWords is the cache-block size of CountPairsCongested: the blocked
-// sweep touches at most series·pairBlockWords·8 bytes of column data per
-// block, so with a few hundred series the working set of one block stays
-// inside L2 and every column word is streamed from memory once per call
-// instead of once per pair that uses it.
+// pairBlockWords is the cache-block size of the batched pair-count kernel:
+// the blocked sweep touches at most series·pairBlockWords·8 bytes of column
+// data per block, so with a few hundred series the working set of one block
+// stays inside L2 and every column word is streamed from memory once per
+// call instead of once per pair that uses it.
 const pairBlockWords = 512
 
-// CountPairsCongested fills out[i] with the number of snapshots in which at
-// least one series of pairs[i] was congested — the batched, cache-blocked
-// form of per-pair CountAnyCongested. One blocked pass over the columns
-// serves every pair: within a block each column's words are hot in cache no
-// matter how many pairs share them, and the OR+popcount is fused into a
-// single sweep (the per-pair path pays copy, OR and popcount passes).
-// len(out) must be at least len(pairs); it panics on an out-of-range series
-// like the other accessors.
-func (s *Store) CountPairsCongested(pairs []Pair, out []int) {
-	if len(out) < len(pairs) {
-		panic(fmt.Sprintf("snapstore: CountPairsCongested out has %d slots for %d pairs", len(out), len(pairs)))
-	}
-	for i, p := range pairs {
-		if p.A < 0 || p.A >= len(s.cols) || p.B < 0 || p.B >= len(s.cols) {
-			panic(fmt.Sprintf("snapstore: pair (%d,%d) out of range (%d series)", p.A, p.B, len(s.cols)))
-		}
-		out[i] = 0
-	}
-	words := s.Words()
-	for lo := 0; lo < words; lo += pairBlockWords {
-		hi := lo + pairBlockWords
-		if hi > words {
-			hi = words
-		}
-		for i, p := range pairs {
-			out[i] += bitset.OrPopCountWords(s.cols[p.A][lo:hi], s.cols[p.B][lo:hi])
-		}
-	}
-}
-
-// CountPairsGood fills out[i] with the number of snapshots in which neither
-// series of pairs[i] was congested, via the blocked CountPairsCongested
-// sweep.
-func (s *Store) CountPairsGood(pairs []Pair, out []int) {
-	s.CountPairsCongested(pairs, out)
-	n := s.Snapshots()
-	for i := range pairs {
-		out[i] = n - out[i]
-	}
-}
-
 // RowInto materializes snapshot t as a set of congested series into dst
-// (cleared first). For a ring store t is window-relative: t = 0 is the
-// oldest retained snapshot.
+// (cleared first).
 func (s *Store) RowInto(t int, dst *bitset.Set) {
 	dst.Clear()
-	p := s.slot(t)
-	w := p / wordBits
-	mask := uint64(1) << uint(p%wordBits)
+	w := t / wordBits
+	mask := uint64(1) << uint(t%wordBits)
 	for i, col := range s.cols {
 		if w < len(col) && col[w]&mask != 0 {
 			dst.Add(i)
@@ -509,8 +218,7 @@ func (s *Store) Row(t int) *bitset.Set {
 	return dst
 }
 
-// Rows materializes every retained snapshot row-major (oldest first for a
-// ring store) — the compatibility view for code that still wants
+// Rows materializes every snapshot row-major — the compatibility view for code that still wants
 // []*bitset.Set. It costs O(snapshots · series); hot paths should query
 // columns instead.
 func (s *Store) Rows() []*bitset.Set {
@@ -521,57 +229,11 @@ func (s *Store) Rows() []*bitset.Set {
 	return out
 }
 
-// SnapshotInto clones the store's current contents into dst and returns
-// it: same series, same retained rows, same physical slot layout, so every
-// count kernel answers identically on the clone. dst's backing storage is
-// reused when its shape matches (the recycling path of copy-on-write view
-// publication — a steady-state publisher allocates nothing); a nil or
-// mismatched dst is reallocated. The clone is an independent Store: the
-// source may keep appending without affecting it. SnapshotInto must not run
-// concurrently with writes to either store, like every writer-side method.
-func (s *Store) SnapshotInto(dst *Store) *Store {
-	if dst == nil {
-		dst = &Store{}
-	}
-	words := s.Words()
-	fit := len(dst.cols) == len(s.cols)
-	for i := 0; fit && i < len(dst.cols); i++ {
-		fit = len(dst.cols[i]) == len(s.cols[i])
-	}
-	if !fit {
-		dst.cols = make([][]uint64, len(s.cols))
-		if words > 0 {
-			backing := make([]uint64, words*len(s.cols))
-			for i := range dst.cols {
-				dst.cols[i] = backing[i*words : (i+1)*words : (i+1)*words]
-			}
-		}
-	}
-	for i, col := range s.cols {
-		copy(dst.cols[i], col)
-	}
-	dst.n, dst.capacity, dst.retained = s.n, s.capacity, s.retained
-	return dst
-}
-
-// Equal reports whether the two stores hold identical retained
-// observations, in order. Ring stores compare logically: a rotated window
-// equals a fresh store over the same rows.
+// Equal reports whether the two stores hold identical observations, in
+// order.
 func (s *Store) Equal(t *Store) bool {
-	if s.Snapshots() != t.Snapshots() || len(s.cols) != len(t.cols) {
+	if s.n != t.n || len(s.cols) != len(t.cols) {
 		return false
-	}
-	if s.capacity != 0 || t.capacity != 0 {
-		// A ring store's physical slots are rotated; compare row by row.
-		a, b := bitset.New(len(s.cols)), bitset.New(len(t.cols))
-		for ts := 0; ts < s.Snapshots(); ts++ {
-			s.RowInto(ts, a)
-			t.RowInto(ts, b)
-			if !a.Equal(b) {
-				return false
-			}
-		}
-		return true
 	}
 	for i := range s.cols {
 		a, b := s.cols[i], t.cols[i]

@@ -261,7 +261,7 @@ func TestWindowCloseIdempotent(t *testing.T) {
 func TestWindowCloseDuringEstimate(t *testing.T) {
 	top, rec := windowFixture(t, 300)
 	for _, spill := range []bool{false, true} {
-		cfg := tomography.WindowConfig{Size: 128, CountWorkers: 2}
+		cfg := tomography.WindowConfig{Size: 128}
 		if spill {
 			cfg = tomography.WindowConfig{
 				Size:  128,

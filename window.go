@@ -105,9 +105,9 @@ func NewSlidingWindow(numPaths, window int) (*Empirical, error) {
 // an alias of segstore.Options.
 type SpillConfig = segstore.Options
 
-// NewSlidingWindowSpill is NewSlidingWindow on the out-of-core tiered store:
-// the window's retained rows live in a RAM ring only until a segment's worth
-// has accumulated, then seal to disk under cfg.Dir. Estimates are
+// NewSlidingWindowSpill is NewSlidingWindow with the window's sealed chunks
+// spilled to disk: the retained rows live in a RAM write buffer only until
+// a segment's worth has accumulated, then seal to disk under cfg.Dir. Estimates are
 // bit-identical to the RAM-only window over the same rows; memory stays
 // bounded by the segment size rather than the window size, so day-scale
 // windows run in a fixed RSS budget.
@@ -131,16 +131,10 @@ type WindowConfig struct {
 	// Detector overrides the change-point detector (nil ⇒ defaults). The
 	// detector observes the per-snapshot fraction of congested paths.
 	Detector *ChangeDetector
-	// CountWorkers fans the window's batched pair-count kernel out across
-	// that many workers during estimates (0 or 1 ⇒ serial). Estimates are
-	// bit-identical for every setting. A window that has estimated with
-	// CountWorkers > 1 holds parked pool goroutines until Close.
-	CountWorkers int
-	// Spill, when non-nil, backs the window with the out-of-core segment
-	// store: sealed column segments land under Spill.Dir and counts run on
-	// the mapped files. Estimates stay bit-identical to the RAM-only window;
-	// RSS stays bounded by the segment size instead of Size. CountWorkers is
-	// ignored for spill windows (the directory-skip kernels run serially).
+	// Spill, when non-nil, spills the window's sealed column chunks to
+	// segment files under Spill.Dir, and counts run on the mapped files.
+	// Estimates stay bit-identical to the RAM-only window; RSS stays
+	// bounded by the segment size instead of Size.
 	Spill *SpillConfig
 }
 
@@ -175,8 +169,8 @@ type Window struct {
 
 	// mu serializes the lifecycle against in-flight operations: Close takes
 	// it, so closing during an estimate drains rather than pulling the
-	// count-worker pool (or, for spill windows, the segment mappings) out
-	// from under the estimator mid-count.
+	// window's chunks (for spill windows, the segment mappings) out from
+	// under the estimator mid-count.
 	mu     sync.Mutex
 	closed bool
 }
@@ -216,7 +210,6 @@ func NewWindow(top *Topology, cfg WindowConfig) (*Window, error) {
 	if err != nil {
 		return nil, err
 	}
-	src.SetCountWorkers(cfg.CountWorkers)
 	det := cfg.Detector
 	if det == nil {
 		det, err = NewChangeDetector(0, 0, 0)
@@ -251,38 +244,17 @@ func (w *Window) Observe(congested *PathSet) bool {
 	return w.detector.Observe(float64(congested.Len()) / float64(w.numPaths))
 }
 
-// ObserveBatch feeds a batch of snapshots in observation order, equivalent
-// to calling Observe on each row but with the window maintenance batched:
-// the evictions the batch forces are applied in one blocked pass over the
-// columns and the probability caches are reset once. It returns how many of
-// the batch's snapshots the change-point detector flagged. Rows may be
-// reused by the caller after the call returns.
-func (w *Window) ObserveBatch(rows []*PathSet) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		panic("tomography: Window.ObserveBatch on a closed window")
-	}
-	w.src.AppendBatch(rows)
-	w.seen += len(rows)
-	flagged := 0
-	for _, row := range rows {
-		if w.detector.Observe(float64(row.Len()) / float64(w.numPaths)) {
-			flagged++
-		}
-	}
-	return flagged
-}
-
-// ObserveBatchWords is ObserveBatch with the batch presented as packed
-// word-rows: rows snapshots, each wordsPerRow uint64 words (bit i of word
-// w ⇒ path w*64+i congested), laid out back to back in words — the exact
-// layout the binary probe wire format carries and the window's columns
-// store, so wire ingest appends without materializing a PathSet per
-// snapshot. Results are bit-identical to ObserveBatch over equal rows:
-// same evictions, same detector observations (the congested fraction is a
-// popcount over each word row), same single cache reset. The words may be
-// reused by the caller after the call returns.
+// ObserveBatchWords feeds a batch of snapshots in observation order,
+// presented as packed word-rows: rows snapshots, each wordsPerRow uint64
+// words (bit i of word w ⇒ path w*64+i congested), laid out back to back in
+// words — the exact layout the binary probe wire format carries and the
+// window's columns store, so wire ingest appends without materializing a
+// PathSet per snapshot. It is bit-identical to calling Observe on each row
+// (the detector sees the congested fraction as a popcount over each word
+// row), but the evictions the batch forces are applied in one pass and the
+// probability caches are reset once. It returns how many of the batch's
+// snapshots the change-point detector flagged. The words may be reused by
+// the caller after the call returns.
 func (w *Window) ObserveBatchWords(words []uint64, wordsPerRow, rows int) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -301,9 +273,8 @@ func (w *Window) ObserveBatchWords(words []uint64, wordsPerRow, rows int) int {
 	return flagged
 }
 
-// Close releases the window's resources: the pool goroutines behind a
-// CountWorkers > 1 window, and — for spill windows — the window's reference
-// to its mapped segments. Close is idempotent, and safe against an
+// Close releases the window's storage: its chunks, or for spill windows
+// its references to the mapped segments. Close is idempotent, and safe against an
 // in-flight Estimate/EstimateShared/Observe from another goroutine: it
 // waits for the operation to finish rather than tearing resources out from
 // under it. After Close, estimates return an error and Observe panics;
@@ -355,15 +326,15 @@ func (w *Window) EstimateShared() (*EstimateResult, error) {
 
 // WindowView is an immutable snapshot of a Window at one instant: the
 // frozen measurement source (measure.Empirical.SnapshotView — sealed
-// mmap'd segments shared by reference, only the active-buffer delta
+// chunks shared by reference, only the write buffer's filled rows
 // copied), the shared compiled plan, and the window's progress gauges.
 // Views are what estimate-side read replicas consume: any number of
 // goroutines may each hold a view and run EstimateIn against it with their
 // own Workspace while the window keeps observing, and every view estimate
 // is bit-identical to what Window.Estimate would have returned at the
-// moment View was called. Close releases the view's storage (for spill
-// windows, its segment-mapping references); a closed view may be passed
-// back to View as the recycle argument.
+// moment View was called. Close releases the view's references to the
+// window's chunks; a closed view may be passed back to View as the recycle
+// argument.
 type WindowView struct {
 	src          *Empirical
 	name         string
@@ -375,10 +346,10 @@ type WindowView struct {
 }
 
 // View freezes the window's current contents into an immutable WindowView.
-// The cost is independent of the window size for spill windows (segments
-// are shared by reference) and one column copy for RAM windows; passing a
-// previously closed view as recycle reuses its storage, so a steady-state
-// publisher allocates nothing. View must be called by the goroutine that
+// Sealed chunks are shared by reference and at most one chunk's rows are
+// copied, so the cost does not grow with the window; passing a previously
+// closed view as recycle reuses its storage, so a steady-state publisher
+// allocates nothing. View must be called by the goroutine that
 // owns the window's observations, and panics on a closed window.
 func (w *Window) View(recycle *WindowView) *WindowView {
 	w.mu.Lock()
@@ -427,8 +398,8 @@ func (v *WindowView) Len() int { return v.len }
 // had fired at snapshot time.
 func (v *WindowView) ChangePoints() int { return v.changePoints }
 
-// Close releases the view's storage — for spill windows, the references
-// that keep shared segment mappings alive. Idempotent; a closed view may be
+// Close releases the view's storage — the references that keep the
+// window's shared chunks alive. Idempotent; a closed view may be
 // recycled through Window.View.
 func (v *WindowView) Close() {
 	if v.src != nil {

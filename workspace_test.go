@@ -84,14 +84,13 @@ func figure1AWindowFixture(t testing.TB, snapshots int) (*tomography.Topology, [
 // windowed-inference step (Observe + EstimateShared) for an estimator after
 // a warm-up that has filled the window, grown every workspace buffer, and
 // seen every pattern the stream contains.
-func steadyStateAllocs(t *testing.T, top *tomography.Topology, rows []*tomography.PathSet, estimator string, window, countWorkers int, spill *tomography.SpillConfig) float64 {
+func steadyStateAllocs(t *testing.T, top *tomography.Topology, rows []*tomography.PathSet, estimator string, window int, spill *tomography.SpillConfig) float64 {
 	t.Helper()
 	w, err := tomography.NewWindow(top, tomography.WindowConfig{
-		Size:         window,
-		Estimator:    estimator,
-		Detector:     quietDetector(),
-		CountWorkers: countWorkers,
-		Spill:        spill,
+		Size:      window,
+		Estimator: estimator,
+		Detector:  quietDetector(),
+		Spill:     spill,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,28 +143,26 @@ func TestWindowedInferenceSteadyStateAllocs(t *testing.T) {
 		top       *tomography.Topology
 		rows      []*tomography.PathSet
 		window    int
-		workers   int
 		spill     bool
 		budget    float64
 	}{
-		{"correlation/brite", "correlation", scn.Topology, briteRows, 256, 0, false, 0},
-		{"independence/brite", "independence", scn.Topology, briteRows, 256, 0, false, 0},
-		{"correlation/toy", "correlation", toyTop, toyRows, 256, 0, false, 0},
-		{"theorem/toy", "theorem", toyTop, toyRows, 256, 0, false, 0},
+		{"correlation/brite", "correlation", scn.Topology, briteRows, 256, false, 0},
+		{"independence/brite", "independence", scn.Topology, briteRows, 256, false, 0},
+		{"correlation/toy", "correlation", toyTop, toyRows, 256, false, 0},
+		{"theorem/toy", "theorem", toyTop, toyRows, 256, false, 0},
 		// The MLE optimizer is allocation-free too; budget 0 documents it.
-		{"mle/toy", "mle", toyTop, toyRows, 256, 0, false, 0},
-		// The parallel count kernels share the budget: once the workspace
-		// pool is warm, dispatching estimate counts across 4 workers must
-		// not allocate either. The window spans multiple 512-word blocks so
-		// the fan-out actually engages (smaller windows clamp to serial).
-		{"correlation/toy/parallel-counts", "correlation", toyTop, toyRows, 64*512 + 300, 4, false, 0},
+		{"mle/toy", "mle", toyTop, toyRows, 256, false, 0},
+		// A large RAM window shares the budget: it spans eight sealed
+		// 4160-row chunks plus the write buffer, and the warm-up leaves its
+		// head in the middle of the oldest chunk.
+		{"correlation/toy/many-chunks", "correlation", toyTop, toyRows, 64*512 + 300, false, 0},
 		// The segment-backed warm read path shares the budget too: the
 		// window spans sealed (mapped) segments, a mid-segment head
 		// boundary, and the active tail buffer, and every count query over
 		// them must stay garbage-free between seals (the seal itself — once
 		// per 512 appends, outside the measured steady state — is the only
 		// allocating event).
-		{"correlation/toy/spill", "correlation", toyTop, toyRows, 1536, 0, true, 0},
+		{"correlation/toy/spill", "correlation", toyTop, toyRows, 1536, true, 0},
 	}
 	for _, c := range cases {
 		c := c
@@ -174,11 +171,65 @@ func TestWindowedInferenceSteadyStateAllocs(t *testing.T) {
 			if c.spill {
 				spill = &tomography.SpillConfig{Dir: t.TempDir(), SegmentRows: 512}
 			}
-			got := steadyStateAllocs(t, c.top, c.rows, c.estimator, c.window, c.workers, spill)
+			got := steadyStateAllocs(t, c.top, c.rows, c.estimator, c.window, spill)
 			if got > c.budget {
 				t.Fatalf("steady-state Observe+EstimateShared allocates %.2f objects/op, budget %v", got, c.budget)
 			}
 		})
+	}
+}
+
+// TestWindowChunkTurnoverAllocs counts every allocation a warm RAM window
+// makes while all its chunks turn over: per-row Observe and then
+// ObserveBatchWords each append a whole window of rows — sealing the write
+// buffer eight times, dropping chunks behind the window, recycling their
+// words — with a recycled view published along the way, as the serving
+// shards do.
+// testing.AllocsPerRun(1, …) reports the loop's total rather than a
+// per-run average rounded down, so even one allocation per seal fails it.
+func TestWindowChunkTurnoverAllocs(t *testing.T) {
+	scn, rows := briteWindowFixture(t, 700)
+	const (
+		window = 1024 // 128-row chunks
+		batch  = 64
+	)
+	w, err := tomography.NewWindow(scn.Topology, tomography.WindowConfig{Size: window, Detector: quietDetector()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	stride := (scn.Topology.NumPaths() + 63) / 64
+	words := make([]uint64, len(rows)*stride)
+	for r, row := range rows {
+		copy(words[r*stride:], row.Words())
+	}
+	var view *tomography.WindowView
+	defer func() { view.Close() }()
+	next := 0
+	turnover := func() {
+		for i := 0; i < window; i++ {
+			w.Observe(rows[next])
+			next = (next + 1) % len(rows)
+			if next%batch == 0 {
+				view = w.View(view)
+			}
+		}
+		for i := 0; i < window/batch; i++ {
+			if next+batch > len(rows) {
+				next = 0
+			}
+			w.ObserveBatchWords(words[next*stride:(next+batch)*stride], stride, batch)
+			next += batch
+			view = w.View(view)
+		}
+	}
+	for w.Len() < window {
+		w.Observe(rows[next])
+		next = (next + 1) % len(rows)
+	}
+	turnover()
+	if got := testing.AllocsPerRun(1, turnover); got != 0 {
+		t.Fatalf("%v allocations over two full turnovers of a warm window, want 0", got)
 	}
 }
 
