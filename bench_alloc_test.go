@@ -1,8 +1,7 @@
 // Zero-allocation steady-state benchmarks (BENCH_alloc.json): price the
 // reused evaluate workspace against the allocating estimate path on the
-// windowed-inference loop, and the cache-blocked batched pair-count kernel
-// against per-pair column streaming. Every baseline is measured in the
-// same run.
+// windowed-inference loop, and a record's batched pair-count sweep against
+// per-pair counts. Every baseline is measured in the same run.
 package tomography_test
 
 import (
@@ -11,8 +10,7 @@ import (
 	"testing"
 
 	tomography "repro"
-	"repro/internal/bitset"
-	"repro/internal/snapstore"
+	"repro/internal/segstore"
 )
 
 // BenchmarkWindowedInferenceWorkspace replays the BenchmarkWindowedInference
@@ -114,15 +112,15 @@ func countAllocs(b *testing.B, op func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(b.N)
 }
 
-// BenchmarkBatchPairCount prices the cache-blocked batched pair-count
-// kernel (snapstore.CountPairsGoodWS) against the per-pair path the pair
-// cache used before it: one copy+OR+popcount streaming pass over both full
-// columns per pair. The store is sized past the last-level cache so the
-// baseline re-streams every column from memory once per pair that uses it,
-// while the blocked sweep reads each column block from memory once and
-// serves all its pairs from cache — the kernel's cache reuse shows up as
-// memory traffic saved, on top of fusing three word passes into one and
-// the block-summary skips.
+// BenchmarkBatchPairCount prices the batched pair count of a record
+// (segstore.Columns.CountPairsGood, one chunk-major sweep for the whole
+// batch) against the per-pair path the pair cache takes on a miss
+// (CountPairGood: one sweep over both columns per pair). The record is
+// sized past the last-level cache so the per-pair path re-streams every
+// column from memory once per pair that uses it, while the batched sweep
+// reads each chunk from memory once and serves all its pairs from cache —
+// the cache reuse shows up as memory traffic saved, on top of the
+// per-chunk popcount skips.
 func BenchmarkBatchPairCount(b *testing.B) {
 	const (
 		paths     = 128
@@ -130,16 +128,17 @@ func BenchmarkBatchPairCount(b *testing.B) {
 		fanout    = 12         // pairs per path: (i, i+1) … (i, i+fanout)
 	)
 	rng := rand.New(rand.NewSource(7))
-	store := snapstore.NewFixed(paths, snapshots)
+	build := segstore.NewBuilder(paths, snapshots)
 	// Timing is data-independent (OR + popcount); a sparse random fill keeps
 	// fixture construction cheap at this scale.
 	for t := 0; t < snapshots; t++ {
-		store.SetBit(rng.Intn(paths), t)
+		build.SetBit(rng.Intn(paths), t)
 	}
-	var pairs []snapstore.Pair
+	rec := build.Finish()
+	var pairs []segstore.Pair
 	for i := 0; i < paths; i++ {
 		for d := 1; d <= fanout && i+d < paths; d++ {
-			pairs = append(pairs, snapstore.Pair{A: i, B: i + d})
+			pairs = append(pairs, segstore.Pair{A: i, B: i + d})
 		}
 	}
 	out := make([]int, len(pairs))
@@ -150,27 +149,19 @@ func BenchmarkBatchPairCount(b *testing.B) {
 	}
 
 	b.Run("per-pair", func(b *testing.B) {
-		scratch := make([]uint64, store.Words())
 		sum := 0
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, p := range pairs {
-				// The pre-batching kernel: copy column A, OR column B,
-				// popcount — three passes over the words, per pair.
-				copy(scratch, store.Column(p.A))
-				bitset.OrWords(scratch, store.Column(p.B))
-				sum += store.Snapshots() - bitset.PopCountWords(scratch)
+				sum += rec.CountPairGood(p.A, p.B)
 			}
 		}
 		benchSink += float64(sum)
 		metrics["per-pair-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
 	b.Run("batched", func(b *testing.B) {
-		var ws snapstore.CountWorkspace
 		sum := 0
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			store.CountPairsGoodWS(&ws, pairs, out)
+			rec.CountPairsGood(pairs, out)
 			for _, c := range out {
 				sum += c
 			}

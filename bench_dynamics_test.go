@@ -172,7 +172,7 @@ func BenchmarkWindowedInference(b *testing.B) {
 	// rows is the pre-materialized probe feed: a live monitor receives each
 	// snapshot as a ready congested-path set, so materialization from the
 	// record is not charged to either side.
-	rows := rec.Paths.Rows()
+	rows := recordRows(rec)
 
 	// rhsFill mimics an estimate's probability lookups: every single path
 	// and a band of pairs (the dominant query mix of BuildEquations).

@@ -12,29 +12,28 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/segstore"
-	"repro/internal/snapstore"
 )
 
 // storeBenchFixture appends the same deterministic bursty rows to a RAM
-// window store and a spilling one with equal chunk sizes, whose windows
-// cover every row, so both answer identical count queries. snapshots is a
-// multiple of segRows: every row but the last chunk's worth is sealed —
-// kept in RAM by one store, written to disk and queried through the mapped
-// read path by the other.
-func storeBenchFixture(b *testing.B, series, snapshots, segRows int) (ram, tiered *segstore.TieredStore, pairs []snapstore.Pair) {
+// window store and a spilling one with equal chunk sizes, and to a RAM
+// store whose single chunk holds every row. All windows cover every row, so
+// the stores answer identical count queries. snapshots is a multiple of
+// segRows: every row but the last chunk's worth is sealed — kept in RAM by
+// one store, written to disk and queried through the mapped read path by
+// the other.
+func storeBenchFixture(b *testing.B, series, snapshots, segRows int) (ram, tiered, single *segstore.TieredStore, pairs []segstore.Pair) {
 	b.Helper()
-	ram, err := segstore.NewTiered(series, snapshots, segstore.Options{SegmentRows: segRows})
-	if err != nil {
-		b.Fatal(err)
+	open := func(opts segstore.Options) *segstore.TieredStore {
+		ts, err := segstore.NewTiered(series, snapshots, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(ts.Close)
+		return ts
 	}
-	b.Cleanup(ram.Close)
-	tiered, err = segstore.NewTiered(series, snapshots, segstore.Options{
-		Dir: b.TempDir(), SegmentRows: segRows, Reset: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(tiered.Close)
+	ram = open(segstore.Options{SegmentRows: segRows})
+	tiered = open(segstore.Options{Dir: b.TempDir(), SegmentRows: segRows, Reset: true})
+	single = open(segstore.Options{SegmentRows: snapshots})
 	rng := rand.New(rand.NewSource(41))
 	row := bitset.New(series)
 	for t := 0; t < snapshots; t++ {
@@ -49,37 +48,42 @@ func storeBenchFixture(b *testing.B, series, snapshots, segRows int) (ram, tiere
 		}
 		ram.AppendEvictWords(row.Words(), nil)
 		tiered.AppendEvictWords(row.Words(), nil)
+		single.AppendEvictWords(row.Words(), nil)
 	}
 	for i := 0; i < series; i++ {
 		for d := 1; d <= 8 && i+d < series; d++ {
-			pairs = append(pairs, snapstore.Pair{A: i, B: i + d})
+			pairs = append(pairs, segstore.Pair{A: i, B: i + d})
 		}
 	}
-	return ram, tiered, pairs
+	return ram, tiered, single, pairs
 }
 
 // BenchmarkSegmentStoreCounts is the mapped-vs-RAM count comparison the
 // BENCH_store.json artifact records: the batched pair kernel and the
 // all-good set kernel over RAM chunks versus the spill store's warm mapped
-// read path (one throwaway pass faults every page in first). Counts are
-// verified identical before timing.
+// read path (one throwaway pass faults every page in first). It also
+// prices the chunking itself: batched pair counts over the 8192-row RAM
+// chunks against one RAM chunk holding every row. Counts are verified
+// identical before timing.
 func BenchmarkSegmentStoreCounts(b *testing.B) {
 	const (
 		series    = 128
 		segRows   = 8192
 		snapshots = 16 * segRows // 131072 rows ≈ 2 MB/column-set segment tier
 	)
-	ram, tiered, pairs := storeBenchFixture(b, series, snapshots, segRows)
+	ram, tiered, single, pairs := storeBenchFixture(b, series, snapshots, segRows)
 	outRAM := make([]int, len(pairs))
 	outMapped := make([]int, len(pairs))
+	outSingle := make([]int, len(pairs))
 	sets := [][]int{{0, 1, 2}, {5, 40, 90, 100}, {7}, {30, 31, 32, 33, 34}}
 
 	// Warm + verify: identical counts from both tiers before any timing.
 	ram.CountPairsGood(pairs, outRAM)
 	tiered.CountPairsGood(pairs, outMapped)
+	single.CountPairsGood(pairs, outSingle)
 	for k := range pairs {
-		if outRAM[k] != outMapped[k] {
-			b.Fatalf("pair %v: RAM %d, mapped %d", pairs[k], outRAM[k], outMapped[k])
+		if outRAM[k] != outMapped[k] || outRAM[k] != outSingle[k] {
+			b.Fatalf("pair %v: RAM %d, mapped %d, one chunk %d", pairs[k], outRAM[k], outMapped[k], outSingle[k])
 		}
 	}
 	for _, s := range sets {
@@ -101,6 +105,12 @@ func BenchmarkSegmentStoreCounts(b *testing.B) {
 			ram.CountPairsGood(pairs, outRAM)
 		}
 		metrics["pairs-ram-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	})
+	b.Run("pairs-ram-one-chunk", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			single.CountPairsGood(pairs, outSingle)
+		}
+		metrics["pairs-ram-one-chunk-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
 	b.Run("pairs-mapped-warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -138,11 +148,12 @@ func BenchmarkSegmentStoreCounts(b *testing.B) {
 	})
 	if r, m := metrics["pairs-ram-ns/op"], metrics["pairs-mapped-ns/op"]; r > 0 && m > 0 {
 		metrics["mapped-vs-ram-pairs"] = r / m
+		metrics["chunked-vs-one-chunk-pairs"] = metrics["pairs-ram-one-chunk-ns/op"] / r
 		metrics["mapped-vs-ram-allgood"] = metrics["allgood-ram-ns/op"] / metrics["allgood-mapped-ns/op"]
-		b.Logf("counts over %d sealed segments (%d rows × %d series): pairs RAM %.2f ms vs mapped warm %.2f ms (%.2f× of RAM), all-good %.2f× of RAM, cold re-fault %.2f ms",
+		b.Logf("counts over %d sealed segments (%d rows × %d series): pairs RAM %.2f ms vs mapped warm %.2f ms (%.2f× of RAM), all-good %.2f× of RAM, cold re-fault %.2f ms; RAM chunks at %.2f× of one chunk",
 			tiered.SealedSegments(), snapshots, series, r/1e6, m/1e6,
 			metrics["mapped-vs-ram-pairs"], metrics["mapped-vs-ram-allgood"],
-			metrics["pairs-mapped-cold-ns/op"]/1e6)
+			metrics["pairs-mapped-cold-ns/op"]/1e6, metrics["chunked-vs-one-chunk-pairs"])
 	}
 	writeBenchJSONFile(b, "BENCH_store.json", "BenchmarkSegmentStoreCounts", metrics)
 }

@@ -514,7 +514,7 @@ func measureWorkload(b *testing.B) (*scenario.Scenario, *netsim.Record, []*bitse
 // cache miss — the speedup is the kernel's, not the memo's.
 func BenchmarkProbPathsGood(b *testing.B) {
 	_, rec, queries := measureWorkload(b)
-	rows := rec.Paths.Rows()
+	rows := recordRows(rec)
 	metrics := map[string]float64{"snapshots": float64(rec.Snapshots()), "paths": float64(rec.NumPaths())}
 
 	b.Run("row-major", func(b *testing.B) {
@@ -559,7 +559,7 @@ func BenchmarkBuildEquations(b *testing.B) {
 	metrics := map[string]float64{"snapshots": float64(rec.Snapshots()), "paths": float64(rec.NumPaths())}
 
 	b.Run("row-major", func(b *testing.B) {
-		src := &rowMajorSource{numPaths: rec.NumPaths(), rows: rec.Paths.Rows()}
+		src := &rowMajorSource{numPaths: rec.NumPaths(), rows: recordRows(rec)}
 		var sys *core.EquationSystem
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

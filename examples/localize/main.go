@@ -102,9 +102,12 @@ func main() {
 		thm.CongestionProb[0]*thm.CongestionProb[1])
 
 	// Localize every snapshot twice: with the joint states and with
-	// independent marginals.
-	var corrInferred, indepInferred []*tomography.PathSet
+	// independent marginals, and keep its true congested links.
+	var truth, corrInferred, indepInferred []*tomography.PathSet
 	for t := 0; t < rec.Snapshots(); t++ {
+		links := tomography.NewPathSet()
+		rec.Links.RowInto(t, links)
+		truth = append(truth, links)
 		obs := rec.PathSnapshot(t)
 		cr, err := tomography.LocalizeCorrelated(top, thm.CongestionProb, states, obs)
 		if err != nil {
@@ -118,7 +121,6 @@ func main() {
 		indepInferred = append(indepInferred, ir.Congested)
 	}
 
-	truth := rec.Links.Rows()
 	mCorr, err := tomography.EvaluateLocalization(truth, corrInferred)
 	if err != nil {
 		log.Fatal(err)

@@ -6,7 +6,8 @@
 // Nguyen–Thiran line of work). This example drives exactly that loop:
 //
 //  1. snapshots arrive one at a time and are appended to a streaming
-//     Empirical source (a growing columnar SnapshotStore);
+//     Empirical source (an unbounded window on the chunked column store
+//     that also holds a finished Record's columns);
 //  2. the topology is compiled into an inference plan ONCE — at every
 //     checkpoint only the probability right-hand side is re-filled from
 //     the stream and re-solved, so estimates sharpen as measurements

@@ -92,16 +92,20 @@ func main() {
 	fmt.Printf("tomography: rank %d/%d, solver %s, worst per-link error %.3f\n",
 		res.Linear.System.Rank, top.NumLinks(), res.Linear.Solver, worst)
 
-	// 3. Per-snapshot localization with the learned probabilities.
-	var inferred []*tomography.PathSet
+	// 3. Per-snapshot localization with the learned probabilities, scored
+	// against each snapshot's true congested links.
+	var congested, inferred []*tomography.PathSet
 	for t := 0; t < rec.Snapshots(); t++ {
+		links := tomography.NewPathSet()
+		rec.Links.RowInto(t, links)
+		congested = append(congested, links)
 		lr, err := tomography.Localize(top, res.CongestionProb, rec.PathSnapshot(t))
 		if err != nil {
 			log.Fatal(err)
 		}
 		inferred = append(inferred, lr.Congested)
 	}
-	m, err := tomography.EvaluateLocalization(rec.Links.Rows(), inferred)
+	m, err := tomography.EvaluateLocalization(congested, inferred)
 	if err != nil {
 		log.Fatal(err)
 	}

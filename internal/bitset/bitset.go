@@ -345,8 +345,8 @@ func (s *Set) String() string {
 // Words exposes the set's backing words (least-significant bit of word 0 is
 // element 0). The returned slice aliases the set's storage and must be
 // treated as read-only; it is invalidated by any mutation that grows the
-// set. It exists so columnar consumers (internal/snapstore) can run the
-// word-level kernels below directly against set storage.
+// set. It exists so columnar consumers (internal/segstore's record and
+// window appends) can read a set word by word.
 func (s *Set) Words() []uint64 { return s.words }
 
 // --- Word-level kernels. ---

@@ -12,6 +12,15 @@ import (
 	"repro/internal/topology"
 )
 
+// snapshotRows materializes snapshots [0, n) through at, oldest first.
+func snapshotRows(n int, at func(t int) *bitset.Set) []*bitset.Set {
+	rows := make([]*bitset.Set, n)
+	for t := range rows {
+		rows[t] = at(t)
+	}
+	return rows
+}
+
 func fig1aModel(t *testing.T) congestion.Model {
 	t.Helper()
 	m, err := congestion.NewTable(4, []congestion.GroupTable{
@@ -138,7 +147,7 @@ func TestFeasibilityInvariant(t *testing.T) {
 			{Links: bitset.FromIndices(0, 1), P: 0.18},
 		},
 	}}
-	for snap, obs := range rec.Paths.Rows() {
+	for snap, obs := range snapshotRows(rec.Snapshots(), rec.PathSnapshot) {
 		for name, run := range map[string]func() (*Result, error){
 			"independent": func() (*Result, error) { return Independent(top, probs, obs) },
 			"correlated":  func() (*Result, error) { return Correlated(top, probs, states, obs) },
@@ -211,14 +220,14 @@ func TestCorrelatedLocalizationBeatsIndependent(t *testing.T) {
 
 	eval := func(run func(obs *bitset.Set) (*Result, error)) Metrics {
 		var inferred []*bitset.Set
-		for _, obs := range rec.Paths.Rows() {
+		for _, obs := range snapshotRows(rec.Snapshots(), rec.PathSnapshot) {
 			res, err := run(obs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			inferred = append(inferred, res.Congested)
 		}
-		m, err := Evaluate(rec.Links.Rows(), inferred)
+		m, err := Evaluate(snapshotRows(rec.Snapshots(), rec.LinkSnapshot), inferred)
 		if err != nil {
 			t.Fatal(err)
 		}

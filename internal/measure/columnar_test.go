@@ -52,6 +52,15 @@ func (r *rowMajorRef) pathCongestionFrequency() []float64 {
 	return out
 }
 
+// snapshotRows materializes snapshots [0, n) through at, oldest first.
+func snapshotRows(n int, at func(t int) *bitset.Set) []*bitset.Set {
+	rows := make([]*bitset.Set, n)
+	for t := range rows {
+		rows[t] = at(t)
+	}
+	return rows
+}
+
 // randomRecord draws a random row-major record and wraps it both ways.
 func randomRecord(rng *rand.Rand, numPaths, n int) (*rowMajorRef, *Empirical) {
 	rows := make([]*bitset.Set, n)
@@ -141,7 +150,7 @@ func TestColumnarMatchesRowMajorUnderParallelSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := &rowMajorRef{numPaths: top.NumPaths(), rows: rec.Paths.Rows()}
+	ref := &rowMajorRef{numPaths: top.NumPaths(), rows: snapshotRows(rec.Snapshots(), rec.PathSnapshot)}
 	for mask := 0; mask < 8; mask++ {
 		q := bitset.New(3)
 		for b := 0; b < 3; b++ {

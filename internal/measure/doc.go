@@ -17,12 +17,12 @@
 // for the single-path and path-pair queries that dominate equation
 // building, bypassing path-set materialization entirely.
 //
-// Empirical estimates all three from columnar observations — the
-// path-major snapstore.Store of a finished netsim record, or the chunked
-// segstore.TieredStore of a streaming estimator or sliding window: each query
-// is an OR of bit columns plus a popcount rather than a scan over row-major
-// snapshots, and repeated queries hit per-path, per-pair, and per-set memo
-// caches. Construct it with NewEmpirical over a finished netsim.Record, or
+// Empirical estimates all three from columnar observations on one column
+// store, segstore: the immutable chunks of a finished netsim record, or
+// the chunked segstore.TieredStore of a streaming estimator or sliding
+// window. Each query is an OR of bit columns plus a popcount rather than a
+// scan over row-major snapshots, and repeated queries hit per-path,
+// per-pair, and per-set memo caches. Construct it with NewEmpirical over a finished netsim.Record, or
 // with NewStreaming and Append for online estimation — the pattern
 // histogram is maintained incrementally, so estimates can be queried
 // mid-stream and are always identical to a one-shot batch over the same

@@ -10,7 +10,6 @@ import (
 	"repro/internal/congestion"
 	"repro/internal/netsim"
 	"repro/internal/segstore"
-	"repro/internal/snapstore"
 	"repro/internal/topology"
 )
 
@@ -42,7 +41,7 @@ type FastPairSource interface {
 }
 
 // Pair identifies one unordered pair of paths for the batched count kernels.
-type Pair = snapstore.Pair
+type Pair = segstore.Pair
 
 // BatchPairSource is an optional batching hook over FastPairSource: a
 // source that can resolve many pair probabilities in one cache-blocked pass
@@ -88,20 +87,24 @@ const (
 // concurrent use, except Append which must not run concurrently with
 // queries or other Appends.
 type Empirical struct {
-	// cols is the counting backend every query runs on. The estimator is a
-	// pure function of the integer counts cols returns.
-	cols columnBackend
+	// cols holds the columns every query counts on. The estimator is a
+	// pure function of the integer counts cols returns, so any two
+	// estimators over the same rows are bit-identical, whatever holds the
+	// rows: a record, a window or a view.
+	cols *segstore.Columns
 	// store is the chunked window store of an estimator that accepts
 	// appends (NewStreaming, NewSlidingWindow, NewSlidingWindowSpill);
-	// cols is then store itself. It is nil for record-backed estimators,
-	// whose columns alias the record's path store — an Append there would
-	// silently desync the record's link store — and for views.
+	// cols is then the store's own columns. It is nil for record-backed
+	// estimators, whose cols is a clone of the record's immutable path
+	// columns (its own count scratch over the record's shared chunks,
+	// never released by Close), and for views.
 	store *segstore.TieredStore
-	// view marks an immutable snapshot view built by SnapshotView: a frozen
-	// copy of another estimator's window that answers every query
-	// bit-identically but rejects all mutation. Views are what the serving
-	// layer's estimate replicas read while the source keeps appending.
-	view bool
+	// view is set on an immutable snapshot view built by SnapshotView: a
+	// frozen copy of another estimator's window that answers every query
+	// bit-identically but rejects all mutation; cols is then the view's
+	// columns. Views are what the serving layer's estimate replicas read
+	// while the source keeps appending.
+	view *segstore.TieredView
 
 	mu     sync.Mutex
 	single []float64          // per-path P(good); NaN = not yet computed
@@ -125,7 +128,7 @@ type Empirical struct {
 	// use the zero-copy m[string(buf)] form).
 	keyBuf []byte
 	// pairBuf/pairCounts are the batched-pair-kernel scratch of PrimePairs.
-	pairBuf    []snapstore.Pair
+	pairBuf    []Pair
 	pairCounts []int
 	// idxBuf is the reusable index buffer of ProbPathsGood's general case.
 	idxBuf []int
@@ -133,7 +136,8 @@ type Empirical struct {
 
 // NewEmpirical wraps a simulation record. It returns an error for a nil or
 // empty record: zero snapshots admit no frequency estimates (every query
-// would be 0/0).
+// would be 0/0). Any number of estimators may share one record; each
+// counts on its own clone of the record's columns.
 func NewEmpirical(rec *netsim.Record) (*Empirical, error) {
 	if rec == nil || rec.Paths == nil {
 		return nil, fmt.Errorf("measure: nil record")
@@ -141,7 +145,7 @@ func NewEmpirical(rec *netsim.Record) (*Empirical, error) {
 	if rec.Snapshots() == 0 {
 		return nil, fmt.Errorf("measure: record has no snapshots; estimates would be 0/0")
 	}
-	return newEmpirical(&recordColumns{store: rec.Paths}), nil
+	return newEmpirical(rec.Paths.Clone()), nil
 }
 
 // NewSlidingWindowSpill is NewSlidingWindow with the window's sealed
@@ -193,14 +197,14 @@ func newWindowed(numPaths, window int, opts segstore.Options) (*Empirical, error
 	if err != nil {
 		return nil, err
 	}
-	e := newEmpirical(ts)
+	e := newEmpirical(&ts.Columns)
 	e.store = ts
 	e.evictScratch = bitset.New(numPaths)
 	e.rowBuf = make([]uint64, (numPaths+63)/64)
 	return e, nil
 }
 
-func newEmpirical(cols columnBackend) *Empirical {
+func newEmpirical(cols *segstore.Columns) *Empirical {
 	return &Empirical{
 		cols:  cols,
 		pairs: make(map[int64]float64),
@@ -219,7 +223,7 @@ func (e *Empirical) SpillStore() *segstore.TieredStore {
 
 // mutable panics unless the estimator accepts appends.
 func (e *Empirical) mutable(op string) {
-	if e.view {
+	if e.view != nil {
 		panic("measure: " + op + " on an immutable snapshot view (SnapshotView)")
 	}
 	if e.store == nil {
@@ -306,13 +310,20 @@ func (e *Empirical) AppendBatchWords(words []uint64, wordsPerRow, rows int) {
 }
 
 // Close releases the estimator's storage: a window's chunks (and, for a
-// spill window, its segment mappings), or a view's chunk references. The
+// spill window, its segment mappings), or a view's chunk references. A
+// record-backed estimator releases nothing: the record's chunks belong to
+// the record and stay readable by every other estimator over it. The
 // estimator must not be used after Close, except that a closed view may be
 // recycled through SnapshotView. Idempotent.
 func (e *Empirical) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.cols.Close()
+	switch {
+	case e.store != nil:
+		e.store.Close()
+	case e.view != nil:
+		e.view.Close()
+	}
 }
 
 // Evict drops the oldest retained snapshot of a sliding-window estimator
@@ -321,7 +332,7 @@ func (e *Empirical) Close() {
 // on a non-windowed estimator. Like Append, it must not run concurrently
 // with queries.
 func (e *Empirical) Evict() bool {
-	if e.view {
+	if e.view != nil {
 		panic("measure: Evict on an immutable snapshot view (SnapshotView)")
 	}
 	if e.cols.Capacity() == 0 {
@@ -348,7 +359,7 @@ func (e *Empirical) Evict() bool {
 func (e *Empirical) Window() int { return e.cols.Capacity() }
 
 // IsView reports whether this estimator is an immutable snapshot view.
-func (e *Empirical) IsView() bool { return e.view }
+func (e *Empirical) IsView() bool { return e.view != nil }
 
 // SnapshotView freezes the estimator's current window into an immutable
 // copy-on-write view: the window's sealed chunks are shared by reference —
@@ -370,7 +381,7 @@ func (e *Empirical) IsView() bool { return e.view }
 // the goroutine that owns the source's appends, and panics on a
 // record-backed estimator.
 func (e *Empirical) SnapshotView(recycle *Empirical) *Empirical {
-	if e.view {
+	if e.view != nil {
 		panic("measure: SnapshotView of a snapshot view")
 	}
 	if e.store == nil {
@@ -379,18 +390,17 @@ func (e *Empirical) SnapshotView(recycle *Empirical) *Empirical {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	v := recycle
-	if v != nil && !v.view {
+	if v != nil && v.view == nil {
 		panic("measure: SnapshotView recycle target is not a view")
 	}
 	if v == nil {
 		v = &Empirical{
-			view:  true,
 			pairs: make(map[int64]float64),
 			memo:  make(map[string]float64),
 		}
 	}
-	tv, _ := v.cols.(*segstore.TieredView)
-	v.cols = e.store.SnapshotView(tv)
+	v.view = e.store.SnapshotView(v.view)
+	v.cols = &v.view.Columns
 	if len(v.single) != e.cols.NumSeries() {
 		v.single = nil
 	}

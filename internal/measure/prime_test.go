@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/snapstore"
 	"repro/internal/topology"
 )
 
@@ -26,9 +25,9 @@ func TestPrimePairsMatchesPerPairLookups(t *testing.T) {
 		}
 	}
 
-	var pairs []snapstore.Pair
+	var pairs []Pair
 	for q := 0; q < 300; q++ {
-		pairs = append(pairs, snapstore.Pair{A: rng.Intn(paths), B: rng.Intn(paths)})
+		pairs = append(pairs, Pair{A: rng.Intn(paths), B: rng.Intn(paths)})
 	}
 
 	build := func(windowed bool) *Empirical {
@@ -66,7 +65,7 @@ func TestPrimePairsMatchesPerPairLookups(t *testing.T) {
 // pair list must not disturb anything.
 func TestPrimePairsEmpty(t *testing.T) {
 	e := NewStreaming(4)
-	e.PrimePairs([]snapstore.Pair{{A: 0, B: 1}}) // zero snapshots: no-op
+	e.PrimePairs([]Pair{{A: 0, B: 1}}) // zero snapshots: no-op
 	if got := e.ProbPairGood(0, 1); got != 0 {
 		t.Fatalf("empty-stream pair probability = %v, want 0", got)
 	}

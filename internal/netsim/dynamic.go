@@ -10,7 +10,7 @@ import (
 	"repro/internal/dynamics"
 	"repro/internal/loss"
 	"repro/internal/runner"
-	"repro/internal/snapstore"
+	"repro/internal/segstore"
 	"repro/internal/topology"
 )
 
@@ -55,13 +55,13 @@ type DynamicConfig struct {
 // RunDynamic executes a time-evolving simulation. Unlike RunContext's
 // block-sharded fill, the process chain is inherently sequential — snapshot
 // t's congestion state depends on snapshot t−1's — so observations are
-// emitted through the columnar store's streaming Append path, exactly as a
-// live probe feed would arrive. The per-snapshot path observation, however,
-// is independent given the link state, so RunDynamic pipelines in chunks:
-// the modulator advances sequentially into a chunk of buffered link states,
-// per-path column emission fans out across cfg.Workers (the expensive step
-// under PacketLevel measurement), and the chunk is appended in snapshot
-// order. The run is deterministic in cfg.Seed: the process realization
+// appended to the record in snapshot order (segstore.Builder.Append),
+// exactly as a live probe feed would arrive. The per-snapshot path
+// observation, however, is independent given the link state, so RunDynamic
+// pipelines in chunks: the modulator advances sequentially into a chunk of
+// buffered link states, per-path column emission fans out across
+// cfg.Workers (the expensive step under PacketLevel measurement), and the
+// chunk is appended in snapshot order. The run is deterministic in cfg.Seed: the process realization
 // consumes one RNG stream and per-snapshot measurement noise uses
 // runner.DeriveSeed(seed, t), so records never depend on scheduling or
 // worker count. ctx is honoured between snapshots.
@@ -115,11 +115,11 @@ func runDynamic(ctx context.Context, cfg DynamicConfig, record bool) (*Record, e
 		return nil, fmt.Errorf("netsim: packets per path = %d", packets)
 	}
 
-	var rec *Record
+	var rec *recordBuilder
 	if record {
-		rec = &Record{Paths: snapstore.New(cfg.Topology.NumPaths())}
+		rec = &recordBuilder{paths: segstore.NewBuilder(cfg.Topology.NumPaths(), cfg.Snapshots)}
 		if cfg.RecordLinkStates {
-			rec.Links = snapstore.New(cfg.Topology.NumLinks())
+			rec.links = segstore.NewBuilder(cfg.Topology.NumLinks(), cfg.Snapshots)
 		}
 	}
 	run := cfg.Process.Start(cfg.Seed)
@@ -143,17 +143,39 @@ func runDynamic(ctx context.Context, cfg DynamicConfig, record bool) (*Record, e
 		// noise stays independent of the process realization.
 		rng := rand.New(rand.NewSource(runner.DeriveSeed(cfg.Seed, t)))
 		observePaths(cfg.Topology, linkState, rng, cfg.Mode, tl, packets, pathState)
-		if rec != nil {
-			rec.Paths.Append(pathState)
-			if rec.Links != nil {
-				rec.Links.Append(linkState)
-			}
-		}
+		rec.append(pathState, linkState)
 		if cfg.OnSnapshot != nil {
 			cfg.OnSnapshot(t, pathState)
 		}
 	}
-	return rec, nil
+	return rec.finish(), nil
+}
+
+// recordBuilder fills RunDynamic's record in snapshot order; a nil
+// recordBuilder (RunDynamicStream) records nothing.
+type recordBuilder struct {
+	paths, links *segstore.Builder
+}
+
+func (b *recordBuilder) append(pathState, linkState *bitset.Set) {
+	if b == nil {
+		return
+	}
+	b.paths.Append(pathState)
+	if b.links != nil {
+		b.links.Append(linkState)
+	}
+}
+
+func (b *recordBuilder) finish() *Record {
+	if b == nil {
+		return nil
+	}
+	rec := &Record{Paths: b.paths.Finish()}
+	if b.links != nil {
+		rec.Links = b.links.Finish()
+	}
+	return rec
 }
 
 // dynChunkSnapshots is the pipeline chunk of the parallel RunDynamic path:
@@ -168,7 +190,7 @@ const dynChunkSnapshots = 512
 // derived stream, so tasks are independent), then emit the chunk in
 // snapshot order. Emission order, store contents and OnSnapshot sequence
 // are exactly the sequential loop's.
-func runDynamicChunked(ctx context.Context, cfg DynamicConfig, rec *Record, run dynamics.Run, linkState *bitset.Set, tl float64, packets int) (*Record, error) {
+func runDynamicChunked(ctx context.Context, cfg DynamicConfig, rec *recordBuilder, run dynamics.Run, linkState *bitset.Set, tl float64, packets int) (*Record, error) {
 	chunk := dynChunkSnapshots
 	if chunk > cfg.Snapshots {
 		chunk = cfg.Snapshots
@@ -201,16 +223,11 @@ func runDynamicChunked(ctx context.Context, cfg DynamicConfig, rec *Record, run 
 			return nil, err
 		}
 		for i := 0; i < m; i++ {
-			if rec != nil {
-				rec.Paths.Append(pathStates[i])
-				if rec.Links != nil {
-					rec.Links.Append(linkStates[i])
-				}
-			}
+			rec.append(pathStates[i], linkStates[i])
 			if cfg.OnSnapshot != nil {
 				cfg.OnSnapshot(base+i, pathStates[i])
 			}
 		}
 	}
-	return rec, nil
+	return rec.finish(), nil
 }

@@ -41,7 +41,7 @@ func TestRunDynamicDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Paths.Equal(b.Paths) || !a.Links.Equal(b.Links) {
+	if !sameColumns(a.Paths, b.Paths) || !sameColumns(a.Links, b.Links) {
 		t.Fatal("two runs with the same seed produced different records")
 	}
 	cfg.Seed = 6
@@ -49,7 +49,7 @@ func TestRunDynamicDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Paths.Equal(c.Paths) {
+	if sameColumns(a.Paths, c.Paths) {
 		t.Fatal("different seeds produced identical records")
 	}
 }

@@ -16,10 +16,11 @@
 // making runs reproducible regardless of parallelism, and RunContext
 // honours cancellation between blocks.
 //
-// Observations land directly in columnar snapstore.Store columns (one bit
-// column per path over snapshots). Because every block owns whole words of
-// every column, the shards never share a word: the deterministic "merge" is
-// the layout itself, and no post-processing pass is needed.
+// Observations land directly in the record's preallocated bit columns (a
+// segstore.Builder: one bit column per path over snapshots). Because every
+// block owns whole words of every column, the shards never share a word:
+// the deterministic "merge" is the layout itself, and no post-processing
+// pass is needed.
 package netsim
 
 import (
@@ -31,7 +32,7 @@ import (
 	"repro/internal/congestion"
 	"repro/internal/loss"
 	"repro/internal/runner"
-	"repro/internal/snapstore"
+	"repro/internal/segstore"
 	"repro/internal/topology"
 )
 
@@ -77,25 +78,29 @@ type Config struct {
 	RecordLinkStates bool
 }
 
-// Record holds the observations of one experiment as a thin view over
-// columnar snapshot stores: one bit column per path (and, optionally, per
-// link) over snapshots. Row-major access is available through PathSnapshot,
-// LinkSnapshot, and the stores' Rows method, but the algorithms consume the
-// columns directly via measure.Empirical.
+// Record holds the observations of one experiment as immutable bit
+// columns on the chunked column store: one column per path (and,
+// optionally, per link) over snapshots. Row access is available through
+// PathSnapshot, LinkSnapshot and the columns' RowInto, but the algorithms
+// consume the columns directly via measure.Empirical.
 type Record struct {
 	// Paths holds the congested-path observations, path-major.
-	Paths *snapstore.Store
+	Paths *segstore.Columns
 	// Links holds the true congested-link states, link-major; nil unless
 	// Config.RecordLinkStates was set.
-	Links *snapstore.Store
+	Links *segstore.Columns
 }
 
-// NewRecordFromRows is the compatibility constructor for row-major
-// observations: rows[t] is the congested-path set of snapshot t. A real
-// deployment feeding probe measurements one snapshot at a time should use
-// measure.NewStreaming instead.
+// NewRecordFromRows builds a record from row-major observations: rows[t]
+// is the congested-path set of snapshot t. It panics on a path index out
+// of range. A real deployment feeding probe measurements one snapshot at a
+// time should use measure.NewStreaming instead.
 func NewRecordFromRows(numPaths int, rows []*bitset.Set) *Record {
-	return &Record{Paths: snapstore.FromRows(numPaths, rows)}
+	b := segstore.NewBuilder(numPaths, len(rows))
+	for _, row := range rows {
+		b.Append(row)
+	}
+	return &Record{Paths: b.Finish()}
 }
 
 // NumPaths returns the number of paths observed per snapshot.
@@ -105,7 +110,7 @@ func (r *Record) NumPaths() int { return r.Paths.NumSeries() }
 func (r *Record) Snapshots() int { return r.Paths.Snapshots() }
 
 // PathSnapshot materializes snapshot t's congested-path set.
-func (r *Record) PathSnapshot(t int) *bitset.Set { return r.Paths.Row(t) }
+func (r *Record) PathSnapshot(t int) *bitset.Set { return row(r.Paths, t) }
 
 // LinkSnapshot materializes snapshot t's true congested-link set; it panics
 // unless link states were recorded.
@@ -113,7 +118,14 @@ func (r *Record) LinkSnapshot(t int) *bitset.Set {
 	if r.Links == nil {
 		panic("netsim: link states were not recorded (Config.RecordLinkStates)")
 	}
-	return r.Links.Row(t)
+	return row(r.Links, t)
+}
+
+// row materializes snapshot t of cols as a freshly allocated set.
+func row(cols *segstore.Columns, t int) *bitset.Set {
+	dst := bitset.New(cols.NumSeries())
+	cols.RowInto(t, dst)
+	return dst
 }
 
 // Run executes the simulation and returns the observation record. It is
@@ -152,11 +164,10 @@ func RunContext(ctx context.Context, cfg Config) (*Record, error) {
 	if packets < 0 {
 		return nil, fmt.Errorf("netsim: packets per path = %d", packets)
 	}
-	rec := &Record{
-		Paths: snapstore.NewFixed(cfg.Topology.NumPaths(), cfg.Snapshots),
-	}
+	paths := segstore.NewBuilder(cfg.Topology.NumPaths(), cfg.Snapshots)
+	var links *segstore.Builder
 	if cfg.RecordLinkStates {
-		rec.Links = snapstore.NewFixed(cfg.Topology.NumLinks(), cfg.Snapshots)
+		links = segstore.NewBuilder(cfg.Topology.NumLinks(), cfg.Snapshots)
 	}
 
 	// Tasks are 64-snapshot-aligned blocks: block b owns word b of every
@@ -164,7 +175,7 @@ func RunContext(ctx context.Context, cfg Config) (*Record, error) {
 	// record needs no merge pass. The per-snapshot RNG is still derived from
 	// (seed, snapshot) alone, so the record is bit-identical for any worker
 	// count. Scratch bitsets are allocated once per worker and reused.
-	blocks := (cfg.Snapshots + snapstore.BlockSnapshots - 1) / snapstore.BlockSnapshots
+	blocks := (cfg.Snapshots + segstore.BlockRows - 1) / segstore.BlockRows
 	type scratch struct{ linkState, pathState *bitset.Set }
 	pool := &runner.Runner{Workers: cfg.Parallelism}
 	_, err := runner.MapScratch(ctx, pool, blocks,
@@ -175,23 +186,23 @@ func RunContext(ctx context.Context, cfg Config) (*Record, error) {
 			}
 		},
 		func(_ context.Context, block int, sc *scratch) (struct{}, error) {
-			lo := block * snapstore.BlockSnapshots
-			hi := lo + snapstore.BlockSnapshots
+			lo := block * segstore.BlockRows
+			hi := lo + segstore.BlockRows
 			if hi > cfg.Snapshots {
 				hi = cfg.Snapshots
 			}
 			for snap := lo; snap < hi; snap++ {
 				rng := rand.New(rand.NewSource(runner.DeriveSeed(cfg.Seed, snap)))
 				cfg.Model.Sample(rng, sc.linkState)
-				if rec.Links != nil {
+				if links != nil {
 					sc.linkState.ForEach(func(k int) bool {
-						rec.Links.SetBit(k, snap)
+						links.SetBit(k, snap)
 						return true
 					})
 				}
 				observePaths(cfg.Topology, sc.linkState, rng, cfg.Mode, tl, packets, sc.pathState)
 				sc.pathState.ForEach(func(p int) bool {
-					rec.Paths.SetBit(p, snap)
+					paths.SetBit(p, snap)
 					return true
 				})
 			}
@@ -199,6 +210,10 @@ func RunContext(ctx context.Context, cfg Config) (*Record, error) {
 		})
 	if err != nil {
 		return nil, err
+	}
+	rec := &Record{Paths: paths.Finish()}
+	if links != nil {
+		rec.Links = links.Finish()
 	}
 	return rec, nil
 }

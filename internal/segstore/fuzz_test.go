@@ -223,3 +223,76 @@ func FuzzWindow(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAppend fuzzes the record build, differentially: the input bytes
+// encode a sequence of rows with arbitrary bit patterns, appended to a
+// record in 64-row chunks (so longer inputs span several, the last one
+// short) while a plain shadow slice keeps the rows. The finished record's
+// counts and rows must match a recount over the shadow, and it must equal
+// a record built from the shadow bit by bit through SetBit. No input may
+// panic; byte-derived series indices are kept in range (out-of-range
+// appends are a documented panic).
+func FuzzAppend(f *testing.F) {
+	f.Add([]byte{3, 8, 0x01, 0x02, 0xff, 0x00})
+	f.Add([]byte{1, 1, 0x80, 0x80, 0x80})
+	f.Add([]byte{7, 64, 0xaa, 0x55, 0xee})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		series := 1 + int(data[0])%70 // straddles a word boundary
+		var shadow []*bitset.Set
+		for _, op := range data[1:] {
+			// Each op byte yields 1–7 rows: bit i of its k-th row is set
+			// when op+7i+3k is a multiple of 5.
+			for k := 0; k <= int(op)%7; k++ {
+				row := bitset.New(series)
+				for i := 0; i < series; i++ {
+					if (int(op)+i*7+k*3)%5 == 0 {
+						row.Add(i)
+					}
+				}
+				shadow = append(shadow, row)
+			}
+		}
+		b := newBuilder(series, len(shadow), 64)
+		for _, r := range shadow {
+			b.Append(r)
+		}
+		rec := b.Finish()
+		ref := rowOracle{rows: shadow}
+
+		if rec.Snapshots() != len(shadow) {
+			t.Fatalf("record holds %d snapshots, shadow %d", rec.Snapshots(), len(shadow))
+		}
+		for i := 0; i < series; i++ {
+			if got, want := rec.CongestedCount(i), ref.CongestedCount(i); got != want {
+				t.Fatalf("series %d: count %d, shadow recount %d", i, got, want)
+			}
+		}
+		set := []int{0, series / 2, series - 1}
+		if got, want := rec.CountAllGood(set), ref.CountAllGood(set); got != want {
+			t.Fatalf("all-good %v: %d, shadow recount %d", set, got, want)
+		}
+		pairs := []Pair{{0, series - 1}, {series / 2, series / 3}, {0, 0}}
+		out := make([]int, len(pairs))
+		rec.CountPairsGood(pairs, out)
+		for k, p := range pairs {
+			if want := ref.CountAllGood([]int{p.A, p.B}); out[k] != want {
+				t.Fatalf("pair %v: %d, shadow recount %d", p, out[k], want)
+			}
+		}
+		got := bitset.New(series)
+		for w, r := range shadow {
+			rec.RowInto(w, got)
+			if !got.Equal(r) {
+				t.Fatalf("row %d: %v, want %v", w, got, r)
+			}
+		}
+		if !equalColumns(rec, fromRows(series, shadow, recordChunkRows)) {
+			t.Fatal("appended record does not equal a SetBit record over the same rows")
+		}
+	})
+}

@@ -18,27 +18,34 @@ type colMeta struct {
 	pop    int // set bits in the whole column
 }
 
-// segment is one fixed-size block of rows: a sealed chunk (data aliases a
-// mapped or heap-read file image, or is a RAM write buffer that was sealed
-// as is; meta is immutable either way) or a window's write buffer (data is
-// heap words, every span dense over [0, words), pops maintained
-// incrementally by the append). The count kernels below serve all of them.
+// segment is one block of rows: a sealed chunk (data aliases a mapped or
+// heap-read file image, or is a RAM write buffer that was sealed as is;
+// meta is immutable either way), a window's write buffer (data is heap
+// words, pops maintained incrementally by the append), or one chunk of a
+// record (filled by a Builder, pops summed when it finishes). The count
+// kernels below serve all of them.
 type segment struct {
 	base   int // absolute index of row 0
 	rows   int
-	words  int // rows / 64
+	words  int // ⌈rows/64⌉
 	meta   []colMeta
 	data   []uint64
 	mapped []byte // non-nil when data aliases an mmap'ed file image
 	path   string
 	crc    uint32     // data CRC of the sealed file (0 for RAM chunks)
 	pool   *chunkPool // where a RAM chunk goes on its last release; nil for files
+	// dense marks a RAM chunk whose data holds every column in full:
+	// column i's word w sits at data[i*words+w], whatever its meta span.
+	// Write buffers, RAM chunks and record chunks are dense; a segment read
+	// from a file is span-compressed.
+	dense bool
 
 	// refs counts owners of a sealed chunk: 1 for the store (or Reader)
 	// that sealed or opened it, plus one per snapshot view holding it. The
 	// last release unmaps a file or recycles a RAM chunk, so a view reader
 	// can never see its words torn down or overwritten. Zero for a write
-	// buffer, which is never shared.
+	// buffer, which is never shared, and for a record's chunks, which the
+	// record owns and nothing releases.
 	refs atomic.Int32
 }
 
@@ -244,10 +251,19 @@ func (s *segment) bit(i, r int) bool {
 }
 
 // rowInto adds every column with row r set to dst (which the caller has
-// cleared).
+// cleared). A dense chunk is read with a plain stride loop, one word per
+// column; only a span-compressed segment pays the span checks.
 func (s *segment) rowInto(r int, dst *bitset.Set) {
 	w := r / wordBits
 	mask := uint64(1) << uint(r%wordBits)
+	if s.dense {
+		for i, off := 0, w; off < len(s.data); i, off = i+1, off+s.words {
+			if s.data[off]&mask != 0 {
+				dst.Add(i)
+			}
+		}
+		return
+	}
 	for i := range s.meta {
 		m := &s.meta[i]
 		if m.pop != 0 && w >= m.lo && w < m.hi && s.data[m.off+w-m.lo]&mask != 0 {

@@ -1,16 +1,26 @@
-// Package segstore is the out-of-core tier of the columnar measurement
-// store: append-only snapshot columns sealed into fixed-size on-disk
-// segments that the count kernels read back through mmap, zero copy.
+// Package segstore is the columnar measurement store: per-snapshot
+// Boolean observations ("was series i congested in row t?") kept
+// path-major, one packed uint64 bit column per series, cut into chunks of
+// consecutive rows. Every count query is one sweep over the chunks
+// (Columns), whatever holds them:
 //
-// A segment holds SegmentRows consecutive snapshots in exactly the
-// path-major packed-uint64 word layout of internal/snapstore — bit t%64 of
-// word t/64 of column i says "series i was congested in row t" — so the
-// fused OR/AND-NOT+POPCNT kernels run unchanged over mapped file pages.
-// Columns are span-compressed: only the word range [lo, hi) that contains
-// set bits is stored, so a cold all-good column costs 12 bytes of directory
-// and nothing else, and the per-column popcount in the directory lets the
-// kernels skip it without touching a page (the on-disk analogue of the
-// CountWorkspace block-summary skip).
+//   - a finished record (Builder): RAM chunks preallocated for a known row
+//     count, filled by SetBit or Append and then frozen;
+//   - a sliding window (TieredStore): a write buffer sealed into chunks
+//     that stay in RAM or, with a spill directory, go to disk;
+//   - a window's snapshot view (TieredView), sharing its sealed chunks.
+//
+// Its out-of-core tier seals chunks into fixed-size on-disk segments that
+// the count kernels read back through mmap, zero copy. A segment holds
+// SegmentRows consecutive snapshots in exactly the path-major
+// packed-uint64 word layout of the RAM chunks — bit t%64 of word t/64 of
+// column i says "series i was congested in row t" — so the fused
+// OR/AND-NOT+POPCNT kernels run unchanged over mapped file pages. Columns
+// are span-compressed: only the word range [lo, hi) that contains set bits
+// is stored, so a cold all-good column costs 12 bytes of directory and
+// nothing else, and the per-column popcount in the directory lets the
+// kernels skip it without touching a page, as a RAM chunk's popcount
+// does.
 //
 // On-disk layout of one segment file (all fields little-endian):
 //

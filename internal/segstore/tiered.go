@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/bitset"
-	"repro/internal/snapstore"
 )
 
 // TieredStore is the sliding-window column store: snapshots append into a
@@ -19,9 +18,9 @@ import (
 // kept in RAM as is; with one (Options.Dir) it is written to disk
 // (span-compressed, checksummed, manifest-listed) and mapped back
 // read-only. Window-relative count queries sweep the sealed chunks that
-// overlap the retained window plus the write buffer, and return exactly
-// the integer counts a fixed snapstore.Store over the same retained rows
-// holds — the bit-identity the differential tests pin.
+// overlap the retained window plus the write buffer (see Columns), and
+// return exactly the integer counts of a record built from the same
+// retained rows — the bit-identity the differential tests pin.
 //
 // The store retains at most capacity of the n appended snapshots
 // (capacity 0: all of them), and window row t addresses absolute row
@@ -46,13 +45,13 @@ import (
 // per-chunk reference counts so a chunk is never unmapped, recycled or
 // madvised away under a concurrent view reader.
 type TieredStore struct {
-	// chunks is the read side the store shares with its views. The owner
-	// changes chunks.sealed only under mu; its own count sweeps read it
+	// Columns is the read side the store shares with its views. The owner
+	// changes Columns.sealed only under mu; its own count sweeps read it
 	// without mu.
-	chunks
+	Columns
 	dir string
 
-	// mu guards chunks.sealed and the chunk reference counts against the
+	// mu guards Columns.sealed and the chunk reference counts against the
 	// cross-goroutine methods (SnapshotView retaining chunks,
 	// ReleaseMapped deciding a mapping is safe to madvise, Close releasing
 	// the store's references).
@@ -62,22 +61,6 @@ type TieredStore struct {
 	seals   int // chunks sealed over the lifetime
 	spilled int64
 	closed  bool
-}
-
-// chunks is the read side of a window, shared by TieredStore and
-// TieredView: the sealed chunks that overlap the window, the write buffer,
-// and the window's absolute row range. Every count query is one sweep over
-// these pieces.
-type chunks struct {
-	series   int
-	segRows  int
-	capacity int // 0: unbounded
-	n        int // snapshots appended over the lifetime
-	retained int // snapshots in the window
-
-	sealed []*segment // sealed chunks overlapping the window, oldest first
-	active *segment   // write buffer for rows [active.base, active.base+segRows)
-	acc    []uint64   // CountAllGood's scratch, one chunk's words; never shared
 }
 
 // chunkPool recycles RAM chunks that no window or view references any
@@ -143,9 +126,9 @@ func NewTiered(series, capacity int, opts Options) (*TieredStore, error) {
 			segRows, wordBits, wordBits, maxSegmentRows)
 	}
 	ts := &TieredStore{
-		chunks: chunks{series: series, segRows: segRows, capacity: capacity, acc: make([]uint64, segRows/wordBits)},
-		dir:    opts.Dir,
-		man:    manifest{Version: formatVersion, Series: series, SegmentRows: segRows},
+		Columns: Columns{series: series, segRows: segRows, capacity: capacity, acc: make([]uint64, segRows/wordBits)},
+		dir:     opts.Dir,
+		man:     manifest{Version: formatVersion, Series: series, SegmentRows: segRows},
 	}
 	if opts.Dir == "" {
 		ts.active = newBuffer(series, segRows, &ts.pool)
@@ -170,16 +153,18 @@ func NewTiered(series, capacity int, opts Options) (*TieredStore, error) {
 	return ts, nil
 }
 
-// newBuffer allocates an empty dense write buffer. A RAM store's buffer
-// becomes a chunk when sealed, and its last release returns it to pool.
-func newBuffer(series, segRows int, pool *chunkPool) *segment {
-	words := segRows / wordBits
+// newBuffer allocates an empty dense chunk of rows rows: a window's write
+// buffer, or one chunk of a record. A RAM store's buffer becomes a chunk
+// when sealed, and its last release returns it to pool.
+func newBuffer(series, rows int, pool *chunkPool) *segment {
+	words := (rows + wordBits - 1) / wordBits
 	s := &segment{
-		rows:  segRows,
+		rows:  rows,
 		words: words,
 		meta:  make([]colMeta, series),
 		data:  make([]uint64, words*series),
 		pool:  pool,
+		dense: true,
 	}
 	for i := range s.meta {
 		s.meta[i] = colMeta{lo: 0, hi: words, off: i * words}
@@ -212,21 +197,6 @@ func resetDir(dir string) error {
 func (ts *TieredStore) writeManifest() error {
 	return atomicWriteFile(ts.dir, ManifestName, encodeManifest(&ts.man))
 }
-
-// NumSeries returns the number of columns.
-func (c *chunks) NumSeries() int { return c.series }
-
-// Snapshots returns the window occupancy — the rows count queries run over.
-func (c *chunks) Snapshots() int { return c.retained }
-
-// Appended returns the number of snapshots ever appended.
-func (c *chunks) Appended() int { return c.n }
-
-// Capacity returns the window capacity, 0 for an unbounded store.
-func (c *chunks) Capacity() int { return c.capacity }
-
-// SegmentRows returns the seal granularity.
-func (c *chunks) SegmentRows() int { return c.segRows }
 
 // SealedSegments returns how many chunks have been sealed over the store's
 // lifetime, including those that have since left the window.
@@ -421,133 +391,6 @@ func openSegment(path string) (*segment, error) {
 	}
 	seg.refs.Store(1)
 	return seg, nil
-}
-
-// overlap clips the window [from, to) to segment s and returns the
-// segment-relative row range, empty (lo ≥ hi) when they do not meet.
-func overlap(s *segment, from, to int) (lo, hi int) {
-	return max(from-s.base, 0), min(to-s.base, s.rows)
-}
-
-// piece returns the k-th piece of the window sweep — sealed chunks oldest
-// first, then the write buffer at k == len(sealed) — with its
-// segment-relative row range inside the window.
-func (c *chunks) piece(k int) (s *segment, lo, hi int) {
-	s = c.active
-	if k < len(c.sealed) {
-		s = c.sealed[k]
-	}
-	lo, hi = overlap(s, c.n-c.retained, c.n)
-	return s, lo, hi
-}
-
-// CongestedCount returns the number of window snapshots in which series i
-// was congested.
-func (c *chunks) CongestedCount(i int) int {
-	c.checkSeries(i)
-	n := 0
-	for k := 0; k <= len(c.sealed); k++ {
-		s, lo, hi := c.piece(k)
-		n += s.seriesCount(i, lo, hi)
-	}
-	return n
-}
-
-// CountAllGood returns the number of window snapshots in which none of the
-// given series was congested. An empty series list counts every retained
-// snapshot.
-func (c *chunks) CountAllGood(series []int) int {
-	for _, i := range series {
-		c.checkSeries(i)
-	}
-	bad := 0
-	for k := 0; k <= len(c.sealed); k++ {
-		s, lo, hi := c.piece(k)
-		bad += s.anyCount(series, lo, hi, c.acc)
-	}
-	return c.retained - bad
-}
-
-// CountPairGood returns the number of window snapshots in which neither
-// series i nor j was congested.
-func (c *chunks) CountPairGood(i, j int) int {
-	c.checkSeries(i)
-	c.checkSeries(j)
-	bad := 0
-	for k := 0; k <= len(c.sealed); k++ {
-		s, lo, hi := c.piece(k)
-		bad += s.pairCount(i, j, lo, hi)
-	}
-	return c.retained - bad
-}
-
-// CountPairsGood fills out[i] with the number of window snapshots in which
-// neither series of pairs[i] was congested. The sweep is chunk-major so
-// each chunk's words (a mapped segment's pages) are touched once for the
-// whole batch; the per-column popcounts skip chunks where a column is
-// all-good.
-func (c *chunks) CountPairsGood(pairs []snapstore.Pair, out []int) {
-	if len(out) < len(pairs) {
-		panic(fmt.Sprintf("segstore: CountPairsGood out has %d slots for %d pairs", len(out), len(pairs)))
-	}
-	for i, p := range pairs {
-		c.checkSeries(p.A)
-		c.checkSeries(p.B)
-		out[i] = 0
-	}
-	for k := 0; k <= len(c.sealed); k++ {
-		s, lo, hi := c.piece(k)
-		if lo >= hi {
-			continue
-		}
-		for i, p := range pairs {
-			out[i] += s.pairCount(p.A, p.B, lo, hi)
-		}
-	}
-	for i := range pairs {
-		out[i] = c.retained - out[i]
-	}
-}
-
-// Bit reports whether series i was congested in window snapshot t.
-func (c *chunks) Bit(i, t int) bool {
-	c.checkSeries(i)
-	if t < 0 || t >= c.retained {
-		return false
-	}
-	s, r := c.locate(c.n - c.retained + t)
-	return s.bit(i, r)
-}
-
-// RowInto materializes window snapshot t as a set of congested series into
-// dst (cleared first); t = 0 is the oldest retained snapshot.
-func (c *chunks) RowInto(t int, dst *bitset.Set) {
-	dst.Clear()
-	if t < 0 || t >= c.retained {
-		panic(fmt.Sprintf("segstore: snapshot %d outside window [0, %d)", t, c.retained))
-	}
-	c.rowInto(c.n-c.retained+t, dst)
-}
-
-// rowInto materializes absolute window row abs into dst (not cleared).
-func (c *chunks) rowInto(abs int, dst *bitset.Set) {
-	s, r := c.locate(abs)
-	s.rowInto(r, dst)
-}
-
-// locate maps absolute window row abs to its chunk and chunk-relative row.
-func (c *chunks) locate(abs int) (*segment, int) {
-	if len(c.sealed) > 0 && abs < c.active.base {
-		s := c.sealed[(abs-c.sealed[0].base)/c.segRows]
-		return s, abs - s.base
-	}
-	return c.active, abs - c.active.base
-}
-
-func (c *chunks) checkSeries(i int) {
-	if i < 0 || i >= c.series {
-		panic(fmt.Sprintf("segstore: series %d out of range (%d series)", i, c.series))
-	}
 }
 
 // ReleaseMapped hints the kernel to drop the resident pages of every

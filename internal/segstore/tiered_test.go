@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/snapstore"
 )
 
 // fillRow derives a deterministic sparse congestion row from a lifetime
@@ -21,18 +20,18 @@ func fillRow(dst *bitset.Set, series, t, density int) {
 	}
 }
 
-func testPairs(series int) []snapstore.Pair {
-	var pairs []snapstore.Pair
+func testPairs(series int) []Pair {
+	var pairs []Pair
 	for i := 0; i < series; i++ {
 		for d := 1; d <= 3 && i+d < series; d++ {
-			pairs = append(pairs, snapstore.Pair{A: i, B: i + d})
+			pairs = append(pairs, Pair{A: i, B: i + d})
 		}
 	}
 	return pairs
 }
 
 // windowRows keeps the rows a window should retain — the reference every
-// store test compares against, as a fixed snapstore.Store built from them.
+// store test compares against, through the row-major oracle.
 type windowRows struct {
 	capacity int // 0: unbounded
 	rows     []*bitset.Set
@@ -51,8 +50,8 @@ func (w *windowRows) drop(k int) int {
 	return k
 }
 
-func (w *windowRows) fixed(series int) *snapstore.Store {
-	return snapstore.FromRows(series, w.rows)
+func (w *windowRows) fixed() rowOracle {
+	return rowOracle{rows: w.rows}
 }
 
 // appendRow appends a set through the store's word path.
@@ -70,8 +69,8 @@ func storeModes(t *testing.T, segRows int) map[string]Options {
 
 // TestTieredMatchesRing drives a tiered store and a reference window
 // through the same append/evict/drop sequence and requires every count
-// kernel to agree exactly at every step with a fixed snapstore.Store built
-// from the retained rows — across chunk seals, chunks leaving the window,
+// kernel to agree exactly at every step with the row-major oracle over
+// the retained rows — across chunk seals, chunks leaving the window,
 // and windows whose head sits mid-chunk, for RAM and spilled chunks alike.
 // This is the subsystem's core contract: chunking and disk are
 // implementation details the counts cannot see.
@@ -103,7 +102,7 @@ func TestTieredMatchesRing(t *testing.T) {
 
 			check := func(step int) {
 				t.Helper()
-				fixed := ref.fixed(series)
+				fixed := ref.fixed()
 				if ts.Snapshots() != fixed.Snapshots() || ts.Appended() != appended {
 					t.Fatalf("step %d: tiered %d/%d snapshots, want %d/%d",
 						step, ts.Snapshots(), ts.Appended(), fixed.Snapshots(), appended)
@@ -115,16 +114,16 @@ func TestTieredMatchesRing(t *testing.T) {
 				}
 				ts.CountPairsGood(pairs, out)
 				for i, p := range pairs {
-					if w := fixed.CountAllGood([]int{p.A, p.B}, nil); out[i] != w {
+					if w := fixed.CountAllGood([]int{p.A, p.B}); out[i] != w {
 						t.Fatalf("step %d: pair %v good count %d, want %d", step, p, out[i], w)
 					}
 				}
 				for i := 0; i+2 < series; i += 7 {
 					sub := all[i : i+3]
-					if g, w := ts.CountAllGood(sub), fixed.CountAllGood(sub, nil); g != w {
+					if g, w := ts.CountAllGood(sub), fixed.CountAllGood(sub); g != w {
 						t.Fatalf("step %d: all-good %v count %d, want %d", step, sub, g, w)
 					}
-					if g, w := ts.CountPairGood(i, i+2), fixed.CountAllGood([]int{i, i + 2}, nil); g != w {
+					if g, w := ts.CountPairGood(i, i+2), fixed.CountAllGood([]int{i, i + 2}); g != w {
 						t.Fatalf("step %d: pair-good (%d,%d) count %d, want %d", step, i, i+2, g, w)
 					}
 				}
@@ -201,7 +200,7 @@ func TestTieredBitAndRows(t *testing.T) {
 			appendRow(ts, row, nil)
 			ref.append(row)
 		}
-		fixed := ref.fixed(series)
+		fixed := ref.fixed()
 		for w := 0; w < fixed.Snapshots(); w++ {
 			for i := 0; i < series; i++ {
 				if g, want := ts.Bit(i, w), fixed.Bit(i, w); g != want {
@@ -563,5 +562,134 @@ func TestSegmentRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// windowRowsOf reads a window's retained rows back oldest-first.
+func windowRowsOf(ts *TieredStore) []*bitset.Set {
+	rows := make([]*bitset.Set, ts.Snapshots())
+	for w := range rows {
+		rows[w] = bitset.New(ts.NumSeries())
+		ts.RowInto(w, rows[w])
+	}
+	return rows
+}
+
+// TestRingMatchesFreshStore is the sliding window's core guarantee: after
+// any append sequence, the window answers every query exactly like a
+// record built from only the retained rows — across random shapes whose
+// capacity straddles word and chunk boundaries, including windows smaller
+// than a chunk and an unbounded store. (The Ring names come from the
+// ring-buffer window the chunked store replaced.)
+func TestRingMatchesFreshStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		series := 1 + rng.Intn(70)
+		capacity := rng.Intn(700) // 0: unbounded
+		n := rng.Intn(1500)
+		rows := randomRows(rng, series, n, 4)
+
+		ts, err := NewTiered(series, capacity, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			ts.AppendEvictWords(r.Words(), nil)
+		}
+		lo := 0
+		if capacity > 0 && n > capacity {
+			lo = n - capacity
+		}
+		fresh := fromRows(series, rows[lo:], recordChunkRows)
+
+		if ts.Snapshots() != fresh.Snapshots() || ts.Appended() != n {
+			t.Fatalf("trial %d: %d/%d snapshots, want %d/%d",
+				trial, ts.Snapshots(), ts.Appended(), fresh.Snapshots(), n)
+		}
+		for i := 0; i < series; i++ {
+			if g, w := ts.CongestedCount(i), fresh.CongestedCount(i); g != w {
+				t.Fatalf("trial %d: series %d count %d, want %d", trial, i, g, w)
+			}
+		}
+		for q := 0; q < 10; q++ {
+			var idx []int
+			for i := 0; i < series; i++ {
+				if rng.Intn(4) == 0 {
+					idx = append(idx, i)
+				}
+			}
+			if g, w := ts.CountAllGood(idx), fresh.CountAllGood(idx); g != w {
+				t.Fatalf("trial %d: CountAllGood(%v) = %d, want %d", trial, idx, g, w)
+			}
+		}
+		// Window-relative rows come back oldest-first in arrival order.
+		for w, got := range windowRowsOf(ts) {
+			if want := rows[lo+w]; !got.Equal(want) {
+				t.Fatalf("trial %d: window row %d = %v, want %v", trial, w, got, want)
+			}
+		}
+		ts.Close()
+	}
+}
+
+// TestRingAppendEvict pins the eviction protocol: the evicted row is
+// exactly the snapshot that fell out of the window, across chunk seals.
+func TestRingAppendEvict(t *testing.T) {
+	const series, capacity, n = 10, 100, 300 // 64-row chunks; head mid-chunk
+	rng := rand.New(rand.NewSource(4))
+	rows := randomRows(rng, series, n, 4)
+	ts, err := NewTiered(series, capacity, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	evicted := bitset.New(series)
+	evicted.Add(3) // must be cleared by the first, non-evicting append
+	for i, r := range rows {
+		did := ts.AppendEvictWords(r.Words(), evicted)
+		if want := i >= capacity; did != want {
+			t.Fatalf("append %d: eviction %v, want %v", i, did, want)
+		}
+		if did && !evicted.Equal(rows[i-capacity]) {
+			t.Fatalf("append %d: evicted %v, want %v", i, evicted, rows[i-capacity])
+		}
+		if !did && !evicted.IsEmpty() {
+			t.Fatalf("append %d: evicted set %v not cleared on no-evict", i, evicted)
+		}
+	}
+}
+
+// TestRingRowsAndEqual pins the row views of a window whose head sits
+// mid-chunk: the rows read back are exactly the retained rows, oldest
+// first, so a record built from them equals a record over the same rows
+// and no record over other rows.
+func TestRingRowsAndEqual(t *testing.T) {
+	const series, capacity, n = 6, 100, 230
+	rng := rand.New(rand.NewSource(6))
+	rows := randomRows(rng, series, n, 4)
+	ts, err := NewTiered(series, capacity, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	for _, r := range rows {
+		ts.AppendEvictWords(r.Words(), nil)
+	}
+	got := windowRowsOf(ts)
+	if len(got) != capacity {
+		t.Fatalf("window holds %d rows, want %d retained", len(got), capacity)
+	}
+	for w, r := range got {
+		if !r.Equal(rows[n-capacity+w]) {
+			t.Fatalf("row %d = %v, want %v", w, r, rows[n-capacity+w])
+		}
+	}
+	window := fromRows(series, got, 64)
+	fresh := fromRows(series, rows[n-capacity:], recordChunkRows)
+	if !equalColumns(window, fresh) || !equalColumns(fresh, window) || !equalColumns(&ts.Columns, fresh) {
+		t.Fatal("window rows do not equal a record over the same rows")
+	}
+	if other := fromRows(series, rows[:capacity], recordChunkRows); equalColumns(window, other) {
+		t.Fatal("window rows equal a record over different rows")
 	}
 }

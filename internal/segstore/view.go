@@ -15,7 +15,7 @@ package segstore
 // fully independent. Close releases the chunk references and is
 // idempotent; a closed view may be recycled through the next SnapshotView.
 type TieredView struct {
-	chunks
+	Columns
 	buf    *segment // the view's copy of the write buffer, reused across recycles
 	closed bool
 }
@@ -41,7 +41,7 @@ func (ts *TieredStore) SnapshotView(recycle *TieredView) *TieredView {
 		v.acc = make([]uint64, ts.segRows/wordBits)
 	}
 	v.closed = false
-	v.chunks = chunks{
+	v.Columns = Columns{
 		series: ts.series, segRows: ts.segRows, capacity: ts.capacity,
 		n: ts.n, retained: ts.retained,
 		sealed: v.sealed[:0], active: v.buf, acc: v.acc,

@@ -21,9 +21,9 @@ import (
 //	offset 16 CRC-32C (Castagnoli) of the payload (uint32)
 //
 // followed by the payload. The dense payload is snapshots rows of
-// ceil(numPaths/64) uint64 words each — the exact word layout the
-// snapstore/segstore columns use, so an accepted batch is appended with no
-// per-snapshot re-packing. The sparse payload (for mostly-good snapshots;
+// ceil(numPaths/64) uint64 words each (bit i of word w ⇒ path w*64+i) —
+// the exact row layout the segstore window appends, so an accepted batch is
+// appended with no per-snapshot re-packing. The sparse payload (for mostly-good snapshots;
 // only expressible when numPaths fits in 16 bits) is, per snapshot, a
 // uint16 index count followed by that many strictly increasing uint16 path
 // indices. The encoder picks whichever payload is smaller per batch; the

@@ -54,7 +54,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/snapstore"
+	"repro/internal/segstore"
 	"repro/internal/tomographer"
 	"repro/internal/topology"
 )
@@ -76,12 +76,13 @@ type (
 
 // Re-exported measurement types.
 type (
-	// Record holds per-snapshot congested-path observations as a thin view
-	// over columnar SnapshotStores.
+	// Record holds per-snapshot congested-path observations as immutable
+	// SnapshotStore columns.
 	Record = netsim.Record
-	// SnapshotStore is the columnar measurement store: one packed bit
-	// column per path (or link) over snapshots.
-	SnapshotStore = snapstore.Store
+	// SnapshotStore is a record's columnar measurement store: one packed
+	// bit column per path (or link) over snapshots, in RAM chunks of the
+	// same column store that backs every sliding window.
+	SnapshotStore = segstore.Columns
 	// PathSet is a set of path indices — the per-snapshot observation fed
 	// to Empirical.Append and returned by Record.PathSnapshot. Build one
 	// with NewPathSet.

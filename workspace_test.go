@@ -24,6 +24,15 @@ func quietDetector() *tomography.ChangeDetector {
 	return &tomography.ChangeDetector{Warmup: math.MaxInt32, Drift: 1, Threshold: 1e18, Smoothing: 1}
 }
 
+// recordRows materializes every snapshot of a record, oldest first.
+func recordRows(rec *tomography.Record) []*tomography.PathSet {
+	rows := make([]*tomography.PathSet, rec.Snapshots())
+	for t := range rows {
+		rows[t] = rec.PathSnapshot(t)
+	}
+	return rows
+}
+
 // briteWindowFixture builds a mid-sized Brite scenario record and
 // pre-materialized observation rows for windowed-inference tests.
 func briteWindowFixture(t testing.TB, snapshots int) (*scenario.Scenario, []*tomography.PathSet) {
@@ -44,7 +53,7 @@ func briteWindowFixture(t testing.TB, snapshots int) (*scenario.Scenario, []*tom
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, rec.Paths.Rows()
+	return s, recordRows(rec)
 }
 
 // figure1AWindowFixture builds a record over the Figure-1(a) toy — small
@@ -77,7 +86,7 @@ func figure1AWindowFixture(t testing.TB, snapshots int) (*tomography.Topology, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	return top, rec.Paths.Rows()
+	return top, recordRows(rec)
 }
 
 // steadyStateAllocs measures the average allocations of one steady-state
