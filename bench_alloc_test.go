@@ -1,7 +1,8 @@
 // Zero-allocation steady-state benchmarks (BENCH_alloc.json): price the
 // reused evaluate workspace against the allocating estimate path on the
-// windowed-inference loop, and a record's batched pair-count sweep against
-// per-pair counts. Every baseline is measured in the same run.
+// windowed-inference loop, a record's batched pair-count sweep against
+// per-pair counts, and a linear estimate over a dead path against the same
+// estimate without one. Every baseline is measured in the same run.
 package tomography_test
 
 import (
@@ -10,6 +11,11 @@ import (
 	"testing"
 
 	tomography "repro"
+	"repro/internal/brite"
+	"repro/internal/core"
+	"repro/internal/measure"
+	"repro/internal/netsim"
+	"repro/internal/scenario"
 	"repro/internal/segstore"
 )
 
@@ -175,4 +181,89 @@ func BenchmarkBatchPairCount(b *testing.B) {
 			len(pairs), snapshots, pp/1e6, bb/1e6, metrics["speedup"])
 	}
 	writeBenchJSONFile(b, "BENCH_alloc.json", "BenchmarkBatchPairCount", metrics)
+}
+
+// BenchmarkDeadPathRunIn prices LinearPlan.RunIn on a warm workspace when a
+// path used by a selected equation is congested in every snapshot, on the
+// ablation scenario (Brite, 150 paths, 2048 snapshots). Two arms: "normal"
+// has no dead path; "dead" has one, so every call resumes the compiled
+// selection at the dead path's row and rebuilds the rank tracker there.
+func BenchmarkDeadPathRunIn(b *testing.B) {
+	const snapshots = 2048
+	net, err := brite.Generate(brite.Config{ASes: 40, EdgesPerAS: 2, Paths: 150, Seed: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := scenario.Brite(scenario.BriteConfig{
+		Net: net, FracCongested: 0.10, Level: scenario.HighCorrelation, Seed: 31,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, err := netsim.Run(netsim.Config{Topology: s.Topology, Model: s.Model, Snapshots: snapshots, Seed: 97})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lp, err := core.CompileLinear(s.Topology, false, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	normal, err := measure.NewEmpirical(rec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := lp.Structure().EvaluateIn(core.NewWorkspace(), normal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// withDead rebuilds the record with one selected row's first path
+	// congested in every snapshot.
+	withDead := func(row int) *measure.Empirical {
+		dead := sys.Equations[row].Paths[0]
+		rows := recordRows(rec)
+		for _, r := range rows {
+			r.Add(int(dead))
+		}
+		src, err := measure.NewEmpirical(tomography.NewRecordFromRows(rec.NumPaths(), rows))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return src
+	}
+	dead := withDead(len(sys.Equations) / 2)
+	metrics := map[string]float64{
+		"snapshots": snapshots,
+		"paths":     float64(s.Topology.NumPaths()),
+		"links":     float64(s.Topology.NumLinks()),
+		"equations": float64(len(sys.Equations)),
+	}
+
+	run := func(name string, src measure.Source) {
+		b.Run(name, func(b *testing.B) {
+			ws := core.NewWorkspace()
+			// Warm-up: grow the workspace and fill the source's caches.
+			for i := 0; i < 3; i++ {
+				if _, err := lp.RunIn(ws, src); err != nil {
+					b.Fatal(err)
+				}
+			}
+			allocs := countAllocs(b, func() {
+				res, err := lp.RunIn(ws, src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += res.CongestionProb[0]
+			})
+			metrics[name+"-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			metrics[name+"-allocs/op"] = allocs
+		})
+	}
+	run("normal", normal)
+	run("dead", dead)
+	if n, d := metrics["normal-ns/op"], metrics["dead-ns/op"]; n > 0 && d > 0 {
+		metrics["dead-vs-normal"] = d / n
+		b.Logf("RunIn: normal %.2f ms, with a dead path %.2f ms (%.1f× normal, %.0f allocs)",
+			n/1e6, d/1e6, metrics["dead-vs-normal"], metrics["dead-allocs/op"])
+	}
+	writeBenchJSONFile(b, "BENCH_alloc.json", "BenchmarkDeadPathRunIn", metrics)
 }

@@ -175,7 +175,7 @@ func BenchmarkWindowedInference(b *testing.B) {
 	rows := recordRows(rec)
 
 	// rhsFill mimics an estimate's probability lookups: every single path
-	// and a band of pairs (the dominant query mix of BuildEquations).
+	// and a band of pairs (the dominant query mix of the equation selection).
 	rhsFill := func(src *tomography.Empirical) float64 {
 		sum := 0.0
 		n := top.NumPaths()

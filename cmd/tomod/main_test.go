@@ -52,13 +52,12 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestGoldenSelftest pins the daemon's startup/config block and the
-// deterministic selftest counts: -no-timing suppresses every
-// hardware-dependent line, so the remaining output is a pure function of
-// the flags.
+// deterministic selftest counts: the selftest prints no hardware-dependent
+// line, so its whole output is a pure function of the flags.
 func TestGoldenSelftest(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	err := run([]string{
-		"-selftest", "-no-timing",
+		"-selftest",
 		"-shards", "2", "-queue", "128",
 		"-scenario", "quickstart", "-tenants", "2", "-window", "120",
 		"-snapshots", "480", "-batch", "40", "-estimate-every", "2", "-seed", "7",
@@ -218,47 +217,36 @@ func TestSIGTERMGracefulShutdown(t *testing.T) {
 }
 
 // selftestReport is the part of a selftest's stdout the tests check: the
-// deterministic counts and the hardware-dependent rates.
+// deterministic counts.
 type selftestReport struct {
-	ingested, estimates                      int
-	snapsPerSec, p50Ms, p99Ms                float64
-	jsonSnaps, jsonMB, binarySnaps, binaryMB float64
+	ingested, estimates int
 }
 
-// parseSelftest reads the report lines a selftest run printed, failing the
-// test on any line that is missing.
+// parseSelftest reads the counts line a selftest run printed, failing the
+// test if it is missing.
 func parseSelftest(t *testing.T, out string) selftestReport {
 	t.Helper()
 	var r selftestReport
-	lines := []struct {
-		pattern string
-		args    []any
-	}{
-		{`selftest: ingested %d snapshots, served %d estimates`, []any{&r.ingested, &r.estimates}},
-		{`selftest: throughput %f snapshots/sec, estimate latency p50 %f ms / p99 %f ms`, []any{&r.snapsPerSec, &r.p50Ms, &r.p99Ms}},
-		{`selftest: wire comparison: json %f snapshots/sec (%f MB/s), binary %f snapshots/sec (%f MB/s)`,
-			[]any{&r.jsonSnaps, &r.jsonMB, &r.binarySnaps, &r.binaryMB}},
+	const pattern = `selftest: ingested %d snapshots, served %d estimates`
+	prefix := pattern[:strings.Index(pattern, "%")]
+	i := strings.Index(out, prefix)
+	if i < 0 {
+		t.Fatalf("selftest output has no %q line:\n%s", prefix, out)
 	}
-	for _, l := range lines {
-		prefix := l.pattern[:strings.Index(l.pattern, "%")]
-		i := strings.Index(out, prefix)
-		if i < 0 {
-			t.Fatalf("selftest output has no %q line:\n%s", prefix, out)
-		}
-		line := out[i:]
-		if n := strings.IndexByte(line, '\n'); n >= 0 {
-			line = line[:n]
-		}
-		if _, err := fmt.Sscanf(line, l.pattern, l.args...); err != nil {
-			t.Fatalf("parsing %q: %v", line, err)
-		}
+	line := out[i:]
+	if n := strings.IndexByte(line, '\n'); n >= 0 {
+		line = line[:n]
+	}
+	if _, err := fmt.Sscanf(line, pattern, &r.ingested, &r.estimates); err != nil {
+		t.Fatalf("parsing %q: %v", line, err)
 	}
 	return r
 }
 
 // TestSelftestWritesBench pins the selftest report a run prints: the
-// deterministic count fields, non-zero throughput, consistent latency
-// percentiles and a populated wire comparison.
+// deterministic count fields, the json wire by default, and no
+// hardware-dependent line. The run also passes the firehose's
+// estimates-under-load and wire-equivalence checks, or run fails.
 func TestSelftestWritesBench(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	err := run([]string{
@@ -276,18 +264,13 @@ func TestSelftestWritesBench(t *testing.T) {
 	if report.estimates != 8 {
 		t.Errorf("estimates = %d, want 8 (4 per tenant: window warm after batch 2, then every 2 of 8 batches)", report.estimates)
 	}
-	if report.snapsPerSec <= 0 {
-		t.Errorf("throughput not populated: %+v", report)
-	}
-	if report.p50Ms <= 0 || report.p99Ms < report.p50Ms {
-		t.Errorf("latency percentiles inconsistent: p50 %v, p99 %v", report.p50Ms, report.p99Ms)
-	}
 	if strings.Contains(out.String(), "  wire:") {
 		t.Errorf("config block names a wire, want the json default:\n%s", out.String())
 	}
-	if report.jsonSnaps <= 0 || report.jsonMB <= 0 || report.binarySnaps <= 0 || report.binaryMB <= 0 {
-		t.Errorf("wire-comparison fields not populated: json %v snap/s %v MB/s, binary %v snap/s %v MB/s",
-			report.jsonSnaps, report.jsonMB, report.binarySnaps, report.binaryMB)
+	for _, timing := range []string{"snapshots/sec", " ms", "(429)"} {
+		if strings.Contains(out.String(), timing) {
+			t.Errorf("selftest output carries a timing line (%q):\n%s", timing, out.String())
+		}
 	}
 }
 

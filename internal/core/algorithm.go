@@ -30,45 +30,39 @@ type Result struct {
 	Solver SolverKind
 }
 
-// Options tunes the practical algorithms.
+// Options tunes the practical algorithms. The zero value is the paper's
+// algorithm.
 type Options struct {
-	// MinProb and MaxPairCandidates are forwarded to BuildEquations.
-	MinProb           float64
-	MaxPairCandidates int
-	// MaxLPSize bounds the number of unknowns for the exact L1 simplex; above
-	// it the min-norm completion is used (default 600).
-	MaxLPSize int
 	// UseAllEquations switches to an overdetermined formulation: gather up to
 	// 3·|E| admissible equations (not just |E| independent ones) and solve by
 	// least squares. Off by default — the paper's algorithm forms "just
 	// enough" equations. Exposed for the solver ablation benchmark.
 	UseAllEquations bool
-	// DisablePairs skips pair equations (the "pairs off" ablation).
+	// DisablePairs skips the pair-equation step (Eq. 10) entirely — the
+	// "pairs off" ablation quantifying how much the two-path observations
+	// contribute to identifiability.
 	DisablePairs bool
 	// ForceMinNorm skips the L1 LP for underdetermined systems and uses the
 	// minimum-L2-norm completion directly (solver ablation).
 	ForceMinNorm bool
-	// PathFilter restricts equation formation to selected paths (see
-	// BuildOptions.PathFilter).
+	// PathFilter, when non-nil, restricts equation formation to paths for
+	// which it returns true (e.g. a training split for indirect validation).
 	PathFilter func(topology.PathID) bool
 }
 
-func (o *Options) fill() {
-	if o.MaxLPSize <= 0 {
-		o.MaxLPSize = 600
-	}
-	if o.MinProb <= 0 {
-		o.MinProb = 1e-9
-	}
-	if o.MaxPairCandidates <= 0 {
-		o.MaxPairCandidates = 200000
-	}
-}
-
-// Normalized returns the options with every unset field replaced by its
-// default — the canonical form, so zero values and explicit defaults
-// compare equal (plan memoization relies on this).
-func (o Options) Normalized() Options {
-	o.fill()
-	return o
-}
+const (
+	// minProb is the smallest usable measured probability: an observation
+	// at or below it is dropped from the system.
+	minProb = 1e-9
+	// maxPairCandidates caps how many pair candidates the enumeration
+	// examines.
+	maxPairCandidates = 200000
+	// maxLPSize bounds the number of unknowns for the exact L1 simplex;
+	// above it the min-norm completion is used.
+	maxLPSize = 600
+	// gf2RankThreshold: above this many links, rank tracking switches from
+	// floating-point Gram–Schmidt to GF(2) XOR elimination, which is
+	// dramatically faster and sound (GF(2)-independent ⇒ ℚ-independent) at
+	// the cost of occasionally under-collecting an equation.
+	gf2RankThreshold = 600
+)

@@ -138,7 +138,7 @@ func exactSource(t *testing.T, top *topology.Topology, m congestion.Model) *meas
 func TestBuildEquationsFigure1A(t *testing.T) {
 	top := topology.Figure1A()
 	src := exactSource(t, top, fig1aTable(t))
-	sys, err := BuildEquations(top, src, BuildOptions{})
+	sys, err := BuildEquations(top, src, false, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestEquationsAdmissibilityInvariant(t *testing.T) {
 		}
 		model, _ := congestion.NewIndependent(p)
 		src := exactSource(t, top, model)
-		sys, err := BuildEquations(top, src, BuildOptions{})
+		sys, err := BuildEquations(top, src, false, Options{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -554,7 +554,7 @@ func TestBuildEquationsSourceMismatch(t *testing.T) {
 	other := topology.Figure1B()
 	model, _ := congestion.NewIndependent([]float64{0.1, 0.1, 0.1})
 	src := exactSource(t, other, model) // 2 paths
-	if _, err := BuildEquations(top, src, BuildOptions{}); err == nil {
+	if _, err := BuildEquations(top, src, false, Options{}, false); err == nil {
 		t.Fatal("path-count mismatch accepted")
 	}
 }
@@ -579,7 +579,7 @@ func TestMinProbSkipsDeadPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := exactSource(t, top, model)
-	sys, err := BuildEquations(top, src, BuildOptions{})
+	sys, err := BuildEquations(top, src, false, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,11 @@ func TestDisablePairsLimitsRank(t *testing.T) {
 	model := fig1aTable(t)
 	src := exactSource(t, top, model)
 
-	full, err := BuildEquations(top, src, BuildOptions{})
+	full, err := BuildEquations(top, src, false, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noPairs, err := BuildEquations(top, src, BuildOptions{DisablePairs: true})
+	noPairs, err := BuildEquations(top, src, false, Options{DisablePairs: true}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +60,9 @@ func TestPathFilterExcludesPaths(t *testing.T) {
 
 	// Exclude P1: no equation may reference it, and link e1 (only on P1)
 	// must be uncovered.
-	sys, err := BuildEquations(top, src, BuildOptions{
+	sys, err := BuildEquations(top, src, false, Options{
 		PathFilter: func(id topology.PathID) bool { return id != 0 },
-	})
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,24 +79,33 @@ func TestPathFilterExcludesPaths(t *testing.T) {
 }
 
 func TestGF2ThresholdPath(t *testing.T) {
-	// Forcing the GF(2) tracker (threshold 1) must produce the same
-	// system rank on Figure 1(a) as the float tracker.
+	// The GF(2) tracker must produce the same system rank on Figure 1(a)
+	// as the float tracker.
 	top := topology.Figure1A()
 	model := fig1aTable(t)
 	src := exactSource(t, top, model)
-	gf2, err := BuildEquations(top, src, BuildOptions{GF2RankThreshold: 1})
+	gf2, err := BuildEquations(top, src, false, Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flt, err := BuildEquations(top, src, BuildOptions{GF2RankThreshold: 1 << 20})
+	flt, err := BuildEquations(top, src, false, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gf2.Rank != flt.Rank {
 		t.Fatalf("GF2 rank %d != float rank %d", gf2.Rank, flt.Rank)
 	}
-	// And inference through the GF(2) path stays exact.
-	res, err := correlation(top, src, Options{})
+	// And inference through the GF(2)-selected structure stays exact.
+	st, err := compileStructure(top, false, Options{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace()
+	sys, err := st.EvaluateIn(ws, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := solveSystemIn(ws, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

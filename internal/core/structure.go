@@ -1,31 +1,17 @@
 package core
 
 import (
-	"fmt"
+	"math"
 
 	"repro/internal/bitset"
 	"repro/internal/measure"
 	"repro/internal/topology"
 )
 
-// Candidate is one equation selected by the structural compile phase: the
-// link set of a single admissible path or of an admissible pair union, plus
-// the paths whose joint good-probability forms the equation's right-hand
-// side.
-type Candidate struct {
-	// Links is the equation's link set (row of the A matrix).
-	Links *bitset.Set
-	// Paths are the involved paths (one for a single-path equation, two for
-	// a pair equation).
-	Paths []topology.PathID
-	// Pair reports whether this is a pair equation (Eq. 10 vs Eq. 9).
-	Pair bool
-}
-
 // Structure is the compiled structural phase of the Section-4 equation
-// selection for one (topology, BuildOptions) pair: the admissible candidates
-// that the selection accepts when every accepted observation is usable, in
-// acceptance order, together with the resulting rank and link coverage.
+// selection for one topology, correlation partition and Options: the whole
+// admissible candidate stream, and the selection made from it when every
+// measured probability is usable.
 //
 // Everything in a Structure depends only on the topology and the structural
 // options — not on measured data — so one Structure can be evaluated against
@@ -33,82 +19,122 @@ type Candidate struct {
 // trials) with EvaluateIn. A Structure is immutable after CompileStructure
 // returns and therefore safe for concurrent use by multiple goroutines.
 type Structure struct {
-	top  *topology.Topology
-	opts BuildOptions
-
-	accepted  []Candidate
-	singleEqs int
-	pairEqs   int
-	rank      int
-	covered   *bitset.Set
-	// pairs lists every accepted pair equation's path pair, in acceptance
-	// order — the precomputed query set of the batched pair-count kernel
-	// (measure.BatchPairSource.PrimePairs).
+	top    *topology.Topology
+	stream []candidate
+	// collectAll keeps every usable candidate, independent or not, up to
+	// 3·|E| rows (UseAllEquations).
+	collectAll bool
+	// gf2 selects the GF(2) rank tracker.
+	gf2 bool
+	// compiled is the selection with every row usable.
+	compiled selection
+	// pairs lists the path pair of every pair row of compiled — the query
+	// set of the batched pair-count kernel (measure.BatchPairSource).
 	pairs []measure.Pair
 }
 
-// CompileStructure runs the source-independent part of BuildEquations: it
-// enumerates the admissible single-path and pair candidates in the fused
-// selection's order and records the ones that rank tracking accepts,
-// assuming every accepted observation has a usable (> MinProb) measured
-// probability. EvaluateIn detects the rare violation of that assumption and
-// transparently replays the fused selection, so Compile+EvaluateIn is
-// always bit-identical to BuildEquations.
-func CompileStructure(top *topology.Topology, opts BuildOptions) (*Structure, error) {
-	opts.fill(top)
-	if len(opts.SetOf) != top.NumLinks() {
-		return nil, fmt.Errorf("core: SetOf has %d entries, want %d", len(opts.SetOf), top.NumLinks())
+// selection is the outcome of the Section-4 loop over a structure's stream:
+// the stream positions of the rows it accepted, in stream order, with their
+// link sets, and the number of rows it dropped for an unusable measured
+// probability. Every other position before the loop stopped was skipped for
+// not raising the rank. Which rows are probed depends only on the answers
+// at earlier probed rows, so the compiled selection holds for every source
+// whose accepted rows all measure usable.
+type selection struct {
+	accepted []int32
+	links    []*bitset.Set
+	dropped  int
+
+	singleEqs, pairEqs int
+	rank               int
+	covered            *bitset.Set
+}
+
+// selectFrom runs the Section-4 loop over the stream from position q on,
+// after the rows sel already accepted and dropped (all before q). A row that
+// raises the rank (or every row, under collectAll) is probed: prob returns
+// its measured all-good probability, and the row is dropped when that is
+// at or below minProb and accepted otherwise, NaN included. The loop stops
+// once the system has full rank (3·|E| rows under collectAll) or the
+// stream ends. The log-probabilities of newly accepted rows are appended
+// to ys, which selectFrom returns. Only accepted pair rows get a link set
+// of their own.
+func (s *Structure) selectFrom(sel *selection, q int, ys []float64, prob func(c *candidate) float64) []float64 {
+	nl := s.top.NumLinks()
+	basis := newRankTracker(nl, s.gf2)
+	for _, links := range sel.links {
+		basis.add(links)
 	}
-
-	nl := top.NumLinks()
-	s := &Structure{top: top, opts: opts, covered: bitset.New(nl)}
-	basis := newRankTracker(nl, &opts)
-
-	done := func() bool {
-		if opts.CollectAll {
-			return len(s.accepted) >= opts.MaxEquations
-		}
-		return basis.full()
-	}
-
-	err := enumerateCandidates(top, &opts, func(links *bitset.Set, pair bool, paths ...topology.PathID) bool {
-		if opts.CollectAll || basis.wouldIncrease(links) {
-			basis.add(links)
-			s.accepted = append(s.accepted, Candidate{
-				Links: links.Clone(),
-				Paths: append([]topology.PathID{}, paths...),
-				Pair:  pair,
-			})
-			if pair {
-				s.pairEqs++
-				s.pairs = append(s.pairs, measure.Pair{A: int(paths[0]), B: int(paths[1])})
+	union := bitset.New(nl)
+	for ; q < len(s.stream); q++ {
+		c := &s.stream[q]
+		links := linksOf(s.top, c, union)
+		if s.collectAll || basis.wouldIncrease(links) {
+			if p := prob(c); p <= minProb {
+				sel.dropped++
 			} else {
-				s.singleEqs++
+				if links == union {
+					links = union.Clone()
+				}
+				basis.add(links)
+				sel.accepted = append(sel.accepted, int32(q))
+				sel.links = append(sel.links, links)
+				ys = append(ys, math.Log(p))
 			}
-			s.covered.UnionWith(links)
 		}
-		return !done()
-	})
+		if s.collectAll && len(sel.accepted) >= 3*nl || !s.collectAll && basis.full() {
+			break
+		}
+	}
+
+	sel.rank = basis.rank()
+	sel.singleEqs, sel.pairEqs = 0, 0
+	sel.covered = bitset.New(nl)
+	for i, a := range sel.accepted {
+		if s.stream[a].n == 2 {
+			sel.pairEqs++
+		} else {
+			sel.singleEqs++
+		}
+		sel.covered.UnionWith(sel.links[i])
+	}
+	return ys
+}
+
+// CompileStructure enumerates the admissible candidate stream for a
+// topology — over the Nguyen–Thiran identity partition when identity is
+// set, the topology's correlation sets otherwise — and runs the selection
+// over it with every measured probability assumed usable. EvaluateIn
+// checks that assumption against each source and resumes the selection at
+// the first row where it fails, so Compile+EvaluateIn always equals the
+// selection made with the data in hand.
+func CompileStructure(top *topology.Topology, identity bool, opts Options) (*Structure, error) {
+	return compileStructure(top, identity, opts, top.NumLinks() > gf2RankThreshold)
+}
+
+// compileStructure is CompileStructure with the rank tracker chosen by the
+// caller.
+func compileStructure(top *topology.Topology, identity bool, opts Options, gf2 bool) (*Structure, error) {
+	setOf := make([]int, top.NumLinks())
+	for k := range setOf {
+		setOf[k] = k
+		if !identity {
+			setOf[k] = top.SetOf(topology.LinkID(k))
+		}
+	}
+	stream, err := enumerateCandidates(top, setOf, &opts)
 	if err != nil {
 		return nil, err
 	}
-
-	s.rank = basis.rank()
+	s := &Structure{top: top, stream: stream, collectAll: opts.UseAllEquations, gf2: gf2}
+	s.selectFrom(&s.compiled, 0, nil, func(*candidate) float64 { return 1 })
+	for _, a := range s.compiled.accepted {
+		if c := &s.stream[a]; c.n == 2 {
+			s.pairs = append(s.pairs, measure.Pair{A: int(c.paths[0]), B: int(c.paths[1])})
+		}
+	}
 	return s, nil
 }
-
-// Topology returns the topology the structure was compiled for.
-func (s *Structure) Topology() *topology.Topology { return s.top }
-
-// NumEquations returns the number of precollected equations.
-func (s *Structure) NumEquations() int { return len(s.accepted) }
-
-// Rank returns the precomputed rank of the selected system.
-func (s *Structure) Rank() int { return s.rank }
-
-// Candidates returns the accepted candidates in selection order. The slice
-// and its link sets are shared with the structure and must not be mutated.
-func (s *Structure) Candidates() []Candidate { return s.accepted }
 
 // LinearPlan couples a compiled equation structure with the solver options
 // of one of the practical algorithms (correlation or independence).
@@ -123,33 +149,11 @@ type LinearPlan struct {
 // (Independence). The returned plan is immutable and safe for concurrent
 // RunIn calls, each on its own workspace.
 func CompileLinear(top *topology.Topology, identity bool, opts Options) (*LinearPlan, error) {
-	opts.fill()
-	structure, err := CompileStructure(top, buildOptions(top, identity, opts))
+	structure, err := CompileStructure(top, identity, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &LinearPlan{structure: structure, opts: opts}, nil
-}
-
-// buildOptions maps algorithm Options onto the equation-selection options,
-// with the identity partition substituted for the topology's correlation
-// sets when requested.
-func buildOptions(top *topology.Topology, identity bool, opts Options) BuildOptions {
-	var setOf []int
-	if identity {
-		setOf = make([]int, top.NumLinks())
-		for k := range setOf {
-			setOf[k] = k
-		}
-	}
-	return BuildOptions{
-		SetOf:             setOf,
-		MinProb:           opts.MinProb,
-		MaxPairCandidates: opts.MaxPairCandidates,
-		CollectAll:        opts.UseAllEquations,
-		DisablePairs:      opts.DisablePairs,
-		PathFilter:        opts.PathFilter,
-	}
 }
 
 // Structure returns the plan's compiled equation structure.

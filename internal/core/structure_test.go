@@ -17,6 +17,13 @@ import (
 // congestion scenario and an empirical source over a short simulation.
 func briteFixture(t *testing.T, seed int64) (*topology.Topology, *measure.Empirical) {
 	t.Helper()
+	top, rec := briteRecord(t, seed)
+	return top, mustEmpirical(t, rec)
+}
+
+// briteRecord is briteFixture's topology and simulation record.
+func briteRecord(t testing.TB, seed int64) (*topology.Topology, *netsim.Record) {
+	t.Helper()
 	net, err := brite.Generate(brite.Config{ASes: 25, EdgesPerAS: 2, Paths: 80, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
@@ -33,35 +40,22 @@ func briteFixture(t *testing.T, seed int64) (*topology.Topology, *measure.Empiri
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.Topology, mustEmpirical(t, rec)
+	return s.Topology, rec
 }
 
 // TestCompileEvaluateMatchesBuildEquations pins the compile/evaluate split
 // bit-identical to the fused selection across randomized topologies and the
 // structural option variants.
 func TestCompileEvaluateMatchesBuildEquations(t *testing.T) {
-	variants := []struct {
-		name string
-		opts BuildOptions
-	}{
-		{"default", BuildOptions{}},
-		{"collect-all", BuildOptions{CollectAll: true}},
-		{"pairs-off", BuildOptions{DisablePairs: true}},
-		{"gf2", BuildOptions{GF2RankThreshold: 1}},
-	}
 	ws := NewWorkspace() // reused across seeds, variants and rounds
 	for _, seed := range []int64{3, 17, 91} {
 		top, src := briteFixture(t, seed)
-		identity := make([]int, top.NumLinks())
-		for k := range identity {
-			identity[k] = k
-		}
-		for _, v := range variants {
-			fused, err := BuildEquations(top, src, v.opts)
+		for _, v := range selectorVariants {
+			fused, err := BuildEquations(top, src, v.identity, v.opts, v.gf2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := CompileStructure(top, v.opts)
+			st, err := compileStructure(top, v.identity, v.opts, v.gf2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,22 +68,6 @@ func TestCompileEvaluateMatchesBuildEquations(t *testing.T) {
 					t.Fatalf("seed %d %s round %d: compiled evaluation differs from fused BuildEquations", seed, v.name, round)
 				}
 			}
-		}
-		// Identity partition (Independence structure).
-		fused, err := BuildEquations(top, src, BuildOptions{SetOf: identity})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := CompileStructure(top, BuildOptions{SetOf: identity})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys, err := st.EvaluateIn(ws, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(fused, sys) {
-			t.Fatalf("seed %d identity: compiled evaluation differs from fused BuildEquations", seed)
 		}
 	}
 }
@@ -111,12 +89,11 @@ func TestLinearPlanMatchesAlgorithms(t *testing.T) {
 	}
 	ws := NewWorkspace()
 	for _, c := range cases {
-		opts := c.opts.Normalized()
-		sys, err := BuildEquations(top, src, buildOptions(top, c.identity, opts))
+		sys, err := BuildEquations(top, src, c.identity, c.opts, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := solveSystemIn(NewWorkspace(), sys, opts)
+		want, err := solveSystemIn(NewWorkspace(), sys, c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,8 +114,8 @@ func TestLinearPlanMatchesAlgorithms(t *testing.T) {
 }
 
 // TestEvaluateFallbackOnZeroProb forces the data-dependent path — a
-// precollected equation with zero measured probability — and checks the
-// compiled evaluation still matches the fused selection exactly.
+// compiled row with zero measured probability — and checks the resumed
+// selection matches the fused one exactly.
 func TestEvaluateFallbackOnZeroProb(t *testing.T) {
 	top := topology.Figure1A()
 	model, err := congestion.NewTable(4, []congestion.GroupTable{
@@ -157,14 +134,14 @@ func TestEvaluateFallbackOnZeroProb(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := exactSource(t, top, model)
-	fused, err := BuildEquations(top, src, BuildOptions{})
+	fused, err := BuildEquations(top, src, false, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fused.SkippedZeroProb == 0 {
 		t.Fatal("fixture must trigger zero-probability skips")
 	}
-	st, err := CompileStructure(top, BuildOptions{})
+	st, err := CompileStructure(top, false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +150,7 @@ func TestEvaluateFallbackOnZeroProb(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fused, sys) {
-		t.Fatal("fallback evaluation differs from fused BuildEquations")
+		t.Fatal("resumed evaluation differs from fused BuildEquations")
 	}
 }
 
@@ -181,7 +158,7 @@ func TestEvaluateFallbackOnZeroProb(t *testing.T) {
 func TestEvaluateSourceMismatch(t *testing.T) {
 	top, _ := briteFixture(t, 5)
 	src := exactSource(t, topology.Figure1A(), fig1aTable(t)) // 3 paths vs 80
-	st, err := CompileStructure(top, BuildOptions{})
+	st, err := CompileStructure(top, false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,12 @@ type Workspace struct {
 	la linalg.Workspace
 	lp lp.Workspace
 
-	// EvaluateIn scratch.
+	// EvaluateIn state: the right-hand sides and equations of the last
+	// system, and the probe scratch for sources without the fast pair path.
 	ys      []float64
+	eqs     []Equation
 	sys     EquationSystem
-	pathSet *bitset.Set // probe scratch for sources without the fast pair path
+	pathSet *bitset.Set
 
 	// Solver scratch.
 	mat linalg.Matrix
@@ -65,19 +67,18 @@ func (ws *Workspace) acquire() {
 func (ws *Workspace) release() { ws.busy.Store(0) }
 
 // EvaluateIn fills the compiled structure's right-hand side from a
-// measurement source: one probability lookup per precollected equation, no
-// candidate enumeration, no admissibility checks, no rank tracking. The
-// result is bit-identical to BuildEquations(top, src, opts) on the same
-// inputs.
+// measurement source and returns the equation system that the Section-4
+// selection makes with the data in hand. It probes the compiled
+// selection's accepted rows in stream order; while each measures above
+// minProb, that is one probability lookup per row, with no enumeration or
+// rank tracking. At the first row that does not, the selection is resumed
+// from that row, with the rank tracker rebuilt from the rows accepted
+// before it; the resume allocates, and every estimate on a source with a
+// dead path pays it again.
 //
-// If any precollected observation turns out to be unusable (measured
-// probability ≤ MinProb), the selection becomes source-dependent — a dropped
-// row frees its slot for a later candidate — so EvaluateIn falls back to the
-// fused BuildEquations, preserving bit-identical output at one-shot cost.
-// That fallback system is freshly allocated; otherwise the returned
-// system's equations alias the structure's candidate link sets and path
-// lists and the workspace's RHS storage — read-only, valid until the next
-// call on ws.
+// The returned system's equations alias the topology's, the structure's
+// and the workspace's storage — read-only, valid until the next call on
+// ws.
 func (s *Structure) EvaluateIn(ws *Workspace, src measure.Source) (*EquationSystem, error) {
 	ws.acquire()
 	defer ws.release()
@@ -89,57 +90,65 @@ func (s *Structure) evaluateIn(ws *Workspace, src measure.Source) (*EquationSyst
 	if src.NumPaths() != s.top.NumPaths() {
 		return nil, fmt.Errorf("core: source has %d paths, topology %d", src.NumPaths(), s.top.NumPaths())
 	}
-	fast, hasFast := src.(measure.FastPairSource)
 	if bp, ok := src.(measure.BatchPairSource); ok && len(s.pairs) > 0 {
 		// One cache-blocked pass over the path columns resolves every pair
-		// equation's probability; the per-equation lookups below then hit the
+		// row's probability; the per-row lookups below then hit the
 		// source's cache.
 		bp.PrimePairs(s.pairs)
 	}
-	ws.ys = scratch.Grow(ws.ys, len(s.accepted))
-	for i := range s.accepted {
-		c := &s.accepted[i]
-		var prob float64
-		switch {
-		case hasFast && len(c.Paths) == 1:
-			prob = fast.ProbPathGood(c.Paths[0])
-		case hasFast && len(c.Paths) == 2:
-			prob = fast.ProbPairGood(c.Paths[0], c.Paths[1])
-		default:
-			if ws.pathSet == nil {
-				ws.pathSet = bitset.New(s.top.NumPaths())
+	fast, _ := src.(measure.FastPairSource)
+	sel := &s.compiled
+	ws.ys = ws.ys[:0]
+	for a, q := range sel.accepted {
+		p := ws.prob(src, fast, &s.stream[q])
+		if p <= minProb {
+			// The compiled selection breaks at q: resume from there.
+			sel = &selection{
+				accepted: append([]int32(nil), sel.accepted[:a]...),
+				links:    append([]*bitset.Set(nil), sel.links[:a]...),
 			}
-			ws.pathSet.Clear()
-			for _, p := range c.Paths {
-				ws.pathSet.Add(int(p))
-			}
-			prob = src.ProbPathsGood(ws.pathSet)
+			ws.ys = s.selectFrom(sel, int(q), ws.ys, func(c *candidate) float64 { return ws.prob(src, fast, c) })
+			break
 		}
-		if prob <= s.opts.MinProb {
-			// A precollected equation is unusable: replay the fused
-			// selection, which re-decides every candidate with the data in
-			// hand.
-			return BuildEquations(s.top, src, s.opts)
-		}
-		ws.ys[i] = math.Log(prob)
+		ws.ys = append(ws.ys, math.Log(p))
 	}
 
 	sys := &ws.sys
+	n := len(sel.accepted)
+	ws.eqs = scratch.Grow(ws.eqs, n)
+	sys.Equations = nil
+	if n > 0 {
+		sys.Equations = ws.eqs
+	}
+	for i, q := range sel.accepted {
+		sys.Equations[i] = Equation{Links: sel.links[i], Y: ws.ys[i], Paths: s.stream[q].pathIDs()}
+	}
 	sys.NumLinks = s.top.NumLinks()
-	if cap(sys.Equations) < len(s.accepted) {
-		sys.Equations = make([]Equation, len(s.accepted))
-	}
-	sys.Equations = sys.Equations[:len(s.accepted)]
-	for i := range s.accepted {
-		c := &s.accepted[i]
-		sys.Equations[i] = Equation{Links: c.Links, Y: ws.ys[i], Paths: c.Paths}
-	}
-	sys.SinglePathEqs = s.singleEqs
-	sys.PairEqs = s.pairEqs
-	sys.Rank = s.rank
-	sys.Covered = s.covered
-	sys.SkippedZeroProb = 0
+	sys.SinglePathEqs = sel.singleEqs
+	sys.PairEqs = sel.pairEqs
+	sys.Rank = sel.rank
+	sys.Covered = sel.covered
+	sys.SkippedZeroProb = sel.dropped
 	return sys, nil
+}
+
+// prob returns the measured probability that every path of c is good,
+// through the source's single-path and pair fast path when it has one.
+func (ws *Workspace) prob(src measure.Source, fast measure.FastPairSource, c *candidate) float64 {
+	if fast != nil {
+		if c.n == 1 {
+			return fast.ProbPathGood(c.paths[0])
+		}
+		return fast.ProbPairGood(c.paths[0], c.paths[1])
+	}
+	if ws.pathSet == nil {
+		ws.pathSet = bitset.New(src.NumPaths())
+	}
+	ws.pathSet.Clear()
+	for _, p := range c.pathIDs() {
+		ws.pathSet.Add(int(p))
+	}
+	return src.ProbPathsGood(ws.pathSet)
 }
 
 // Clone returns a deep copy of the result — the way to retain a
@@ -222,8 +231,7 @@ func (p *LinearPlan) RunIn(ws *Workspace, src measure.Source) (*Result, error) {
 // solveSystemIn solves a built equation system with the configured
 // completion strategy on workspace storage: the matrix is materialized into
 // reused memory, the completion strategies run through the workspace's
-// linalg/LP scratch, and the result buffers are recycled. opts must already
-// be filled.
+// linalg/LP scratch, and the result buffers are recycled.
 func solveSystemIn(ws *Workspace, sys *EquationSystem, opts Options) (*Result, error) {
 	if len(sys.Equations) == 0 {
 		return nil, fmt.Errorf("core: no usable equations (all admissible observations had zero good-probability)")
@@ -259,7 +267,7 @@ func solveSystemIn(ws *Workspace, sys *EquationSystem, opts Options) (*Result, e
 		// Underdetermined: L1-residual-minimal completion under x ≤ 0
 		// (Section 4), with min-norm fallback for very large systems or LP
 		// failure.
-		if nl <= opts.MaxLPSize && !opts.ForceMinNorm {
+		if nl <= maxLPSize && !opts.ForceMinNorm {
 			x, err = ws.lp.MinimizeL1ResidualNonPositive(a, y)
 			kind = SolverL1
 			if err != nil {

@@ -30,9 +30,9 @@ type PatternSource interface {
 }
 
 // FastPairSource is an optional fast path over Source: sources that answer
-// single-path and path-pair queries without materializing a path set.
-// BuildEquations routes its (dominant) one- and two-path lookups through it
-// when available.
+// single-path and path-pair queries without materializing a path set. The
+// equation selection (core.Structure.EvaluateIn) routes its one- and
+// two-path lookups through it when available.
 type FastPairSource interface {
 	// ProbPathGood returns P(path i good).
 	ProbPathGood(i topology.PathID) float64
@@ -82,7 +82,7 @@ const (
 // |paths|) with sequential memory access.
 //
 // Repeated queries are memoized: single-path and pair probabilities (the
-// bulk of BuildEquations' lookups) in dedicated caches, arbitrary path sets
+// bulk of the equation selection's lookups) in dedicated caches, arbitrary path sets
 // in a bounded memo keyed by the set's content key. All methods are safe for
 // concurrent use, except Append which must not run concurrently with
 // queries or other Appends.

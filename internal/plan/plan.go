@@ -54,24 +54,18 @@ type Options struct {
 // field that shapes equation selection or solving. PathFilter is a func and
 // cannot be part of a key; options carrying one bypass the memo.
 type linearKey struct {
-	identity          bool
-	minProb           float64
-	maxPairCandidates int
-	maxLPSize         int
-	useAllEquations   bool
-	disablePairs      bool
-	forceMinNorm      bool
+	identity        bool
+	useAllEquations bool
+	disablePairs    bool
+	forceMinNorm    bool
 }
 
 func keyFor(identity bool, opts core.Options) linearKey {
 	return linearKey{
-		identity:          identity,
-		minProb:           opts.MinProb,
-		maxPairCandidates: opts.MaxPairCandidates,
-		maxLPSize:         opts.MaxLPSize,
-		useAllEquations:   opts.UseAllEquations,
-		disablePairs:      opts.DisablePairs,
-		forceMinNorm:      opts.ForceMinNorm,
+		identity:        identity,
+		useAllEquations: opts.UseAllEquations,
+		disablePairs:    opts.DisablePairs,
+		forceMinNorm:    opts.ForceMinNorm,
 	}
 }
 
@@ -145,15 +139,12 @@ func Compile(top *topology.Topology, opts Options) (*Plan, error) {
 func (p *Plan) Topology() *topology.Topology { return p.top }
 
 // linearPlan returns the memoized compiled structure for one linear-family
-// signature, compiling it on first use. Options are normalized first, so a
-// zero value and an explicitly spelled-out default share one structure.
-// Options carrying a PathFilter are structurally unique per call and
-// compile fresh without touching the memo.
+// signature, compiling it on first use. Options carrying a PathFilter are
+// structurally unique per call and compile fresh without touching the memo.
 func (p *Plan) linearPlan(identity bool, opts core.Options) (*core.LinearPlan, error) {
 	if opts.PathFilter != nil {
 		return core.CompileLinear(p.top, identity, opts)
 	}
-	opts = opts.Normalized()
 	key := keyFor(identity, opts)
 	p.mu.Lock()
 	e := p.linear[key]

@@ -192,14 +192,6 @@ func TestPlanMemoizesStructures(t *testing.T) {
 	if a == d {
 		t.Fatal("identity partition shared the correlation structure")
 	}
-	// Normalization: spelled-out defaults and the zero value are one key.
-	e, err := p.linearPlan(false, core.Options{MinProb: 1e-9, MaxPairCandidates: 200000, MaxLPSize: 600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != e {
-		t.Fatal("explicit default options compiled a duplicate structure")
-	}
 }
 
 // TestPlanConcurrentUse hammers one shared plan from many goroutines (run

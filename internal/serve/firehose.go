@@ -6,8 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -43,23 +43,17 @@ type FirehoseConfig struct {
 	// EstimateEvery requests an estimate after every EstimateEvery accepted
 	// batches, once the window is warm (0 ⇒ 4).
 	EstimateEvery int
-	// Wire selects the probe wire format the measured phases POST:
+	// Wire selects the probe wire format the first two phases POST:
 	// "json" (the default, "" ⇒ "json") or "binary" (the TOMOW1 columnar
-	// format). The wire-comparison phase always measures both.
+	// format). The wire-equivalence phase always replays both.
 	Wire string
 	// Client overrides the HTTP client (nil ⇒ http.DefaultClient).
 	Client *http.Client
 }
 
-// wireCompareBatch is the snapshots-per-POST the wire-comparison phase
-// replays with (when the configured Batch is smaller): large enough that
-// per-request HTTP overhead stops masking the decode-cost difference the
-// phase exists to measure.
-const wireCompareBatch = 512
-
-// FirehoseReport summarizes one firehose run. The count fields are
-// deterministic functions of the configuration; the timing fields measure
-// this run's hardware.
+// FirehoseReport summarizes one firehose run. SnapshotsIngested and
+// Estimates count the first phase and are deterministic functions of the
+// configuration.
 type FirehoseReport struct {
 	Scenario           string
 	Estimator          string
@@ -69,36 +63,21 @@ type FirehoseReport struct {
 	Batch              int
 	SnapshotsIngested  int64
 	Estimates          int64
-	Rejected429        int64
-	ElapsedSec         float64
-	SnapshotsPerSec    float64
-	EstimateP50Ms      float64
-	EstimateP99Ms      float64
-	// The under-load block measures estimate throughput while every tenant
-	// stream is being replayed at full rate — the read-replica serving
-	// path's headline number: estimates served from published views while
-	// the ingest queues stay saturated.
-	EstimatesUnderLoad       int64
-	EstimatesUnderLoadPerSec float64
-	EstimateUnderLoadP50Ms   float64
-	EstimateUnderLoadP99Ms   float64
-	// The wire block compares the two probe wire formats head to head on
-	// the same pre-simulated snapshot streams: each format's pure-ingest
-	// replay throughput in snapshots and request-body megabytes per second
-	// (batched at wireCompareBatch snapshots per POST so decode cost, not
-	// per-request HTTP overhead, dominates). WireFormat is the format the
-	// measured phases above used.
-	WireFormat            string
-	JSONSnapshotsPerSec   float64
-	JSONIngestMBPerSec    float64
-	BinarySnapshotsPerSec float64
-	BinaryIngestMBPerSec  float64
 }
 
-// RunFirehose drives a daemon with synthetic probe traffic and returns the
-// sustained throughput and estimate-latency percentiles. Each tenant runs
-// on its own goroutine, so a multi-tenant run also exercises concurrent
-// ingest across shards.
+// RunFirehose drives a daemon with synthetic probe traffic in three
+// phases and fails on the first request that does not succeed:
+//
+//  1. every tenant's stream is ingested concurrently, with an estimate
+//     after every EstimateEvery accepted batches once the window is warm;
+//  2. the streams are replayed once more at full rate while a dedicated
+//     client loops over /v1/estimate, so estimates must keep succeeding
+//     while ingest is saturated;
+//  3. each tenant's stream is replayed once per wire format, JSON then
+//     binary, each followed by an estimate: both wires must accept the
+//     same snapshot counts and give bit-identical congestion
+//     probabilities, since both leave the window holding the same last
+//     Window snapshots.
 func RunFirehose(ctx context.Context, cfg FirehoseConfig) (*FirehoseReport, error) {
 	if cfg.Tenants <= 0 {
 		return nil, fmt.Errorf("serve: firehose: tenants = %d, want > 0", cfg.Tenants)
@@ -131,25 +110,12 @@ func RunFirehose(ctx context.Context, cfg FirehoseConfig) (*FirehoseReport, erro
 		return nil, fmt.Errorf("serve: firehose: window %d exceeds stream length %d (no estimate would ever be warm)",
 			cfg.Window, cfg.Snapshots)
 	}
-	mainCT := ContentTypeJSON
-	if cfg.Wire == "binary" {
-		mainCT = ContentTypeBinary
-	}
-	cmpBatch := cfg.Batch
-	if cmpBatch < wireCompareBatch {
-		cmpBatch = wireCompareBatch
-	}
-	if cmpBatch > DefaultMaxBatch {
-		cmpBatch = DefaultMaxBatch
-	}
 
-	// Pre-simulate every tenant's probe stream so the measured loops are
-	// pure serving traffic, not simulation or encoding: the main phases'
-	// stream in the configured wire format, plus one stream per format
-	// (batched at cmpBatch) for the wire-comparison phase.
-	streams := make([][][]byte, cfg.Tenants) // per tenant, per batch: encoded wire body
-	cmpJSON := make([][][]byte, cfg.Tenants)
-	cmpBinary := make([][][]byte, cfg.Tenants)
+	// Pre-simulate every tenant's probe stream and encode it in both wire
+	// formats, so the replay loops are pure serving traffic, not
+	// simulation or encoding.
+	jsonStreams := make([][][]byte, cfg.Tenants) // per tenant, per batch: encoded wire body
+	binaryStreams := make([][][]byte, cfg.Tenants)
 	for i := 0; i < cfg.Tenants; i++ {
 		scn, err := tomography.BuildScenario(cfg.Scenario, cfg.Seed+int64(i))
 		if err != nil {
@@ -159,20 +125,16 @@ func RunFirehose(ctx context.Context, cfg FirehoseConfig) (*FirehoseReport, erro
 		if err != nil {
 			return nil, fmt.Errorf("serve: firehose: %w", err)
 		}
-		if cfg.Wire == "binary" {
-			streams[i], err = encodeStreamBinary(rec, cfg.Batch)
-		} else {
-			streams[i], err = encodeStream(rec, cfg.Batch)
-		}
-		if err != nil {
+		if jsonStreams[i], err = encodeStream(rec, cfg.Batch); err != nil {
 			return nil, fmt.Errorf("serve: firehose: %w", err)
 		}
-		if cmpJSON[i], err = encodeStream(rec, cmpBatch); err != nil {
+		if binaryStreams[i], err = encodeStreamBinary(rec, cfg.Batch); err != nil {
 			return nil, fmt.Errorf("serve: firehose: %w", err)
 		}
-		if cmpBinary[i], err = encodeStreamBinary(rec, cmpBatch); err != nil {
-			return nil, fmt.Errorf("serve: firehose: %w", err)
-		}
+	}
+	streams, mainCT := jsonStreams, ContentTypeJSON
+	if cfg.Wire == "binary" {
+		streams, mainCT = binaryStreams, ContentTypeBinary
 	}
 
 	// Register the tenants over the wire — the same path an operator uses.
@@ -191,13 +153,17 @@ func RunFirehose(ctx context.Context, cfg FirehoseConfig) (*FirehoseReport, erro
 
 	var (
 		mu        sync.Mutex
-		latencies []time.Duration
 		ingested  int64
 		estimates int64
-		rejected  int64
 		firstErr  error
 	)
-	start := time.Now()
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		mu.Unlock()
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Tenants; i++ {
 		wg.Add(1)
@@ -206,70 +172,47 @@ func RunFirehose(ctx context.Context, cfg FirehoseConfig) (*FirehoseReport, erro
 			name := firehoseTenantName(i)
 			snaps := 0
 			for b, body := range streams[i] {
-				n, rej, err := postBatch(ctx, cfg.Client, cfg.BaseURL, name, body, mainCT)
+				n, err := postBatch(ctx, cfg.Client, cfg.BaseURL, name, body, mainCT)
 				mu.Lock()
-				rejected += rej
 				ingested += int64(n)
 				mu.Unlock()
 				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
+					fail(err)
 					return
 				}
 				snaps += n
 				if (b+1)%cfg.EstimateEvery == 0 && snaps >= cfg.Window {
-					d, err := timeEstimate(ctx, cfg.Client, cfg.BaseURL, name)
-					mu.Lock()
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-					} else {
-						latencies = append(latencies, d)
-						estimates++
-					}
-					mu.Unlock()
-					if err != nil {
+					if _, err := getEstimate(ctx, cfg.Client, cfg.BaseURL, name); err != nil {
+						fail(err)
 						return
 					}
+					mu.Lock()
+					estimates++
+					mu.Unlock()
 				}
 			}
 		}(i)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 	if firstErr != nil {
 		return nil, fmt.Errorf("serve: firehose: %w", firstErr)
 	}
 
-	// Second measured phase: estimate throughput under ingest load. The
-	// tenant streams are replayed once more at full rate to keep every
-	// shard queue busy (the windows slide, so re-ingesting is
-	// harmless) while a dedicated client loops over /v1/estimate
-	// round-robin across the now-warm tenants. Estimates are served from
-	// published read-replica views by the estimate pool, so their latency
-	// should not track the ingest backlog. Phase-2 traffic is accounted
-	// separately and does not perturb the phase-1 throughput numbers.
-	loadStart := time.Now()
+	// Second phase: estimates under ingest load. The tenant streams are
+	// replayed once more at full rate to keep every shard queue busy (the
+	// windows slide, so re-ingesting is harmless) while a dedicated client
+	// loops over /v1/estimate round-robin across the now-warm tenants.
+	// Estimates are served from published read-replica views by the
+	// estimate pool, so every one must succeed however deep the ingest
+	// backlog.
 	stop := make(chan struct{})
 	var loadWG sync.WaitGroup
 	for i := 0; i < cfg.Tenants; i++ {
 		loadWG.Add(1)
 		go func(i int) {
 			defer loadWG.Done()
-			name := firehoseTenantName(i)
-			for _, body := range streams[i] {
-				if _, _, err := postBatch(ctx, cfg.Client, cfg.BaseURL, name, body, mainCT); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
+			if _, err := replayStream(ctx, &cfg, firehoseTenantName(i), streams[i], mainCT); err != nil {
+				fail(err)
 			}
 		}(i)
 	}
@@ -277,51 +220,40 @@ func RunFirehose(ctx context.Context, cfg FirehoseConfig) (*FirehoseReport, erro
 		loadWG.Wait()
 		close(stop)
 	}()
-	var (
-		loadedLat []time.Duration
-		loadedEst int64
-	)
-estimateLoop:
+load:
 	for i := 0; ; i++ {
-		select {
-		case <-stop:
-			break estimateLoop
-		default:
-		}
-		d, err := timeEstimate(ctx, cfg.Client, cfg.BaseURL, firehoseTenantName(i%cfg.Tenants))
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
+		if _, err := getEstimate(ctx, cfg.Client, cfg.BaseURL, firehoseTenantName(i%cfg.Tenants)); err != nil {
+			fail(fmt.Errorf("estimate under ingest load: %w", err))
 			break
 		}
-		loadedLat = append(loadedLat, d)
-		loadedEst++
+		select {
+		case <-stop:
+			break load
+		default:
+		}
 	}
 	loadWG.Wait()
-	loadElapsed := time.Since(loadStart)
 	if firstErr != nil {
 		return nil, fmt.Errorf("serve: firehose: %w", firstErr)
 	}
 
-	// Third measured phase: the wire-format comparison. Each format's
-	// pre-encoded stream is replayed once at full ingest rate with no
-	// estimate traffic — same simulated snapshots, same warm daemon, so
-	// the only variable is the wire decode path.
-	jsonSnaps, jsonBytes, jsonElapsed, err := replayStreams(ctx, &cfg, cmpJSON, ContentTypeJSON)
-	if err != nil {
-		return nil, fmt.Errorf("serve: firehose: wire comparison (json): %w", err)
+	// Third phase: wire equivalence. Each tenant's stream is replayed in
+	// JSON and then in binary, each replay followed by an estimate.
+	for i := 0; i < cfg.Tenants; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := checkWires(ctx, &cfg, firehoseTenantName(i), jsonStreams[i], binaryStreams[i]); err != nil {
+				fail(fmt.Errorf("wire equivalence: %w", err))
+			}
+		}(i)
 	}
-	binSnaps, binBytes, binElapsed, err := replayStreams(ctx, &cfg, cmpBinary, ContentTypeBinary)
-	if err != nil {
-		return nil, fmt.Errorf("serve: firehose: wire comparison (binary): %w", err)
+	wg.Wait()
+	if firstErr != nil {
+		return nil, fmt.Errorf("serve: firehose: %w", firstErr)
 	}
 
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	sort.Slice(loadedLat, func(i, j int) bool { return loadedLat[i] < loadedLat[j] })
-	report := &FirehoseReport{
+	return &FirehoseReport{
 		Scenario:           cfg.Scenario,
 		Estimator:          cfg.Estimator,
 		Tenants:            cfg.Tenants,
@@ -330,59 +262,56 @@ estimateLoop:
 		Batch:              cfg.Batch,
 		SnapshotsIngested:  ingested,
 		Estimates:          estimates,
-		Rejected429:        rejected,
-		ElapsedSec:         elapsed.Seconds(),
-		SnapshotsPerSec:    float64(ingested) / elapsed.Seconds(),
-		EstimateP50Ms:      percentileMs(latencies, 0.50),
-		EstimateP99Ms:      percentileMs(latencies, 0.99),
-
-		EstimatesUnderLoad:       loadedEst,
-		EstimatesUnderLoadPerSec: float64(loadedEst) / loadElapsed.Seconds(),
-		EstimateUnderLoadP50Ms:   percentileMs(loadedLat, 0.50),
-		EstimateUnderLoadP99Ms:   percentileMs(loadedLat, 0.99),
-
-		WireFormat:            cfg.Wire,
-		JSONSnapshotsPerSec:   float64(jsonSnaps) / jsonElapsed.Seconds(),
-		JSONIngestMBPerSec:    float64(jsonBytes) / 1e6 / jsonElapsed.Seconds(),
-		BinarySnapshotsPerSec: float64(binSnaps) / binElapsed.Seconds(),
-		BinaryIngestMBPerSec:  float64(binBytes) / 1e6 / binElapsed.Seconds(),
-	}
-	return report, nil
+	}, nil
 }
 
-// replayStreams replays every tenant's pre-encoded stream concurrently
-// (one goroutine per tenant, 429s retried inside postBatch) and returns
-// the accepted snapshot count, the request-body bytes posted, and the
-// wall-clock elapsed — the wire-comparison measurement primitive.
-func replayStreams(ctx context.Context, cfg *FirehoseConfig, streams [][][]byte, contentType string) (snaps, bodyBytes int64, elapsed time.Duration, err error) {
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := range streams {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			name := firehoseTenantName(i)
-			for _, body := range streams[i] {
-				n, _, perr := postBatch(ctx, cfg.Client, cfg.BaseURL, name, body, contentType)
-				mu.Lock()
-				snaps += int64(n)
-				bodyBytes += int64(len(body))
-				if perr != nil && firstErr == nil {
-					firstErr = perr
-				}
-				mu.Unlock()
-				if perr != nil {
-					return
-				}
-			}
-		}(i)
+// replayStream POSTs one tenant's pre-encoded stream in order (429s retried
+// inside postBatch) and returns the accepted snapshot count.
+func replayStream(ctx context.Context, cfg *FirehoseConfig, tenant string, stream [][]byte, contentType string) (int, error) {
+	accepted := 0
+	for _, body := range stream {
+		n, err := postBatch(ctx, cfg.Client, cfg.BaseURL, tenant, body, contentType)
+		if err != nil {
+			return accepted, err
+		}
+		accepted += n
 	}
-	wg.Wait()
-	return snaps, bodyBytes, time.Since(start), firstErr
+	return accepted, nil
+}
+
+// checkWires replays the same stream once per wire format, each replay
+// followed by an estimate, and requires equal accepted counts and
+// bit-identical congestion probabilities.
+func checkWires(ctx context.Context, cfg *FirehoseConfig, tenant string, jsonStream, binaryStream [][]byte) error {
+	jsonN, err := replayStream(ctx, cfg, tenant, jsonStream, ContentTypeJSON)
+	if err != nil {
+		return fmt.Errorf("json: %w", err)
+	}
+	jsonEst, err := getEstimate(ctx, cfg.Client, cfg.BaseURL, tenant)
+	if err != nil {
+		return fmt.Errorf("json: %w", err)
+	}
+	binN, err := replayStream(ctx, cfg, tenant, binaryStream, ContentTypeBinary)
+	if err != nil {
+		return fmt.Errorf("binary: %w", err)
+	}
+	binEst, err := getEstimate(ctx, cfg.Client, cfg.BaseURL, tenant)
+	if err != nil {
+		return fmt.Errorf("binary: %w", err)
+	}
+	if jsonN != binN {
+		return fmt.Errorf("tenant %s: json accepted %d snapshots, binary %d", tenant, jsonN, binN)
+	}
+	if len(jsonEst.CongestionProb) != len(binEst.CongestionProb) {
+		return fmt.Errorf("tenant %s: json estimate has %d links, binary %d",
+			tenant, len(jsonEst.CongestionProb), len(binEst.CongestionProb))
+	}
+	for k, p := range jsonEst.CongestionProb {
+		if math.Float64bits(p) != math.Float64bits(binEst.CongestionProb[k]) {
+			return fmt.Errorf("tenant %s: link %d: json estimate %v, binary %v", tenant, k, p, binEst.CongestionProb[k])
+		}
+	}
+	return nil
 }
 
 func firehoseTenantName(i int) string { return fmt.Sprintf("t%d", i) }
@@ -452,18 +381,18 @@ func encodeStreamBinary(rec *tomography.Record, batch int) ([][]byte, error) {
 
 // postBatch POSTs one ingest body under the given Content-Type (the wire
 // format negotiation header), retrying on 429 with a short pause. It
-// returns the accepted snapshot count and how many 429s it absorbed.
-func postBatch(ctx context.Context, client *http.Client, base, tenant string, body []byte, contentType string) (accepted int, rejected int64, err error) {
+// returns the accepted snapshot count.
+func postBatch(ctx context.Context, client *http.Client, base, tenant string, body []byte, contentType string) (int, error) {
 	url := fmt.Sprintf("%s/v1/ingest?tenant=%s", base, tenant)
 	for {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 		if err != nil {
-			return 0, rejected, err
+			return 0, err
 		}
 		req.Header.Set("Content-Type", contentType)
 		resp, err := client.Do(req)
 		if err != nil {
-			return 0, rejected, err
+			return 0, err
 		}
 		respBody, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
@@ -473,42 +402,42 @@ func postBatch(ctx context.Context, client *http.Client, base, tenant string, bo
 				Accepted int `json:"accepted"`
 			}
 			if err := json.Unmarshal(respBody, &out); err != nil {
-				return 0, rejected, fmt.Errorf("decoding ingest response: %w", err)
+				return 0, fmt.Errorf("decoding ingest response: %w", err)
 			}
-			return out.Accepted, rejected, nil
+			return out.Accepted, nil
 		case http.StatusTooManyRequests:
-			rejected++
 			select {
 			case <-time.After(2 * time.Millisecond):
 			case <-ctx.Done():
-				return 0, rejected, ctx.Err()
+				return 0, ctx.Err()
 			}
 		default:
-			return 0, rejected, fmt.Errorf("ingest: unexpected status %d: %s", resp.StatusCode, respBody)
+			return 0, fmt.Errorf("ingest: unexpected status %d: %s", resp.StatusCode, respBody)
 		}
 	}
 }
 
-// timeEstimate requests one estimate and returns its client-observed
-// latency.
-func timeEstimate(ctx context.Context, client *http.Client, base, tenant string) (time.Duration, error) {
+// getEstimate requests one estimate and decodes the response.
+func getEstimate(ctx context.Context, client *http.Client, base, tenant string) (*EstimateResponse, error) {
 	url := fmt.Sprintf("%s/v1/estimate?tenant=%s", base, tenant)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	start := time.Now()
 	resp, err := client.Do(req)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	d := time.Since(start)
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("estimate: unexpected status %d: %s", resp.StatusCode, body)
+		return nil, fmt.Errorf("estimate: unexpected status %d: %s", resp.StatusCode, body)
 	}
-	return d, nil
+	var est EstimateResponse
+	if err := json.Unmarshal(body, &est); err != nil {
+		return nil, fmt.Errorf("decoding estimate response: %w", err)
+	}
+	return &est, nil
 }
 
 // postJSON POSTs a JSON body and checks the expected status.
@@ -528,14 +457,4 @@ func postJSON(ctx context.Context, client *http.Client, url string, body []byte,
 		return fmt.Errorf("unexpected status %d: %s", resp.StatusCode, respBody)
 	}
 	return nil
-}
-
-// percentileMs returns the p-th percentile of sorted durations, in
-// milliseconds (0 for an empty slice).
-func percentileMs(sorted []time.Duration, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p * float64(len(sorted)-1))
-	return float64(sorted[idx].Nanoseconds()) / 1e6
 }
