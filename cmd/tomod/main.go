@@ -72,8 +72,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		estWork   = fs.Int("estimate-workers", 0, "run estimates on this many read-replica workers against published window views (0/1 = one worker); estimates are bit-identical for every setting")
 		spillDir  = fs.String("spill-dir", "", "back every tenant window with the out-of-core segment store under this directory (per-tenant subdirectories, reset at registration); estimates are bit-identical to the in-RAM windows")
 		wire      = fs.String("wire", "json", "selftest: probe wire format the firehose POSTs: json | binary (TOMOW1 columnar)")
-		pubEvery  = fs.Int("publish-every", 0, "publish a read-replica view every this many applied batches instead of after each one (0/1 = every batch); estimates stay bit-identical")
-		pubMaxAge = fs.Duration("publish-max-age", 0, "with -publish-every: also publish once a tenant's view is this old (0 = no age bound)")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
@@ -103,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	d := serve.New(serve.Config{
 		Shards: *shards, QueueDepth: *queue,
 		EstimateWorkers: *estWork, SpillDir: *spillDir,
-		PublishEveryBatches: *pubEvery, PublishMaxAge: *pubMaxAge,
 	})
 	cfg := d.Config()
 	fmt.Fprintf(stdout, "tomod: sharded multi-tenant inference daemon\n")
@@ -120,14 +117,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if cfg.SpillDir != "" {
 		fmt.Fprintf(stdout, "  spill dir:   %s\n", cfg.SpillDir)
-	}
-	if cfg.PublishEveryBatches > 1 {
-		// Printed only when enabled so default-config goldens are unchanged.
-		fmt.Fprintf(stdout, "  publish every: %d batches\n", cfg.PublishEveryBatches)
-	}
-	if cfg.PublishMaxAge > 0 {
-		// Printed only when enabled so default-config goldens are unchanged.
-		fmt.Fprintf(stdout, "  publish max age: %s\n", cfg.PublishMaxAge)
 	}
 	if *wire != "json" {
 		// Printed only when enabled so default-config goldens are unchanged.

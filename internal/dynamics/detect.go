@@ -111,5 +111,9 @@ func (d *Detector) ChangePoints() []int {
 	return out
 }
 
+// Alarms returns how many alarms have fired — len(ChangePoints()) without
+// copying the index list.
+func (d *Detector) Alarms() int { return len(d.changes) }
+
 // Observed returns the number of observations fed so far.
 func (d *Detector) Observed() int { return d.total }

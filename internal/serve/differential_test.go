@@ -24,9 +24,10 @@ import (
 // partitioning isolates tenant state.
 //
 // The equivalence chain being pinned: HTTP ingest → wire decode → shard
-// queue → Window.Observe + EstimateIn on the shard worker's workspace must
-// land on exactly the floats that Window.Observe + Window.Estimate produce
-// in a single-goroutine offline replay.
+// queue → Window.ObserveBatchWords → published view → WindowView.EstimateIn
+// on an estimate-pool workspace must land on exactly the floats of a
+// single-goroutine offline replay — at every checkpoint, and again in the
+// shutdown flush.
 func TestDaemonMatchesOfflineReplay(t *testing.T) {
 	runOfflineDifferential(t, Config{Shards: 2, QueueDepth: 64})
 }
@@ -49,16 +50,6 @@ func TestDaemonMatchesOfflineReplayBinary(t *testing.T) {
 	runOfflineDifferentialWire(t, Config{Shards: 2, QueueDepth: 64}, "binary")
 }
 
-// TestDaemonMatchesOfflineReplayBatchedPublication re-runs the binary-wire
-// differential replay with view publication batched (every 8 applied
-// batches instead of each one) on an off-worker estimate pool. The
-// queue-drain flush in the shard worker must keep every estimate answerable
-// and bit-identical — batched publication trades view freshness for
-// publication cost, never correctness.
-func TestDaemonMatchesOfflineReplayBatchedPublication(t *testing.T) {
-	runOfflineDifferentialWire(t, Config{Shards: 2, QueueDepth: 64, EstimateWorkers: 2, PublishEveryBatches: 8}, "binary")
-}
-
 func runOfflineDifferential(t *testing.T, cfg Config) {
 	runOfflineDifferentialWire(t, cfg, "json")
 }
@@ -78,8 +69,10 @@ func runOfflineDifferentialWire(t *testing.T, cfg Config, wire string) {
 	d := New(cfg)
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
-	defer d.Shutdown(context.Background())
 
+	// last[i] is estimator i's final offline checkpoint, which the
+	// shutdown flush must reproduce.
+	last := make([]*tomography.EstimateResult, len(estimators))
 	var wg sync.WaitGroup
 	for i, est := range estimators {
 		wg.Add(1)
@@ -106,6 +99,7 @@ func runOfflineDifferentialWire(t *testing.T, cfg Config, wire string) {
 				t.Errorf("%s: offline replay: %v", tenant, err)
 				return
 			}
+			last[i] = points[len(points)-1].Result
 
 			// Register the tenant with its inline topology document.
 			var topoJSON bytes.Buffer
@@ -180,6 +174,38 @@ func runOfflineDifferentialWire(t *testing.T, cfg Config, wire string) {
 		}(i, est)
 	}
 	wg.Wait()
+
+	// The shutdown flush estimates from each tenant's last published view,
+	// which has observed the whole stream: it must land on the offline
+	// replay's final checkpoint.
+	finals, err := d.Shutdown(context.Background())
+	if err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if len(finals) != len(estimators) {
+		t.Fatalf("shutdown flushed %d estimates, want %d", len(finals), len(estimators))
+	}
+	byTenant := make(map[string]FinalEstimate, len(finals))
+	for _, f := range finals {
+		byTenant[f.Tenant] = f
+	}
+	for i, est := range estimators {
+		tenant := fmt.Sprintf("diff-%s", est)
+		f, ok := byTenant[tenant]
+		switch {
+		case !ok:
+			t.Errorf("%s: no final estimate flushed", tenant)
+		case f.Err != nil:
+			t.Errorf("%s: final estimate: %v", tenant, f.Err)
+		case last[i] == nil:
+			// The offline replay failed and was reported above.
+		case f.Response.SnapshotsSeen != snaps:
+			t.Errorf("%s: final estimate covers %d snapshots, want %d", tenant, f.Response.SnapshotsSeen, snaps)
+		case !bitIdentical(f.Response.CongestionProb, last[i].CongestionProb):
+			t.Errorf("%s: final estimate differs from the last offline checkpoint\n final:   %v\n offline: %v",
+				tenant, f.Response.CongestionProb, last[i].CongestionProb)
+		}
+	}
 }
 
 // bitIdentical compares float slices by their IEEE-754 bits — the "no

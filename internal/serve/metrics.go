@@ -97,8 +97,8 @@ func (h *histogram) quantile(q float64) time.Duration {
 	return bucketBound(latencyBuckets - 1)
 }
 
-// tenantStats is the per-tenant slice of /metrics, filled from the
-// tenants' atomically maintained gauges.
+// tenantStats is the per-tenant slice of /metrics, filled from the gauges
+// frozen in each tenant's latest published view box.
 type tenantStats struct {
 	name      string
 	seen      int64

@@ -26,11 +26,16 @@ import (
 //     next view; failure leaves the close to the last reader.
 //   - release: decrement; the reader that hits 0 on a retired box claims
 //     and closes the view (the publisher has already moved on).
+//
+// The gauges (seen, len, changePoints, published) are immutable once the
+// box is stored, so the admin and metrics handlers read them from the
+// latest box without acquiring it. They must never be read through view
+// instead: a claimed view is recycled into the next box.
 type viewBox struct {
 	view         *tomography.WindowView
 	seen         int // window's lifetime observation count at publish time
 	len          int // window occupancy at publish time
-	changePoints int
+	changePoints int // change-point alerts fired by publish time
 	published    time.Time
 
 	readers atomic.Int32  // active readers; −1 once claimed
@@ -59,12 +64,11 @@ func (b *viewBox) release() {
 }
 
 // publishView freezes the tenant's window into a new viewBox and swaps it
-// in as the latest. Called by the tenant's shard worker per the publication
-// policy — after each applied batch by default, every
-// Config.PublishEveryBatches batches (with the queue-drain flushes worker
-// documents) otherwise — and once at registration, so warming tenants have
-// a view to answer from. The previous box is retired, and its view either
-// recycled into the new one (no readers) or closed by its last reader.
+// in as the latest. Called by the tenant's shard worker after every applied
+// batch, and once by Register before the tenant is visible, so warming
+// tenants have a view to answer from. The previous box is retired, and its
+// view either recycled into the new one (no readers) or closed by its last
+// reader.
 func (d *Daemon) publishView(t *Tenant) {
 	old := t.view.Load()
 	var recycle *tomography.WindowView
@@ -74,11 +78,12 @@ func (d *Daemon) publishView(t *Tenant) {
 			recycle = old.view
 		}
 	}
+	v := t.win.View(recycle)
 	box := &viewBox{
-		view:         t.win.View(recycle),
-		seen:         t.win.Seen(),
-		len:          t.win.Len(),
-		changePoints: len(t.win.ChangePoints()),
+		view:         v,
+		seen:         v.Seen(),
+		len:          v.Len(),
+		changePoints: v.ChangePoints(),
 		published:    time.Now(),
 		changed:      make(chan struct{}),
 	}
@@ -86,18 +91,14 @@ func (d *Daemon) publishView(t *Tenant) {
 	if old != nil {
 		close(old.changed)
 	}
-	// Publication-policy bookkeeping; same ownership as the caller (the
-	// tenant's shard worker, or Register before the tenant is visible).
-	t.pendingBatches = 0
-	t.lastPublished = box.published
 	d.metrics.viewsPublished.Add(1)
 }
 
 // estJob is one estimate request on the estimate pool's queue. target is
 // the tenant's accepted-snapshot count at enqueue time: the worker serves
 // the estimate from the first published view that has observed at least
-// that many snapshots, which preserves the ingest-then-estimate ordering
-// HTTP clients relied on when estimates rode the shard queue.
+// that many snapshots, so a client's estimate covers every batch it had
+// ingested before asking.
 type estJob struct {
 	tenant   *Tenant
 	target   int64
@@ -155,7 +156,9 @@ func (d *Daemon) estimateReplica(ws *tomography.Workspace, j estJob) (*EstimateR
 	}
 }
 
-// estimateBox runs the tenant's estimator against one acquired view.
+// estimateBox runs the tenant's estimator against one view the caller
+// holds: acquired by an estimate-pool worker, or owned outright by Shutdown
+// once every worker has exited.
 func (d *Daemon) estimateBox(ws *tomography.Workspace, t *Tenant, box *viewBox) (*EstimateResponse, error) {
 	if box.len < t.window {
 		d.metrics.estimateErrors.Add(1)

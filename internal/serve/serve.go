@@ -46,18 +46,6 @@ type Config struct {
 	// SpillSegmentRows overrides the rows per sealed segment when SpillDir
 	// is set (0 ⇒ the segstore default; must be a multiple of 64).
 	SpillSegmentRows int
-	// PublishEveryBatches batches read-replica view publication: a shard
-	// worker publishes a fresh view for a tenant only every N applied
-	// batches (0 or 1 ⇒ after every batch, the default). Regardless of the
-	// setting, the worker publishes every tenant it has left unpublished
-	// whenever its queue is empty and when it drains on shutdown, so an
-	// estimate waiting for its read-your-accepted-writes target never
-	// waits on a view that will not come.
-	PublishEveryBatches int
-	// PublishMaxAge caps view staleness when PublishEveryBatches > 1: the
-	// worker also publishes on the next applied batch once the tenant's
-	// current view is at least this old (0 ⇒ no age trigger).
-	PublishMaxAge time.Duration
 }
 
 // Daemon is the multi-tenant serving core: tenant registry, shard workers,
@@ -285,11 +273,10 @@ type EstimateResponse struct {
 
 // Estimate runs the tenant's estimator on the read-replica pool, against
 // the first published window view that has observed every ingest batch
-// accepted before this call — read-your-accepted-writes, the same ordering
-// clients relied on when estimates rode the shard queue, except that the
-// estimate itself never occupies the ingest queue: a saturated shard 429s
-// probes while estimates keep being served from the latest view. ctx
-// bounds queue admission, the view wait, and the reply.
+// accepted before this call (read-your-accepted-writes). The estimate
+// itself never occupies the ingest queue: a saturated shard 429s probes
+// while estimates keep being served from the latest view. ctx bounds queue
+// admission, the view wait, and the reply.
 func (d *Daemon) Estimate(ctx context.Context, name string) (*EstimateResponse, error) {
 	d.mu.RLock()
 	if d.draining {
@@ -333,13 +320,13 @@ type FinalEstimate struct {
 
 // Shutdown drains the daemon: new ingests, estimates and registrations are
 // rejected immediately, the shard workers finish every queued batch (each
-// publishing its final view), the estimate pool serves every queued
-// estimate and exits — always possible, because every queued estimate's
-// target view is published by the drained shard workers — and one final
-// estimate is flushed for every tenant whose window is warm. It returns
-// the final estimates sorted by tenant name. ctx bounds the drain; on
-// expiry the workers keep draining in the background but no flush is
-// attempted.
+// publishing a view), the estimate pool serves every queued estimate and
+// exits — always possible, because every queued estimate's target view is
+// published by the drained shard workers — and one final estimate is
+// flushed from the last published view of every tenant whose window is
+// warm. It returns the final estimates sorted by tenant name. ctx bounds
+// the drain; on expiry the workers keep draining in the background but no
+// flush is attempted.
 func (d *Daemon) Shutdown(ctx context.Context) ([]FinalEstimate, error) {
 	d.mu.Lock()
 	if d.draining {
@@ -369,23 +356,24 @@ func (d *Daemon) Shutdown(ctx context.Context) ([]FinalEstimate, error) {
 	}
 
 	// All workers have exited, so this goroutine is now the sole owner of
-	// every tenant window and view: flush one final estimate per warm
-	// tenant, then release the windows and the last published views.
+	// every tenant window and view. Each tenant's last published view has
+	// observed every applied batch: flush one final estimate per warm
+	// tenant from it, then release the view and the window.
 	ws := tomography.NewWorkspace()
 	d.mu.RLock()
 	names := d.tenantNamesLocked()
 	var out []FinalEstimate
 	for _, name := range names {
 		t := d.tenants[name]
-		res, err := d.estimateTenant(ws, t)
+		box := t.view.Load()
+		res, err := d.estimateBox(ws, t, box)
 		out = append(out, FinalEstimate{Tenant: name, Response: res, Err: err})
-		// Close the final published view (no readers remain) and the
-		// window, releasing their chunks and segment mappings.
-		if box := t.view.Load(); box != nil {
-			box.retired.Store(true)
-			if box.claim() {
-				box.view.Close()
-			}
+		// Close the final view (no readers remain) and the window,
+		// releasing their chunks and segment mappings. The box stays
+		// stored, so its gauges keep answering Tenants.
+		box.retired.Store(true)
+		if box.claim() {
+			box.view.Close()
 		}
 		t.win.Close()
 	}
@@ -533,17 +521,16 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	stats := make([]tenantStats, 0, len(d.tenants))
 	for _, name := range d.tenantNamesLocked() {
 		t := d.tenants[name]
+		box := t.view.Load()
 		st := tenantStats{
 			name:      t.name,
-			seen:      t.seen.Load(),
-			occupancy: t.occupancy.Load(),
-			changes:   t.changePoints.Load(),
+			seen:      int64(box.seen),
+			occupancy: int64(box.len),
+			changes:   int64(box.changePoints),
+			viewAge:   time.Since(box.published),
 		}
-		if box := t.view.Load(); box != nil {
-			st.viewAge = time.Since(box.published)
-			if lag := t.accepted.Load() - int64(box.seen); lag > 0 {
-				st.viewLag = lag
-			}
+		if lag := t.accepted.Load() - int64(box.seen); lag > 0 {
+			st.viewLag = lag
 		}
 		stats = append(stats, st)
 	}

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	tomography "repro"
 	"repro/internal/topology"
@@ -37,11 +36,11 @@ type TenantConfig struct {
 
 // Tenant is one registered inference session: a topology, its compiled
 // plan, and a chunked sliding window over columnar snapshot storage.
-// The window (and everything reachable from it) is owned exclusively by
-// the tenant's shard worker — every ingest and estimate for this tenant
-// flows through that shard's queue, so window appends never take a lock
-// and the tenant observes a total order over its operations. The atomic
-// gauges below are the only fields other goroutines read.
+// The window is written only by the tenant's shard worker — every ingest
+// batch for this tenant flows through that shard's queue, so window
+// appends never take a lock and batches apply in a total order. Estimates
+// and the admin/metrics handlers never touch the window: they read the
+// latest published view box (view) and the atomic counters below.
 type Tenant struct {
 	name      string
 	scenario  string // registry scenario the topology came from ("" for inline)
@@ -51,51 +50,31 @@ type Tenant struct {
 	numLinks  int
 	shard     int
 	win       *tomography.Window
-	opts      tomography.EstimateOptions
 
-	// Gauges maintained by the shard worker after each job, read by the
-	// admin/metrics handlers.
-	seen         atomic.Int64 // total snapshots observed
-	occupancy    atomic.Int64 // snapshots currently retained
-	changePoints atomic.Int64 // CUSUM alerts fired
-	estimates    atomic.Int64 // estimates served
-
+	estimates atomic.Int64 // estimates served
 	// accepted counts snapshots accepted for ingest (incremented by Ingest
 	// before the 202 returns). An estimate enqueued afterwards waits for a
 	// view that has observed at least this many snapshots — the
 	// read-your-accepted-writes bound that keeps replica estimates
-	// bit-identical to the old through-the-shard-queue ordering.
+	// bit-identical to an offline replay of the accepted stream.
 	accepted atomic.Int64
 	// view is the tenant's latest published read-replica view; the shard
-	// worker swaps in a fresh one per the publication policy
-	// (Config.PublishEveryBatches / PublishMaxAge — after every applied
-	// batch by default), the estimate pool reads it. Never nil once the
+	// worker swaps in a fresh one after every applied batch, the estimate
+	// pool and the admin/metrics handlers read it. Never nil once the
 	// tenant is registered.
 	view atomic.Pointer[viewBox]
-
-	// pendingBatches and lastPublished drive the view-publication policy:
-	// batches applied since the last publish, and when that publish
-	// happened. Touched only by the tenant's shard worker (and by Register
-	// before the tenant is visible), so plain fields suffice.
-	pendingBatches int
-	lastPublished  time.Time
 }
 
 // Name returns the tenant's registry key.
 func (t *Tenant) Name() string { return t.name }
 
-// Seen returns the total number of snapshots the tenant has observed.
-func (t *Tenant) Seen() int64 { return t.seen.Load() }
+// Seen returns the total number of snapshots the tenant's latest published
+// view has observed.
+func (t *Tenant) Seen() int64 { return int64(t.view.Load().seen) }
 
-// ChangePoints returns the number of CUSUM change-point alerts fired.
-func (t *Tenant) ChangePoints() int64 { return t.changePoints.Load() }
-
-// syncStats publishes the window gauges after a job; called only by the
-// owning shard worker.
-func (t *Tenant) syncStats() {
-	t.seen.Store(int64(t.win.Seen()))
-	t.occupancy.Store(int64(t.win.Len()))
-}
+// ChangePoints returns the number of CUSUM change-point alerts fired as of
+// the latest published view.
+func (t *Tenant) ChangePoints() int64 { return int64(t.view.Load().changePoints) }
 
 // newTenant validates a TenantConfig and builds the tenant (plan compiled,
 // window empty). The shard index is assigned by the daemon, which also
@@ -183,6 +162,7 @@ type TenantInfo struct {
 
 // info snapshots the tenant's admin view.
 func (t *Tenant) info() TenantInfo {
+	box := t.view.Load()
 	return TenantInfo{
 		Name:         t.name,
 		Scenario:     t.scenario,
@@ -191,9 +171,9 @@ func (t *Tenant) info() TenantInfo {
 		NumPaths:     t.numPaths,
 		NumLinks:     t.numLinks,
 		Shard:        t.shard,
-		Seen:         t.seen.Load(),
-		Occupancy:    t.occupancy.Load(),
-		ChangePoints: t.changePoints.Load(),
+		Seen:         int64(box.seen),
+		Occupancy:    int64(box.len),
+		ChangePoints: int64(box.changePoints),
 		Estimates:    t.estimates.Load(),
 	}
 }

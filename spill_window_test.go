@@ -2,6 +2,10 @@ package tomography_test
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	tomography "repro"
@@ -130,5 +134,66 @@ func TestWindowSpillStreaming(t *testing.T) {
 		if math.Float64bits(a.CongestionProb[i]) != math.Float64bits(b.CongestionProb[i]) {
 			t.Fatalf("link %d: RAM %v, spill %v", i, a.CongestionProb[i], b.CongestionProb[i])
 		}
+	}
+}
+
+// spillMappings counts this process's memory mappings of files under dir,
+// read from /proc/self/maps.
+func spillMappings(t *testing.T, dir string) int {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := dir + string(filepath.Separator)
+	n := 0
+	for _, line := range strings.Split(string(maps), "\n") {
+		if i := strings.IndexByte(line, '/'); i >= 0 && strings.HasPrefix(line[i:], prefix) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestWindowedReplayUnmapsSpill pins that both offline replays close their
+// window: once WindowedEstimate or WindowedEstimateFunc returns, no segment
+// of a spill replay is still mapped. The Func replay also checks that its
+// segments are mapped mid-replay, so the probe can see them at all.
+func TestWindowedReplayUnmapsSpill(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads /proc/self/maps")
+	}
+	const (
+		snapshots = 1500
+		window    = 1024
+		stride    = 256
+	)
+	top, rec := windowFixture(t, snapshots)
+	spillCfg := func(dir string) tomography.WindowConfig {
+		return tomography.WindowConfig{Size: window, Spill: &tomography.SpillConfig{Dir: dir, SegmentRows: 128}}
+	}
+
+	dir := t.TempDir()
+	if _, err := tomography.WindowedEstimate(top, rec, spillCfg(dir), stride); err != nil {
+		t.Fatal(err)
+	}
+	if n := spillMappings(t, dir); n != 0 {
+		t.Errorf("WindowedEstimate left %d segment mappings under the spill directory", n)
+	}
+
+	dir = t.TempDir()
+	mapped := 0
+	err := tomography.WindowedEstimateFunc(top, rec, spillCfg(dir), stride, func(tomography.WindowPoint) error {
+		mapped = max(mapped, spillMappings(t, dir))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mapped == 0 {
+		t.Fatal("no segment mapped under the spill directory during the replay")
+	}
+	if n := spillMappings(t, dir); n != 0 {
+		t.Errorf("WindowedEstimateFunc left %d segment mappings under the spill directory (%d mid-replay)", n, mapped)
 	}
 }

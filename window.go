@@ -368,7 +368,7 @@ func (w *Window) View(recycle *WindowView) *WindowView {
 	v.name, v.plan, v.opts = w.name, w.plan, w.opts
 	v.seen = w.seen
 	v.len = v.src.Snapshots()
-	v.changePoints = len(w.detector.ChangePoints())
+	v.changePoints = w.detector.Alarms()
 	return v
 }
 
@@ -441,36 +441,17 @@ type WindowPoint struct {
 // snapshots, estimating every stride snapshots (and at the final snapshot),
 // starting once the window has filled. One plan is compiled (or shared via
 // cfg.Plan) for the whole replay. It is the offline counterpart of driving a
-// Window from a live feed.
+// Window from a live feed: WindowedEstimateFunc with every checkpoint's
+// result detached from the window's workspace and kept.
 func WindowedEstimate(top *Topology, rec *Record, cfg WindowConfig, stride int) ([]WindowPoint, error) {
-	if rec == nil || rec.Paths == nil {
-		return nil, fmt.Errorf("tomography: WindowedEstimate: nil record")
-	}
-	if stride <= 0 {
-		return nil, fmt.Errorf("tomography: WindowedEstimate: stride = %d, want > 0", stride)
-	}
-	w, err := NewWindow(top, cfg)
+	var out []WindowPoint
+	err := WindowedEstimateFunc(top, rec, cfg, stride, func(pt WindowPoint) error {
+		pt.Result = pt.Result.clone()
+		out = append(out, pt)
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	n := rec.Snapshots()
-	var out []WindowPoint
-	changed := false
-	for t := 0; t < n; t++ {
-		if w.Observe(rec.PathSnapshot(t)) {
-			changed = true
-		}
-		full := t+1 >= cfg.Size
-		checkpoint := (t+1)%stride == 0 || t == n-1
-		if !full || !checkpoint {
-			continue
-		}
-		res, err := w.Estimate()
-		if err != nil {
-			return nil, fmt.Errorf("tomography: WindowedEstimate at snapshot %d: %w", t, err)
-		}
-		out = append(out, WindowPoint{T: t, Result: res, Changed: changed})
-		changed = false
 	}
 	return out, nil
 }
@@ -483,6 +464,8 @@ func WindowedEstimate(top *Topology, rec *Record, cfg WindowConfig, stride int) 
 // monitoring loop runs garbage-free at whatever rate snapshots arrive.
 // The Result passed to fn is valid only during the call; copy what you keep.
 // fn returning a non-nil error stops the replay and returns that error.
+// The replay's window is closed before it returns, releasing its chunks
+// and, for a spill window, its segment mappings.
 func WindowedEstimateFunc(top *Topology, rec *Record, cfg WindowConfig, stride int, fn func(WindowPoint) error) error {
 	if rec == nil || rec.Paths == nil {
 		return fmt.Errorf("tomography: WindowedEstimate: nil record")
@@ -494,6 +477,7 @@ func WindowedEstimateFunc(top *Topology, rec *Record, cfg WindowConfig, stride i
 	if err != nil {
 		return err
 	}
+	defer w.Close()
 	row := NewPathSet()
 	n := rec.Snapshots()
 	changed := false

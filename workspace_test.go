@@ -188,12 +188,29 @@ func TestWindowedInferenceSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// alarmedDetector returns a change detector that has already fired n
+// alarms and then goes quiet, so allocation measurements see a window whose
+// detector holds a non-empty change-point list without growing it.
+func alarmedDetector(t testing.TB, n int) *tomography.ChangeDetector {
+	t.Helper()
+	d := &tomography.ChangeDetector{Warmup: 1, Threshold: 0.5, Smoothing: 1}
+	for i := 0; i < 2*n; i++ {
+		d.Observe(float64(i % 2))
+	}
+	if got := len(d.ChangePoints()); got != n {
+		t.Fatalf("detector fired %d alarms, want %d", got, n)
+	}
+	d.Warmup, d.Threshold = math.MaxInt32, 1e18
+	return d
+}
+
 // TestWindowChunkTurnoverAllocs counts every allocation a warm RAM window
 // makes while all its chunks turn over: per-row Observe and then
 // ObserveBatchWords each append a whole window of rows — sealing the write
 // buffer eight times, dropping chunks behind the window, recycling their
 // words — with a recycled view published along the way, as the serving
-// shards do.
+// shards do. The alarmed case runs it with a detector that has fired 200
+// alarms, so a view that copied the change-point list would allocate.
 // testing.AllocsPerRun(1, …) reports the loop's total rather than a
 // per-run average rounded down, so even one allocation per seal fails it.
 func TestWindowChunkTurnoverAllocs(t *testing.T) {
@@ -202,43 +219,56 @@ func TestWindowChunkTurnoverAllocs(t *testing.T) {
 		window = 1024 // 128-row chunks
 		batch  = 64
 	)
-	w, err := tomography.NewWindow(scn.Topology, tomography.WindowConfig{Size: window, Detector: quietDetector()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
 	stride := (scn.Topology.NumPaths() + 63) / 64
 	words := make([]uint64, len(rows)*stride)
 	for r, row := range rows {
 		copy(words[r*stride:], row.Words())
 	}
-	var view *tomography.WindowView
-	defer func() { view.Close() }()
-	next := 0
-	turnover := func() {
-		for i := 0; i < window; i++ {
-			w.Observe(rows[next])
-			next = (next + 1) % len(rows)
-			if next%batch == 0 {
-				view = w.View(view)
+	for _, c := range []struct {
+		name     string
+		detector *tomography.ChangeDetector
+	}{
+		{"quiet", quietDetector()},
+		{"alarmed", alarmedDetector(t, 200)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w, err := tomography.NewWindow(scn.Topology, tomography.WindowConfig{Size: window, Detector: c.detector})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for i := 0; i < window/batch; i++ {
-			if next+batch > len(rows) {
-				next = 0
+			defer w.Close()
+			var view *tomography.WindowView
+			defer func() { view.Close() }()
+			next := 0
+			turnover := func() {
+				for i := 0; i < window; i++ {
+					w.Observe(rows[next])
+					next = (next + 1) % len(rows)
+					if next%batch == 0 {
+						view = w.View(view)
+					}
+				}
+				for i := 0; i < window/batch; i++ {
+					if next+batch > len(rows) {
+						next = 0
+					}
+					w.ObserveBatchWords(words[next*stride:(next+batch)*stride], stride, batch)
+					next += batch
+					view = w.View(view)
+				}
 			}
-			w.ObserveBatchWords(words[next*stride:(next+batch)*stride], stride, batch)
-			next += batch
-			view = w.View(view)
-		}
-	}
-	for w.Len() < window {
-		w.Observe(rows[next])
-		next = (next + 1) % len(rows)
-	}
-	turnover()
-	if got := testing.AllocsPerRun(1, turnover); got != 0 {
-		t.Fatalf("%v allocations over two full turnovers of a warm window, want 0", got)
+			for w.Len() < window {
+				w.Observe(rows[next])
+				next = (next + 1) % len(rows)
+			}
+			turnover()
+			if got := testing.AllocsPerRun(1, turnover); got != 0 {
+				t.Fatalf("%v allocations over two full turnovers of a warm window, want 0", got)
+			}
+			if got := view.ChangePoints(); got != len(w.ChangePoints()) {
+				t.Fatalf("view reports %d change points, window %d", got, len(w.ChangePoints()))
+			}
+		})
 	}
 }
 
