@@ -4,6 +4,7 @@
 package tomography_test
 
 import (
+	"fmt"
 	"testing"
 
 	tomography "repro"
@@ -56,15 +57,22 @@ func dynamicsWorkload(b *testing.B) (*brite.Network, tomography.CongestionProces
 
 // BenchmarkDynamicsSim prices the sequential Markov-modulated engine against
 // the i.i.d. block-parallel simulator on the same topology (both serial, so
-// the delta is the dynamics bookkeeping, not parallelism).
+// the delta is the dynamics bookkeeping, not parallelism), and the engine's
+// PacketLevel observation serial against its 8-worker fan-out.
 func BenchmarkDynamicsSim(b *testing.B) {
-	const snapshots = 5000
+	const (
+		snapshots = 5000
+		// packetSnapshots is shorter: a PacketLevel snapshot sends 1000
+		// probes down each of 150 paths, milliseconds of work.
+		packetSnapshots = 200
+	)
 	net, proc := dynamicsWorkload(b)
 	top := net.Topology
 	metrics := map[string]float64{
-		"snapshots": snapshots,
-		"paths":     float64(top.NumPaths()),
-		"links":     float64(top.NumLinks()),
+		"snapshots":        snapshots,
+		"packet-snapshots": packetSnapshots,
+		"paths":            float64(top.NumPaths()),
+		"links":            float64(top.NumLinks()),
 	}
 
 	b.Run("markov-modulated", func(b *testing.B) {
@@ -79,22 +87,30 @@ func BenchmarkDynamicsSim(b *testing.B) {
 		metrics["dynamic-ns/op"] = ns
 		metrics["dynamic-snapshots/sec"] = snapshots / (ns / 1e9)
 	})
-	// Same engine with the per-path column emission fanned out over 8
-	// workers (the modulator advance stays sequential either way); the
-	// record is bit-identical to the serial run, so the delta is pure
-	// parallel speedup — bounded by the machine's core count.
-	b.Run("markov-modulated-parallel-8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := tomography.SimulateDynamic(tomography.DynamicSimConfig{
-				Topology: top, Process: proc, Snapshots: snapshots, Seed: 9, Workers: 8,
-			}); err != nil {
-				b.Fatal(err)
-			}
+	// The same engine under PacketLevel measurement, serial and with the
+	// per-snapshot packet simulation fanned out over 8 workers (the
+	// modulator advance stays sequential either way; StateLevel never fans
+	// out). The records are bit-identical, so the delta is pure parallel
+	// speedup — bounded by the machine's core count.
+	for _, workers := range []int{1, 8} {
+		name := "packet"
+		if workers > 1 {
+			name = fmt.Sprintf("packet-parallel-%d", workers)
 		}
-		ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		metrics["dynamic-parallel-8-ns/op"] = ns
-		metrics["dynamic-parallel-8-snapshots/sec"] = snapshots / (ns / 1e9)
-	})
+		b.Run("markov-modulated-"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := tomography.SimulateDynamic(tomography.DynamicSimConfig{
+					Topology: top, Process: proc, Snapshots: packetSnapshots, Seed: 9,
+					Mode: tomography.PacketLevel, Workers: workers,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			metrics[name+"-ns/op"] = ns
+			metrics[name+"-snapshots/sec"] = packetSnapshots / (ns / 1e9)
+		})
+	}
 	b.Run("iid-baseline", func(b *testing.B) {
 		s, err := scenario.Brite(scenario.BriteConfig{
 			Net: net, FracCongested: 0.10, Level: scenario.HighCorrelation, Seed: 31,
@@ -115,8 +131,8 @@ func BenchmarkDynamicsSim(b *testing.B) {
 		metrics["iid-snapshots/sec"] = snapshots / (ns / 1e9)
 	})
 	if d, s := metrics["dynamic-snapshots/sec"], metrics["iid-snapshots/sec"]; d > 0 && s > 0 {
-		b.Logf("dynamic %.0f snapshots/sec (%.0f at 8 workers) vs i.i.d. %.0f snapshots/sec (%.2f× overhead)",
-			d, metrics["dynamic-parallel-8-snapshots/sec"], s, s/d)
+		b.Logf("dynamic %.0f snapshots/sec vs i.i.d. %.0f snapshots/sec (%.2f× overhead); packet-level %.0f snapshots/sec serial, %.0f at 8 workers",
+			d, s, s/d, metrics["packet-snapshots/sec"], metrics["packet-parallel-8-snapshots/sec"])
 	}
 	writeBenchJSONFile(b, "BENCH_dynamics.json", "BenchmarkDynamicsSim", metrics)
 }

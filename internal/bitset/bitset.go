@@ -128,6 +128,19 @@ func (s *Set) Clear() {
 	}
 }
 
+// ResetWords empties the set, grows it to hold at least n bits, and returns
+// its backing words for the caller to fill in place (bit i of word w is
+// element w*64+i). Unlike Words, the result may be written; it is
+// invalidated by any later mutation that grows the set. Words past n bits,
+// if the set was already longer, stay cleared.
+func (s *Set) ResetWords(n int) []uint64 {
+	s.Clear()
+	if n > 0 {
+		s.ensure((n - 1) / wordBits)
+	}
+	return s.words
+}
+
 // UnionWith adds all elements of t to s.
 func (s *Set) UnionWith(t *Set) {
 	s.ensure(len(t.words) - 1)

@@ -147,6 +147,27 @@ func TestClear(t *testing.T) {
 	}
 }
 
+// TestResetWords pins ResetWords: it empties the set, grows it to hold n
+// bits, keeps longer storage cleared, and its words write through.
+func TestResetWords(t *testing.T) {
+	s := FromIndices(3)
+	w := s.ResetWords(130)
+	if len(w) != 3 || !s.IsEmpty() {
+		t.Fatalf("ResetWords(130) on a 1-word set: %d words, empty=%v; want 3, true", len(w), s.IsEmpty())
+	}
+	w[2] = 1
+	if !s.Contains(128) {
+		t.Fatal("a word written through ResetWords is not in the set")
+	}
+	long := FromIndices(0, 300)
+	if w := long.ResetWords(10); len(w) != 5 || !long.IsEmpty() {
+		t.Fatalf("ResetWords(10) on a 5-word set: %d words, empty=%v; want 5, true", len(w), long.IsEmpty())
+	}
+	if w := New(0).ResetWords(0); len(w) != 0 {
+		t.Fatalf("ResetWords(0) on an empty set: %d words", len(w))
+	}
+}
+
 func TestString(t *testing.T) {
 	if got := FromIndices(2, 0).String(); got != "{0, 2}" {
 		t.Fatalf("String = %q", got)

@@ -44,9 +44,11 @@ type DynamicConfig struct {
 	// reused between calls; clone it to retain. Calls arrive in snapshot
 	// order regardless of Workers.
 	OnSnapshot func(t int, congestedPaths *bitset.Set)
-	// Workers caps the per-path observation fan-out (0 ⇒ GOMAXPROCS, capped
-	// by any worker budget the context carries; 1 ⇒ the fully sequential
-	// loop). The process advance and the store emission stay sequential for
+	// Workers caps the PacketLevel per-path observation fan-out (0 ⇒
+	// GOMAXPROCS, capped by any worker budget the context carries; 1 ⇒ the
+	// fully sequential loop). A StateLevel observation is a handful of word
+	// ORs, cheaper than the fan-out, so StateLevel always runs the sequential
+	// loop. The process advance and the store emission stay sequential for
 	// determinism, so records and OnSnapshot sequences are bit-identical for
 	// every setting.
 	Workers int
@@ -56,15 +58,17 @@ type DynamicConfig struct {
 // block-sharded fill, the process chain is inherently sequential — snapshot
 // t's congestion state depends on snapshot t−1's — so observations are
 // appended to the record in snapshot order (segstore.Builder.Append),
-// exactly as a live probe feed would arrive. The per-snapshot path
-// observation, however, is independent given the link state, so RunDynamic
-// pipelines in chunks: the modulator advances sequentially into a chunk of
-// buffered link states, per-path column emission fans out across
-// cfg.Workers (the expensive step under PacketLevel measurement), and the
-// chunk is appended in snapshot order. The run is deterministic in cfg.Seed: the process realization
-// consumes one RNG stream and per-snapshot measurement noise uses
-// runner.DeriveSeed(seed, t), so records never depend on scheduling or
-// worker count. ctx is honoured between snapshots.
+// exactly as a live probe feed would arrive. A StateLevel snapshot's
+// congested paths are ψ(congested links) (Equation 1), a few word ORs
+// that draw no randomness. A PacketLevel observation is the expensive
+// step, and it is independent given the link state, so under PacketLevel
+// with cfg.Workers > 1 RunDynamic pipelines in chunks: the modulator
+// advances sequentially into a chunk of buffered link states, the per-path
+// packet simulation fans out across cfg.Workers, and the chunk is appended
+// in snapshot order. The run is deterministic in cfg.Seed: the process
+// realization consumes one RNG stream and per-snapshot measurement noise
+// uses runner.DeriveSeed(seed, t), so records never depend on scheduling
+// or worker count. ctx is honoured between snapshots.
 func RunDynamic(ctx context.Context, cfg DynamicConfig) (*Record, error) {
 	return runDynamic(ctx, cfg, true)
 }
@@ -124,12 +128,16 @@ func runDynamic(ctx context.Context, cfg DynamicConfig, record bool) (*Record, e
 	}
 	run := cfg.Process.Start(cfg.Seed)
 	linkState := bitset.New(cfg.Topology.NumLinks())
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 1 {
-		return runDynamicChunked(ctx, cfg, rec, run, linkState, tl, packets)
+	var rng *rand.Rand
+	if cfg.Mode == PacketLevel {
+		workers := cfg.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		if workers > 1 {
+			return runDynamicChunked(ctx, cfg, rec, run, linkState, tl, packets)
+		}
+		rng = rand.New(rand.NewSource(0))
 	}
 	pathState := bitset.New(cfg.Topology.NumPaths())
 	for t := 0; t < cfg.Snapshots; t++ {
@@ -141,7 +149,9 @@ func runDynamic(ctx context.Context, cfg DynamicConfig, record bool) (*Record, e
 		run.Next(linkState)
 		// Measurement noise draws from a per-snapshot stream so packet-level
 		// noise stays independent of the process realization.
-		rng := rand.New(rand.NewSource(runner.DeriveSeed(cfg.Seed, t)))
+		if rng != nil {
+			rng.Seed(runner.DeriveSeed(cfg.Seed, t))
+		}
 		observePaths(cfg.Topology, linkState, rng, cfg.Mode, tl, packets, pathState)
 		rec.append(pathState, linkState)
 		if cfg.OnSnapshot != nil {
@@ -178,16 +188,17 @@ func (b *recordBuilder) finish() *Record {
 	return rec
 }
 
-// dynChunkSnapshots is the pipeline chunk of the parallel RunDynamic path:
+// dynChunkSnapshots is the pipeline chunk of the parallel PacketLevel path:
 // big enough to amortize the per-chunk fan-out, small enough that the
 // buffered link/path states stay cache-resident and OnSnapshot latency stays
 // bounded.
 const dynChunkSnapshots = 512
 
-// runDynamicChunked is the parallel body of RunDynamic: advance the process
-// sequentially into a chunk of buffered link states, observe the chunk's
-// paths in parallel (each snapshot's measurement noise comes from its own
-// derived stream, so tasks are independent), then emit the chunk in
+// runDynamicChunked is the parallel body of a PacketLevel RunDynamic:
+// advance the process sequentially into a chunk of buffered link states,
+// simulate the chunk's probe packets in parallel (each snapshot's
+// measurement noise comes from its own derived stream, reseeded into the
+// worker's generator, so tasks are independent), then emit the chunk in
 // snapshot order. Emission order, store contents and OnSnapshot sequence
 // are exactly the sequential loop's.
 func runDynamicChunked(ctx context.Context, cfg DynamicConfig, rec *recordBuilder, run dynamics.Run, linkState *bitset.Set, tl float64, packets int) (*Record, error) {
@@ -214,11 +225,13 @@ func runDynamicChunked(ctx context.Context, cfg DynamicConfig, rec *recordBuilde
 			run.Next(linkState)
 			linkStates[i].CopyFrom(linkState)
 		}
-		err := r.Run(ctx, m, func(_ context.Context, i int) error {
-			rng := rand.New(rand.NewSource(runner.DeriveSeed(cfg.Seed, base+i)))
-			observePaths(cfg.Topology, linkStates[i], rng, cfg.Mode, tl, packets, pathStates[i])
-			return nil
-		})
+		_, err := runner.MapScratch(ctx, r, m,
+			func() *rand.Rand { return rand.New(rand.NewSource(0)) },
+			func(_ context.Context, i int, rng *rand.Rand) (struct{}, error) {
+				rng.Seed(runner.DeriveSeed(cfg.Seed, base+i))
+				observePaths(cfg.Topology, linkStates[i], rng, cfg.Mode, tl, packets, pathStates[i])
+				return struct{}{}, nil
+			})
 		if err != nil {
 			return nil, err
 		}

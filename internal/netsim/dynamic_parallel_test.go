@@ -9,11 +9,12 @@ import (
 
 // TestRunDynamicParallelMatchesSerial pins the chunked parallel RunDynamic
 // path bit-identical to the sequential loop across worker counts {1, 2, 7,
-// 8}, in both measurement modes (packet-level exercises the per-snapshot
-// derived-noise streams the fan-out depends on), including recorded link
-// states and the OnSnapshot tap sequence — same sets, same order, same
-// indices. Snapshot counts straddle the chunk size so partial final chunks
-// are covered.
+// 8}, including recorded link states and the OnSnapshot tap sequence —
+// same sets, same order, same indices. Only PacketLevel takes the chunked
+// path, and it exercises the per-snapshot derived-noise streams the fan-out
+// depends on; StateLevel always runs the sequential loop, so its arm pins
+// only that Workers has no effect there. Snapshot counts straddle the chunk
+// size so partial final chunks are covered.
 func TestRunDynamicParallelMatchesSerial(t *testing.T) {
 	top, proc := dynFixture(t)
 	for _, mode := range []Mode{StateLevel, PacketLevel} {
@@ -67,13 +68,13 @@ func TestRunDynamicParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunDynamicParallelCancellation pins that the chunked path still
-// honours context cancellation.
+// TestRunDynamicParallelCancellation pins that the chunked PacketLevel path
+// still honours context cancellation.
 func TestRunDynamicParallelCancellation(t *testing.T) {
 	top, proc := dynFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunDynamic(ctx, DynamicConfig{Topology: top, Process: proc, Snapshots: 10, Workers: 4})
+	_, err := RunDynamic(ctx, DynamicConfig{Topology: top, Process: proc, Snapshots: 10, Mode: PacketLevel, Workers: 4})
 	if err == nil {
 		t.Fatal("cancelled context accepted by parallel path")
 	}

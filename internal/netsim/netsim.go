@@ -174,15 +174,20 @@ func RunContext(ctx context.Context, cfg Config) (*Record, error) {
 	// column, so concurrent writers never share a word and the columnar
 	// record needs no merge pass. The per-snapshot RNG is still derived from
 	// (seed, snapshot) alone, so the record is bit-identical for any worker
-	// count. Scratch bitsets are allocated once per worker and reused.
+	// count. Scratch bitsets and the generator are allocated once per worker
+	// and reused; the generator is reseeded for every snapshot.
 	blocks := (cfg.Snapshots + segstore.BlockRows - 1) / segstore.BlockRows
-	type scratch struct{ linkState, pathState *bitset.Set }
+	type scratch struct {
+		linkState, pathState *bitset.Set
+		rng                  *rand.Rand
+	}
 	pool := &runner.Runner{Workers: cfg.Parallelism}
 	_, err := runner.MapScratch(ctx, pool, blocks,
 		func() *scratch {
 			return &scratch{
 				linkState: bitset.New(cfg.Topology.NumLinks()),
 				pathState: bitset.New(cfg.Topology.NumPaths()),
+				rng:       rand.New(rand.NewSource(0)),
 			}
 		},
 		func(_ context.Context, block int, sc *scratch) (struct{}, error) {
@@ -192,15 +197,15 @@ func RunContext(ctx context.Context, cfg Config) (*Record, error) {
 				hi = cfg.Snapshots
 			}
 			for snap := lo; snap < hi; snap++ {
-				rng := rand.New(rand.NewSource(runner.DeriveSeed(cfg.Seed, snap)))
-				cfg.Model.Sample(rng, sc.linkState)
+				sc.rng.Seed(runner.DeriveSeed(cfg.Seed, snap))
+				cfg.Model.Sample(sc.rng, sc.linkState)
 				if links != nil {
 					sc.linkState.ForEach(func(k int) bool {
 						links.SetBit(k, snap)
 						return true
 					})
 				}
-				observePaths(cfg.Topology, sc.linkState, rng, cfg.Mode, tl, packets, sc.pathState)
+				observePaths(cfg.Topology, sc.linkState, sc.rng, cfg.Mode, tl, packets, sc.pathState)
 				sc.pathState.ForEach(func(p int) bool {
 					paths.SetBit(p, snap)
 					return true
@@ -219,16 +224,17 @@ func RunContext(ctx context.Context, cfg Config) (*Record, error) {
 }
 
 // observePaths derives the congested-path set for one snapshot into out
-// (cleared first).
+// (cleared first). StateLevel reads no randomness, and rng may be nil then.
 func observePaths(top *topology.Topology, linkState *bitset.Set, rng *rand.Rand, mode Mode, tl float64, packets int, out *bitset.Set) {
 	out.Clear()
 	switch mode {
 	case StateLevel:
-		for _, p := range top.Paths() {
-			if top.PathLinkSet(p.ID).Intersects(linkState) {
-				out.Add(int(p.ID))
-			}
-		}
+		// Assumption 2 makes the congested paths ψ(congested links), the
+		// union of the congested links' coverage sets (Equation 1).
+		linkState.ForEach(func(k int) bool {
+			out.UnionWith(top.LinkCoverage(topology.LinkID(k)))
+			return true
+		})
 	case PacketLevel:
 		rates := loss.SampleRates(rng, linkState, top.NumLinks(), tl)
 		for _, p := range top.Paths() {

@@ -29,17 +29,35 @@ func sameColumns(a, b *segstore.Columns) bool {
 
 // oracleRows simulates cfg one snapshot at a time, row-major, with the
 // per-snapshot streams RunContext derives: the reference every record
-// RunContext builds must match, whatever its worker count.
+// RunContext builds must match, whatever its worker count. Its StateLevel
+// rows come from the per-path definition of separability, not from the
+// code under test.
 func oracleRows(cfg Config) (paths, links []*bitset.Set) {
 	for snap := 0; snap < cfg.Snapshots; snap++ {
 		rng := rand.New(rand.NewSource(runner.DeriveSeed(cfg.Seed, snap)))
 		link := bitset.New(cfg.Topology.NumLinks())
 		cfg.Model.Sample(rng, link)
 		path := bitset.New(cfg.Topology.NumPaths())
-		observePaths(cfg.Topology, link, rng, cfg.Mode, 0.01, 1000, path)
+		if cfg.Mode == StateLevel {
+			path = separableRow(cfg.Topology, link)
+		} else {
+			observePaths(cfg.Topology, link, rng, cfg.Mode, 0.01, 1000, path)
+		}
 		paths, links = append(paths, path), append(links, link)
 	}
 	return paths, links
+}
+
+// separableRow is Assumption 2 by definition: path p is congested iff it
+// traverses a congested link.
+func separableRow(top *topology.Topology, links *bitset.Set) *bitset.Set {
+	row := bitset.New(top.NumPaths())
+	for _, p := range top.Paths() {
+		if top.PathLinkSet(p.ID).Intersects(links) {
+			row.Add(int(p.ID))
+		}
+	}
+	return row
 }
 
 // TestRunContextMatchesRowOracle pins RunContext's block-parallel fill:

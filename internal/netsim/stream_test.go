@@ -11,11 +11,16 @@ import (
 // TestRunDynamicStreamMatchesRecord pins the streaming generator's
 // contract: the OnSnapshot sequence of a record-less RunDynamicStream is
 // bit-identical to the record RunDynamic produces under the same
-// configuration — serial and chunked-parallel alike.
+// configuration — in both modes, serial and (PacketLevel) chunked-parallel
+// alike.
 func TestRunDynamicStreamMatchesRecord(t *testing.T) {
 	top, proc := dynFixture(t)
-	for _, workers := range []int{1, 4} {
-		cfg := DynamicConfig{Topology: top, Process: proc, Snapshots: 1300, Seed: 11, Workers: workers}
+	for _, c := range []struct {
+		mode    Mode
+		workers int
+	}{{StateLevel, 1}, {StateLevel, 4}, {PacketLevel, 1}, {PacketLevel, 4}} {
+		mode, workers := c.mode, c.workers
+		cfg := DynamicConfig{Topology: top, Process: proc, Snapshots: 1300, Seed: 11, Mode: mode, Workers: workers}
 		rec, err := RunDynamic(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -24,7 +29,7 @@ func TestRunDynamicStreamMatchesRecord(t *testing.T) {
 		next := 0
 		cfg.OnSnapshot = func(ts int, congested *bitset.Set) {
 			if ts != next {
-				t.Fatalf("workers=%d: snapshot %d arrived, want %d (out of order)", workers, ts, next)
+				t.Fatalf("%v workers=%d: snapshot %d arrived, want %d (out of order)", mode, workers, ts, next)
 			}
 			next++
 			streamed = append(streamed, congested.Clone())
@@ -33,13 +38,13 @@ func TestRunDynamicStreamMatchesRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(streamed) != rec.Snapshots() {
-			t.Fatalf("workers=%d: streamed %d snapshots, record has %d", workers, len(streamed), rec.Snapshots())
+			t.Fatalf("%v workers=%d: streamed %d snapshots, record has %d", mode, workers, len(streamed), rec.Snapshots())
 		}
 		row := bitset.New(top.NumPaths())
 		for ts, got := range streamed {
 			rec.Paths.RowInto(ts, row)
 			if !got.Equal(row) {
-				t.Fatalf("workers=%d: snapshot %d streamed %v, record %v", workers, ts, got, row)
+				t.Fatalf("%v workers=%d: snapshot %d streamed %v, record %v", mode, workers, ts, got, row)
 			}
 		}
 	}

@@ -264,17 +264,16 @@ func (c *Columns) Bit(i, t int) bool {
 // RowInto materializes window snapshot t as a set of congested series into
 // dst (cleared first); t = 0 is the oldest retained snapshot.
 func (c *Columns) RowInto(t int, dst *bitset.Set) {
-	dst.Clear()
 	if t < 0 || t >= c.retained {
 		panic(fmt.Sprintf("segstore: snapshot %d outside window [0, %d)", t, c.retained))
 	}
 	c.rowInto(c.n-c.retained+t, dst)
 }
 
-// rowInto materializes absolute window row abs into dst (not cleared).
+// rowInto materializes absolute window row abs into dst (cleared first).
 func (c *Columns) rowInto(abs int, dst *bitset.Set) {
 	s, r := c.locate(abs)
-	s.rowInto(r, dst)
+	s.rowInto(r, dst.ResetWords(c.series))
 }
 
 // locate maps absolute window row abs to its chunk and chunk-relative row.

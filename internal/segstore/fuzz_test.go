@@ -122,8 +122,7 @@ func checkSegmentConsistent(t *testing.T, s *segment) {
 			}
 		}
 	}
-	dst.Clear()
-	s.rowInto(0, dst)
+	s.rowInto(0, dst.ResetWords(series))
 	for i := 0; i < series; i++ {
 		if dst.Contains(i) != s.bit(i, 0) {
 			t.Fatalf("rowInto(0) disagrees with bit() on column %d", i)

@@ -250,24 +250,30 @@ func (s *segment) bit(i, r int) bool {
 	return s.data[m.off+w-m.lo]&(1<<uint(r%wordBits)) != 0
 }
 
-// rowInto adds every column with row r set to dst (which the caller has
-// cleared). A dense chunk is read with a plain stride loop, one word per
-// column; only a span-compressed segment pays the span checks.
-func (s *segment) rowInto(r int, dst *bitset.Set) {
+// rowInto sets bit i of dst for every column i with row r set; dst is
+// cleared and holds at least ⌈columns/64⌉ words (bitset.Set.ResetWords). A
+// dense chunk is read with a plain stride loop that builds each 64-column
+// word by shift-and-OR and stores it once; only a span-compressed segment
+// pays the span checks.
+func (s *segment) rowInto(r int, dst []uint64) {
 	w := r / wordBits
-	mask := uint64(1) << uint(r%wordBits)
 	if s.dense {
-		for i, off := 0, w; off < len(s.data); i, off = i+1, off+s.words {
-			if s.data[off]&mask != 0 {
-				dst.Add(i)
+		shift := uint(r % wordBits)
+		n := len(s.meta)
+		for base, off := 0, w; base < n; base += wordBits {
+			var acc uint64
+			for b := uint(0); b < wordBits && off < len(s.data); b, off = b+1, off+s.words {
+				acc |= (s.data[off] >> shift & 1) << b
 			}
+			dst[base/wordBits] = acc
 		}
 		return
 	}
+	mask := uint64(1) << uint(r%wordBits)
 	for i := range s.meta {
 		m := &s.meta[i]
 		if m.pop != 0 && w >= m.lo && w < m.hi && s.data[m.off+w-m.lo]&mask != 0 {
-			dst.Add(i)
+			dst[i/wordBits] |= 1 << uint(i%wordBits)
 		}
 	}
 }

@@ -515,11 +515,11 @@ func (r *Reader) Bit(i, t int) bool {
 
 // RowInto materializes absolute row t into dst (cleared first).
 func (r *Reader) RowInto(t int, dst *bitset.Set) {
-	dst.Clear()
+	words := dst.ResetWords(r.series)
 	if t < 0 || t >= r.Rows() {
 		return
 	}
-	r.segs[t/r.segRows].rowInto(t%r.segRows, dst)
+	r.segs[t/r.segRows].rowInto(t%r.segRows, words)
 }
 
 // CongestedCount returns how many sealed rows have series i congested.

@@ -444,7 +444,7 @@ func (res *BatchResult) fill(ctx context.Context, opts BatchOptions, plans *plan
 	if s.Process != nil {
 		// Time-indexed scenario: the dynamic engine evolves the congestion
 		// state snapshot by snapshot (the process chain stays sequential;
-		// per-path observation fans out across the worker budget).
+		// PacketLevel observation fans out across the worker budget).
 		rec, err = netsim.RunDynamic(ctx, netsim.DynamicConfig{
 			Topology:       s.Topology,
 			Process:        s.Process,
