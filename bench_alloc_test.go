@@ -187,7 +187,8 @@ func BenchmarkBatchPairCount(b *testing.B) {
 // path used by a selected equation is congested in every snapshot, on the
 // ablation scenario (Brite, 150 paths, 2048 snapshots). Two arms: "normal"
 // has no dead path; "dead" has one, so every call resumes the compiled
-// selection at the dead path's row and rebuilds the rank tracker there.
+// selection at the dead path's row, from the compiled rank tracker's rows
+// before it.
 func BenchmarkDeadPathRunIn(b *testing.B) {
 	const snapshots = 2048
 	net, err := brite.Generate(brite.Config{ASes: 40, EdgesPerAS: 2, Paths: 150, Seed: 8})

@@ -22,11 +22,8 @@ package tomography_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/benchmeta"
@@ -427,36 +424,12 @@ func writeBenchJSON(b *testing.B, bench string, metrics map[string]float64) {
 	writeBenchJSONFile(b, "BENCH_measure.json", bench, metrics)
 }
 
-// writeBenchJSONFile merges the metrics into the named benchmark artifact,
-// stamping the machine metadata (GOMAXPROCS, GOAMD64, CPU model, page size,
-// mmap availability, …) every artifact carries so perf numbers across PRs
-// are interpretable. The BENCH_JSON_SUFFIX environment variable inserts a
-// suffix before ".json" — the CI mechanism that keeps the GOAMD64=v2 and
-// =v3 legs in separate artifacts. It takes a testing.TB so env-gated smoke
-// tests (not just benchmarks) can record artifacts too.
+// writeBenchJSONFile merges the metrics into the named benchmark artifact
+// (benchmeta.WriteJSON). It takes a testing.TB so env-gated smoke tests
+// (not just benchmarks) can record artifacts too.
 func writeBenchJSONFile(tb testing.TB, path, bench string, metrics map[string]float64) {
 	tb.Helper()
-	if s := os.Getenv("BENCH_JSON_SUFFIX"); s != "" {
-		path = strings.TrimSuffix(path, ".json") + s + ".json"
-	}
-	all := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(data, &all)
-	}
-	enc := func(v any) json.RawMessage {
-		data, err := json.Marshal(v)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return data
-	}
-	all[bench] = enc(metrics)
-	all["machine"] = enc(benchmeta.Collect())
-	data, err := json.MarshalIndent(all, "", "  ")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := benchmeta.WriteJSON(path, bench, metrics); err != nil {
 		tb.Fatal(err)
 	}
 }

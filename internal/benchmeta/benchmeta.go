@@ -6,6 +6,7 @@ package benchmeta
 
 import (
 	"bufio"
+	"encoding/json"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -91,4 +92,31 @@ func cpuModel() string {
 		}
 	}
 	return ""
+}
+
+// WriteJSON merges one benchmark's metrics into the artifact at path under
+// the benchmark's name, keeping the other benchmarks' entries, and stamps
+// the machine metadata every artifact carries so perf numbers across PRs
+// are interpretable. The BENCH_JSON_SUFFIX environment variable inserts a
+// suffix before ".json" — the CI mechanism that keeps the GOAMD64=v2 and
+// =v3 legs in separate artifacts.
+func WriteJSON(path, bench string, metrics map[string]float64) error {
+	if s := os.Getenv("BENCH_JSON_SUFFIX"); s != "" {
+		path = strings.TrimSuffix(path, ".json") + s + ".json"
+	}
+	all := map[string]any{}
+	if data, err := os.ReadFile(path); err == nil {
+		var old map[string]json.RawMessage
+		_ = json.Unmarshal(data, &old)
+		for k, v := range old {
+			all[k] = v
+		}
+	}
+	all[bench] = metrics
+	all["machine"] = Collect()
+	data, err := json.MarshalIndent(all, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/linalg"
+	"repro/internal/scratch"
 	"repro/internal/topology"
 )
 
@@ -56,58 +57,78 @@ type EquationSystem struct {
 	SkippedZeroProb int
 }
 
-// rankTracker abstracts the two linear-independence trackers.
+// rankTracker abstracts the two linear-independence trackers. offer
+// computes a row's residual against the tracked rows and reports whether the
+// row raises the rank; accept adds that residual, so an accepted row is
+// reduced once.
 type rankTracker interface {
-	wouldIncrease(links *bitset.Set) bool
-	add(links *bitset.Set)
+	offer(links *bitset.Set) bool
+	// accept adds the row of the last offer, which must have raised the
+	// rank.
+	accept()
 	rank() int
 	full() bool
+	// resume returns ws's tracker of the same kind holding this tracker's
+	// first k rows, read in place: the tracker a selection that accepted
+	// those rows first would hold.
+	resume(ws *Workspace, k int) rankTracker
 }
 
 // floatTracker wraps linalg.RowBasis (exact over the reals).
 type floatTracker struct {
-	rb  *linalg.RowBasis
+	rb  linalg.RowBasis
 	row []float64
 }
 
 func newFloatTracker(dim int) *floatTracker {
-	return &floatTracker{rb: linalg.NewRowBasis(dim, 0), row: make([]float64, dim)}
+	return &floatTracker{rb: *linalg.NewRowBasis(dim, 0), row: make([]float64, dim)}
 }
 
-func (t *floatTracker) toRow(links *bitset.Set) []float64 {
-	for i := range t.row {
-		t.row[i] = 0
-	}
+// toRow writes the 0/1 incidence row of a link set into row.
+func toRow(row []float64, links *bitset.Set) []float64 {
+	clear(row)
 	links.ForEach(func(k int) bool {
-		t.row[k] = 1
+		row[k] = 1
 		return true
 	})
-	return t.row
+	return row
 }
 
-func (t *floatTracker) wouldIncrease(links *bitset.Set) bool {
-	return t.rb.WouldIncreaseRank(t.toRow(links))
+func (t *floatTracker) offer(links *bitset.Set) bool { return t.rb.Offer(toRow(t.row, links)) }
+func (t *floatTracker) accept()                      { t.rb.Accept() }
+func (t *floatTracker) rank() int                    { return t.rb.Rank() }
+func (t *floatTracker) full() bool                   { return t.rb.Full() }
+
+func (t *floatTracker) resume(ws *Workspace, k int) rankTracker {
+	w := &ws.flt
+	w.rb.Resume(&t.rb, k)
+	w.row = scratch.Grow(w.row, len(t.row))
+	return w
 }
-func (t *floatTracker) add(links *bitset.Set) { t.rb.Add(t.toRow(links)) }
-func (t *floatTracker) rank() int             { return t.rb.Rank() }
-func (t *floatTracker) full() bool            { return t.rb.Full() }
 
 // gf2Tracker wraps linalg.GF2Basis (fast, may under-collect).
 type gf2Tracker struct {
-	b   *linalg.GF2Basis
+	b   linalg.GF2Basis
 	dim int
 }
 
-func (t *gf2Tracker) wouldIncrease(links *bitset.Set) bool { return t.b.WouldIncreaseRank(links) }
-func (t *gf2Tracker) add(links *bitset.Set)                { t.b.Add(links) }
-func (t *gf2Tracker) rank() int                            { return t.b.Rank() }
-func (t *gf2Tracker) full() bool                           { return t.b.Rank() == t.dim }
+func (t *gf2Tracker) offer(links *bitset.Set) bool { return t.b.Offer(links) }
+func (t *gf2Tracker) accept()                      { t.b.Accept() }
+func (t *gf2Tracker) rank() int                    { return t.b.Rank() }
+func (t *gf2Tracker) full() bool                   { return t.b.Rank() == t.dim }
+
+func (t *gf2Tracker) resume(ws *Workspace, k int) rankTracker {
+	w := &ws.gf2
+	w.b.Resume(&t.b, k)
+	w.dim = t.dim
+	return w
+}
 
 // newRankTracker returns the GF(2) tracker when gf2 is set, the float
 // tracker otherwise.
 func newRankTracker(nl int, gf2 bool) rankTracker {
 	if gf2 {
-		return &gf2Tracker{b: linalg.NewGF2Basis(), dim: nl}
+		return &gf2Tracker{dim: nl}
 	}
 	return newFloatTracker(nl)
 }

@@ -96,7 +96,7 @@ func TestGF2ThresholdPath(t *testing.T) {
 		t.Fatalf("GF2 rank %d != float rank %d", gf2.Rank, flt.Rank)
 	}
 	// And inference through the GF(2)-selected structure stays exact.
-	st, err := compileStructure(top, false, Options{}, true)
+	st, err := compileStructure(top, false, Options{}, newRankTracker(top.NumLinks(), true))
 	if err != nil {
 		t.Fatal(err)
 	}

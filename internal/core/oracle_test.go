@@ -16,7 +16,8 @@ import (
 // equations (3·|E| rows under UseAllEquations) are collected or candidates
 // run out. Selection and probability lookup are interleaved, so a row
 // dropped for a near-zero measured probability frees its slot for later
-// candidates. gf2 selects the GF(2) rank tracker.
+// candidates. It tracks the rank with the dense Gram–Schmidt oracle, or
+// with a fresh GF(2) tracker when gf2 is set.
 func BuildEquations(top *topology.Topology, src measure.Source, identity bool, opts Options, gf2 bool) (*EquationSystem, error) {
 	if src.NumPaths() != top.NumPaths() {
 		return nil, fmt.Errorf("core: source has %d paths, topology %d", src.NumPaths(), top.NumPaths())
@@ -35,16 +36,20 @@ func BuildEquations(top *topology.Topology, src measure.Source, identity bool, o
 	}
 
 	sys := &EquationSystem{NumLinks: nl, Covered: bitset.New(nl)}
-	basis := newRankTracker(nl, gf2)
+	basis := oracleTracker(nl, gf2)
 	probPaths := probeFor(top, src)
 	for i := range stream {
 		c := &stream[i]
 		links := linksOf(top, c, bitset.New(nl))
-		if opts.UseAllEquations || basis.wouldIncrease(links) {
+		if opts.UseAllEquations || basis.offer(links) {
 			if prob := probPaths(c.pathIDs()); prob <= minProb {
 				sys.SkippedZeroProb++
 			} else {
-				basis.add(links)
+				// The residual is computed again here, as the dense
+				// tracker's Add did.
+				if basis.offer(links) {
+					basis.accept()
+				}
 				sys.Equations = append(sys.Equations, Equation{
 					Links: links.Clone(),
 					Y:     math.Log(prob),

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bitset"
@@ -112,7 +113,8 @@ pairs:
 // requires both to be reflect.DeepEqual to the fused oracle.
 func checkSelection(t *testing.T, ws *Workspace, st *Structure, identity bool, opts Options, src measure.Source, what string) {
 	t.Helper()
-	want, err := BuildEquations(st.top, src, identity, opts, st.gf2)
+	_, gf2 := st.basis.(*gf2Tracker)
+	want, err := BuildEquations(st.top, src, identity, opts, gf2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +148,12 @@ func TestResumedSelectionMatchesOracle(t *testing.T) {
 	for _, seed := range []int64{3, 28} {
 		top, rec := briteRecord(t, seed)
 		rng := rand.New(rand.NewSource(seed))
-		other, err := compileStructure(top, true, Options{DisablePairs: true}, false)
+		other, err := compileStructure(top, true, Options{DisablePairs: true}, newRankTracker(top.NumLinks(), false))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, v := range selectorVariants {
-			st, err := compileStructure(top, v.identity, v.opts, v.gf2)
+			st, err := compileStructure(top, v.identity, v.opts, newRankTracker(top.NumLinks(), v.gf2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,11 +247,85 @@ func TestNaNProbabilityIsKept(t *testing.T) {
 	}
 }
 
+// healthyWindow is the healthy side of TestHealthyAfterDeadPathAllocs: a
+// warm sliding window that takes the next recorded row before each
+// estimate.
+type healthyWindow struct {
+	win  *measure.Empirical
+	rows []*bitset.Set
+	next int
+}
+
+// step appends a row and estimates on the window; the allocations the
+// test counts are the ones on stacks through step.
+func (h *healthyWindow) step(t *testing.T, lp *LinearPlan, ws *Workspace) {
+	h.win.Append(h.rows[h.next])
+	h.next = (h.next + 1) % len(h.rows)
+	res, err := lp.RunIn(ws, h.win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.System.SkippedZeroProb != 0 {
+		t.Fatal("the healthy window dropped a row")
+	}
+}
+
+// deadStep estimates on a source with a dead path, which resumes the
+// selection.
+func deadStep(t *testing.T, lp *LinearPlan, ws *Workspace, src measure.Source) {
+	res, err := lp.RunIn(ws, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.System.SkippedZeroProb == 0 {
+		t.Fatal("the dead path dropped no row")
+	}
+}
+
+// heapAllocsThrough returns, per allocation stack that passes through a
+// function whose name ends in one of fns, the objects allocated there so
+// far. It reads the heap profile, which covers every allocation only while
+// runtime.MemProfileRate is 1, and which a completed GC cycle publishes.
+func heapAllocsThrough(fns ...string) map[string]int64 {
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	out := map[string]int64{}
+	for _, r := range recs[:n] {
+		var stack strings.Builder
+		through := false
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			fmt.Fprintf(&stack, "\n\t%s:%d", f.Function, f.Line)
+			for _, fn := range fns {
+				through = through || strings.HasSuffix(f.Function, fn)
+			}
+		}
+		if through {
+			out[stack.String()] += r.AllocObjects
+		}
+	}
+	return out
+}
+
 // TestHealthyAfterDeadPathAllocs pins that an estimate with a dead path
-// leaves nothing on the workspace: one workspace alternates RunIn on a
-// source with a dead path (which resumes the selection and allocates) and
-// Append + RunIn on a healthy warm window, and the healthy step allocates
-// nothing.
+// leaves nothing on the workspace that a later healthy estimate pays for,
+// and that a warm resume allocates nothing: one workspace alternates RunIn
+// on a source with a dead path (which resumes the selection) and Append +
+// RunIn on a healthy warm window, and after a warm-up neither allocates.
+//
+// Allocations are counted from the heap profile at MemProfileRate 1, on the
+// stacks through the two steps. runtime.MemStats.Mallocs would also count
+// other goroutines: the runtime's own, such as the scavenger growing its
+// timer heap (runtime.(*timers).addHeap under runtime.bgscavenge), which
+// made a Mallocs count fail now and then on code that did not allocate.
 func TestHealthyAfterDeadPathAllocs(t *testing.T) {
 	top, rec := briteRecord(t, 3)
 	lp, err := CompileLinear(top, false, Options{})
@@ -263,45 +339,30 @@ func TestHealthyAfterDeadPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer win.Close()
-	rows := make([]*bitset.Set, rec.Snapshots())
-	for i := range rows {
-		rows[i] = rec.PathSnapshot(i)
+	h := &healthyWindow{win: win, rows: make([]*bitset.Set, rec.Snapshots())}
+	for i := range h.rows {
+		h.rows[i] = rec.PathSnapshot(i)
 	}
 	for i := 0; i < 256; i++ {
-		win.Append(rows[i])
+		win.Append(h.rows[i])
 	}
-	next := 256 % len(rows)
+	h.next = 256 % len(h.rows)
 	ws := NewWorkspace()
-	healthy := func() {
-		win.Append(rows[next])
-		next = (next + 1) % len(rows)
-		res, err := lp.RunIn(ws, win)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.System.SkippedZeroProb != 0 {
-			t.Fatal("the healthy window dropped a row")
-		}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	for i := 0; i < 4; i++ { // warm-up
+		deadStep(t, lp, ws, dead)
+		h.step(t, lp, ws)
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	for i := 0; i < 20; i++ {
-		res, err := lp.RunIn(ws, dead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.System.SkippedZeroProb == 0 {
-			t.Fatal("the dead path dropped no row")
-		}
-		if i < 4 {
-			healthy() // warm-up
-			continue
-		}
-		runtime.ReadMemStats(&before)
-		healthy()
-		runtime.ReadMemStats(&after)
-		if n := after.Mallocs - before.Mallocs; n != 0 {
-			t.Fatalf("Append+RunIn on a healthy window after a dead-path estimate allocates %d objects", n)
+	steps := []string{"(*healthyWindow).step", "deadStep"}
+	before := heapAllocsThrough(steps...)
+	for i := 0; i < 16; i++ {
+		deadStep(t, lp, ws, dead)
+		h.step(t, lp, ws)
+	}
+	for stack, n := range heapAllocsThrough(steps...) {
+		if n -= before[stack]; n != 0 {
+			t.Errorf("a step allocates %d objects after a warm-up, at%s", n, stack)
 		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 // Structure is the compiled structural phase of the Section-4 equation
 // selection for one topology, correlation partition and Options: the whole
 // admissible candidate stream, and the selection made from it when every
-// measured probability is usable.
+// measured probability is usable, with the rank tracker that selection
+// built.
 //
 // Everything in a Structure depends only on the topology and the structural
 // options — not on measured data — so one Structure can be evaluated against
@@ -24,10 +25,10 @@ type Structure struct {
 	// collectAll keeps every usable candidate, independent or not, up to
 	// 3·|E| rows (UseAllEquations).
 	collectAll bool
-	// gf2 selects the GF(2) rank tracker.
-	gf2 bool
-	// compiled is the selection with every row usable.
+	// compiled is the selection with every row usable, and basis the rank
+	// tracker after it (read only). A resume reads basis's first rows.
 	compiled selection
+	basis    rankTracker
 	// pairs lists the path pair of every pair row of compiled — the query
 	// set of the batched pair-count kernel (measure.BatchPairSource).
 	pairs []measure.Pair
@@ -43,40 +44,61 @@ type Structure struct {
 type selection struct {
 	accepted []int32
 	links    []*bitset.Set
-	dropped  int
+	// rankBefore[i] is the tracker's rank before accepted row i: i itself,
+	// unless UseAllEquations accepted rows that did not raise the rank.
+	rankBefore []int32
+	dropped    int
 
 	singleEqs, pairEqs int
 	rank               int
 	covered            *bitset.Set
+
+	// own holds the link sets of the accepted pair rows, nOwn of them in
+	// use; a reused selection keeps the rest for its next pair rows.
+	own  []*bitset.Set
+	nOwn int
+}
+
+// keep returns a copy of the link set u that the selection owns.
+func (sel *selection) keep(u *bitset.Set) *bitset.Set {
+	if sel.nOwn == len(sel.own) {
+		sel.own = append(sel.own, &bitset.Set{})
+	}
+	s := sel.own[sel.nOwn]
+	sel.nOwn++
+	s.CopyFrom(u)
+	return s
 }
 
 // selectFrom runs the Section-4 loop over the stream from position q on,
-// after the rows sel already accepted and dropped (all before q). A row that
-// raises the rank (or every row, under collectAll) is probed: prob returns
-// its measured all-good probability, and the row is dropped when that is
-// at or below minProb and accepted otherwise, NaN included. The loop stops
-// once the system has full rank (3·|E| rows under collectAll) or the
-// stream ends. The log-probabilities of newly accepted rows are appended
-// to ys, which selectFrom returns. Only accepted pair rows get a link set
-// of their own.
-func (s *Structure) selectFrom(sel *selection, q int, ys []float64, prob func(c *candidate) float64) []float64 {
+// after the rows sel already accepted and dropped (all before q), with
+// basis holding the rank tracker after those rows and union as link-set
+// scratch. A row that raises the rank (or every row, under collectAll) is
+// probed: prob returns its measured all-good probability, and the row is
+// dropped when that is at or below minProb and accepted otherwise, NaN
+// included. The loop stops once the system has full rank (3·|E| rows under
+// collectAll) or the stream ends. The log-probabilities of newly accepted
+// rows are appended to ys, which selectFrom returns.
+func (s *Structure) selectFrom(sel *selection, basis rankTracker, union *bitset.Set, q int, ys []float64, prob func(c *candidate) float64) []float64 {
 	nl := s.top.NumLinks()
-	basis := newRankTracker(nl, s.gf2)
-	for _, links := range sel.links {
-		basis.add(links)
-	}
-	union := bitset.New(nl)
 	for ; q < len(s.stream); q++ {
 		c := &s.stream[q]
 		links := linksOf(s.top, c, union)
-		if s.collectAll || basis.wouldIncrease(links) {
+		raises := !s.collectAll && basis.offer(links)
+		if s.collectAll || raises {
 			if p := prob(c); p <= minProb {
 				sel.dropped++
 			} else {
-				if links == union {
-					links = union.Clone()
+				sel.rankBefore = append(sel.rankBefore, int32(basis.rank()))
+				if s.collectAll {
+					raises = basis.offer(links)
 				}
-				basis.add(links)
+				if raises {
+					basis.accept()
+				}
+				if links == union {
+					links = sel.keep(union)
+				}
 				sel.accepted = append(sel.accepted, int32(q))
 				sel.links = append(sel.links, links)
 				ys = append(ys, math.Log(p))
@@ -89,7 +111,11 @@ func (s *Structure) selectFrom(sel *selection, q int, ys []float64, prob func(c 
 
 	sel.rank = basis.rank()
 	sel.singleEqs, sel.pairEqs = 0, 0
-	sel.covered = bitset.New(nl)
+	if words := (nl + 63) / 64; sel.covered == nil || len(sel.covered.Words()) != words {
+		sel.covered = bitset.New(nl)
+	} else {
+		sel.covered.Clear()
+	}
 	for i, a := range sel.accepted {
 		if s.stream[a].n == 2 {
 			sel.pairEqs++
@@ -109,12 +135,13 @@ func (s *Structure) selectFrom(sel *selection, q int, ys []float64, prob func(c 
 // the first row where it fails, so Compile+EvaluateIn always equals the
 // selection made with the data in hand.
 func CompileStructure(top *topology.Topology, identity bool, opts Options) (*Structure, error) {
-	return compileStructure(top, identity, opts, top.NumLinks() > gf2RankThreshold)
+	nl := top.NumLinks()
+	return compileStructure(top, identity, opts, newRankTracker(nl, nl > gf2RankThreshold))
 }
 
-// compileStructure is CompileStructure with the rank tracker chosen by the
-// caller.
-func compileStructure(top *topology.Topology, identity bool, opts Options, gf2 bool) (*Structure, error) {
+// compileStructure is CompileStructure with the caller's empty rank tracker,
+// which the structure keeps.
+func compileStructure(top *topology.Topology, identity bool, opts Options, basis rankTracker) (*Structure, error) {
 	setOf := make([]int, top.NumLinks())
 	for k := range setOf {
 		setOf[k] = k
@@ -126,8 +153,8 @@ func compileStructure(top *topology.Topology, identity bool, opts Options, gf2 b
 	if err != nil {
 		return nil, err
 	}
-	s := &Structure{top: top, stream: stream, collectAll: opts.UseAllEquations, gf2: gf2}
-	s.selectFrom(&s.compiled, 0, nil, func(*candidate) float64 { return 1 })
+	s := &Structure{top: top, stream: stream, collectAll: opts.UseAllEquations, basis: basis}
+	s.selectFrom(&s.compiled, basis, bitset.New(top.NumLinks()), 0, nil, func(*candidate) float64 { return 1 })
 	for _, a := range s.compiled.accepted {
 		if c := &s.stream[a]; c.n == 2 {
 			s.pairs = append(s.pairs, measure.Pair{A: int(c.paths[0]), B: int(c.paths[1])})

@@ -55,7 +55,7 @@ func TestCompileEvaluateMatchesBuildEquations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := compileStructure(top, v.identity, v.opts, v.gf2)
+			st, err := compileStructure(top, v.identity, v.opts, newRankTracker(top.NumLinks(), v.gf2))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,6 +41,14 @@ type Workspace struct {
 	sys     EquationSystem
 	pathSet *bitset.Set
 
+	// Resume state: the selection resumed at a row that measures unusable,
+	// its link-set scratch, and the rank trackers that continue from the
+	// compiled tracker's rows.
+	sel   selection
+	union bitset.Set
+	flt   floatTracker
+	gf2   gf2Tracker
+
 	// Solver scratch.
 	mat linalg.Matrix
 	y   []float64
@@ -72,9 +80,11 @@ func (ws *Workspace) release() { ws.busy.Store(0) }
 // selection's accepted rows in stream order; while each measures above
 // minProb, that is one probability lookup per row, with no enumeration or
 // rank tracking. At the first row that does not, the selection is resumed
-// from that row, with the rank tracker rebuilt from the rows accepted
-// before it; the resume allocates, and every estimate on a source with a
-// dead path pays it again.
+// from that row: its rank tracker reads the compiled tracker's rows
+// accepted before it in place and keeps the rows it accepts next, like the
+// rest of the resumed selection, in workspace storage. Nothing of a resume
+// outlives the call, so an estimate on a healthy source never pays for an
+// earlier one on a source with a dead path.
 //
 // The returned system's equations alias the topology's, the structure's
 // and the workspace's storage — read-only, valid until the next call on
@@ -90,24 +100,34 @@ func (s *Structure) evaluateIn(ws *Workspace, src measure.Source) (*EquationSyst
 	if src.NumPaths() != s.top.NumPaths() {
 		return nil, fmt.Errorf("core: source has %d paths, topology %d", src.NumPaths(), s.top.NumPaths())
 	}
-	if bp, ok := src.(measure.BatchPairSource); ok && len(s.pairs) > 0 {
+	// The measure package's own source is asserted by its concrete type
+	// first. That compiles to a type comparison, while an interface-to-
+	// interface assertion calls into the runtime, which allocates its
+	// per-call-site cache on a randomly chosen call: an allocation at an
+	// arbitrary estimate.
+	var fast measure.FastPairSource
+	var bp measure.BatchPairSource
+	if e, ok := src.(*measure.Empirical); ok {
+		fast, bp = e, e
+	} else {
+		fast, _ = src.(measure.FastPairSource)
+		bp, _ = src.(measure.BatchPairSource)
+	}
+	if bp != nil && len(s.pairs) > 0 {
 		// One cache-blocked pass over the path columns resolves every pair
 		// row's probability; the per-row lookups below then hit the
 		// source's cache.
 		bp.PrimePairs(s.pairs)
 	}
-	fast, _ := src.(measure.FastPairSource)
 	sel := &s.compiled
 	ws.ys = ws.ys[:0]
 	for a, q := range sel.accepted {
 		p := ws.prob(src, fast, &s.stream[q])
 		if p <= minProb {
 			// The compiled selection breaks at q: resume from there.
-			sel = &selection{
-				accepted: append([]int32(nil), sel.accepted[:a]...),
-				links:    append([]*bitset.Set(nil), sel.links[:a]...),
-			}
-			ws.ys = s.selectFrom(sel, int(q), ws.ys, func(c *candidate) float64 { return ws.prob(src, fast, c) })
+			sel = ws.resume(&s.compiled, a)
+			basis := s.basis.resume(ws, int(s.compiled.rankBefore[a]))
+			ws.ys = s.selectFrom(sel, basis, &ws.union, int(q), ws.ys, func(c *candidate) float64 { return ws.prob(src, fast, c) })
 			break
 		}
 		ws.ys = append(ws.ys, math.Log(p))
@@ -130,6 +150,18 @@ func (s *Structure) evaluateIn(ws *Workspace, src measure.Source) (*EquationSyst
 	sys.Covered = sel.covered
 	sys.SkippedZeroProb = sel.dropped
 	return sys, nil
+}
+
+// resume returns the workspace's selection holding the first a accepted
+// rows of compiled and nothing dropped.
+func (ws *Workspace) resume(compiled *selection, a int) *selection {
+	sel := &ws.sel
+	sel.accepted = append(sel.accepted[:0], compiled.accepted[:a]...)
+	sel.links = append(sel.links[:0], compiled.links[:a]...)
+	sel.rankBefore = append(sel.rankBefore[:0], compiled.rankBefore[:a]...)
+	sel.dropped = 0
+	sel.nOwn = 0
+	return sel
 }
 
 // prob returns the measured probability that every path of c is good,

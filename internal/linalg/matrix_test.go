@@ -231,79 +231,6 @@ func TestVectorHelpers(t *testing.T) {
 	}
 }
 
-func TestRowBasisBasics(t *testing.T) {
-	rb := NewRowBasis(3, 0)
-	if !rb.Add([]float64{1, 0, 0}) {
-		t.Fatal("first row rejected")
-	}
-	if rb.Add([]float64{2, 0, 0}) {
-		t.Fatal("dependent row accepted")
-	}
-	if !rb.WouldIncreaseRank([]float64{0, 1, 0}) {
-		t.Fatal("independent row not recognized")
-	}
-	if rb.Rank() != 1 {
-		t.Fatalf("Rank = %d after WouldIncreaseRank (must not mutate)", rb.Rank())
-	}
-	rb.Add([]float64{0, 1, 0})
-	rb.Add([]float64{1, 1, 0}) // dependent
-	if rb.Rank() != 2 {
-		t.Fatalf("Rank = %d, want 2", rb.Rank())
-	}
-	rb.Add([]float64{1, 1, 1})
-	if !rb.Full() {
-		t.Fatal("basis should be full")
-	}
-	if rb.Add([]float64{9, 9, 9}) {
-		t.Fatal("full basis accepted another row")
-	}
-	if rb.Add(make([]float64, 3)) {
-		t.Fatal("zero row accepted")
-	}
-}
-
-// Property: RowBasis rank equals the true rank of random low-rank matrices
-// constructed as products of random factors.
-func TestRowBasisRankMatchesConstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 60; trial++ {
-		n := 4 + rng.Intn(8)
-		r := 1 + rng.Intn(n)
-		// m = L·R with L m×r and R r×n ⇒ rank ≤ r, almost surely == r.
-		rows := 2 * n
-		l := NewMatrix(rows, r)
-		rm := NewMatrix(r, n)
-		for i := range l.Data {
-			l.Data[i] = rng.NormFloat64()
-		}
-		for i := range rm.Data {
-			rm.Data[i] = rng.NormFloat64()
-		}
-		m := NewMatrix(rows, n)
-		for i := 0; i < rows; i++ {
-			for j := 0; j < n; j++ {
-				s := 0.0
-				for k := 0; k < r; k++ {
-					s += l.At(i, k) * rm.At(k, j)
-				}
-				m.Set(i, j, s)
-			}
-		}
-		if got := Rank(m); got != r {
-			t.Fatalf("trial %d: Rank = %d, want %d", trial, got, r)
-		}
-	}
-}
-
-func TestRankEdgeCases(t *testing.T) {
-	if Rank(NewMatrix(0, 0)) != 0 {
-		t.Fatal("empty matrix rank")
-	}
-	if Rank(NewMatrix(3, 3)) != 0 {
-		t.Fatal("zero matrix rank")
-	}
-}
-
 // Property (quick): Dot is symmetric and bilinear over random vectors.
 func TestDotProperties(t *testing.T) {
 	f := func(raw []float64) bool {
