@@ -21,8 +21,9 @@ import (
 //
 //	min 1ᵀ(s⁺+s⁻) + ε·1ᵀu  s.t.  −A·u + s⁺ − s⁻ = y,  u, s± ≥ 0.
 //
-// The standard-form program and the solution live in reused workspace
-// storage; the returned slice aliases the workspace.
+// The standard-form program is loaded straight into the tableau, as Solve
+// would load it, and the solution lives in reused workspace storage; the
+// returned slice aliases the workspace.
 func (ws *Workspace) MinimizeL1ResidualNonPositive(a *linalg.Matrix, y []float64) ([]float64, error) {
 	if a == nil {
 		return nil, fmt.Errorf("lp: MinimizeL1ResidualNonPositive: nil matrix")
@@ -33,19 +34,25 @@ func (ws *Workspace) MinimizeL1ResidualNonPositive(a *linalg.Matrix, y []float64
 	}
 	const tieEps = 1e-6
 	nv := n + 2*m
-	ws.pa.Reshape(m, nv)
-	ws.pa.Zero()
-	pa := &ws.pa
+	// Row i of the standard form is [−A_i | e_i | −e_i] = y_i, normalized
+	// like Solve's rows so the right-hand side is nonnegative.
+	t := &ws.t
+	t.reset(m, nv+m)
 	for i := 0; i < m; i++ {
-		row := pa.Row(i)
-		ar := a.Row(i)
-		for j := 0; j < n; j++ {
-			row[j] = -ar[j]
+		sign := 1.0
+		if y[i] < 0 {
+			sign = -1
 		}
-		row[n+i] = 1
-		row[n+m+i] = -1
+		for j, v := range a.Row(i) {
+			if v != 0 {
+				t.put(i, j, sign*-v)
+			}
+		}
+		t.put(i, n+i, sign)
+		t.put(i, n+m+i, -sign)
+		t.setArtificial(i, nv, sign*y[i])
 	}
-	ws.c = scratch.GrowZero(ws.c, nv)
+	ws.c = scratch.Grow(ws.c, nv)
 	c := ws.c
 	for j := 0; j < n; j++ {
 		c[j] = tieEps
@@ -53,14 +60,14 @@ func (ws *Workspace) MinimizeL1ResidualNonPositive(a *linalg.Matrix, y []float64
 	for j := n; j < nv; j++ {
 		c[j] = 1
 	}
-	res, err := ws.Solve(Problem{C: c, A: pa, B: y})
+	u, _, err := ws.run(c)
 	if err != nil {
 		return nil, err
 	}
 	ws.xOut = scratch.Grow(ws.xOut, n)
 	x := ws.xOut
 	for j := 0; j < n; j++ {
-		x[j] = -res.X[j]
+		x[j] = -u[j]
 	}
 	return x, nil
 }

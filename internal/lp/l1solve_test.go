@@ -2,11 +2,14 @@ package lp
 
 import (
 	"bufio"
+	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/benchmeta"
 	"repro/internal/linalg"
 )
 
@@ -69,17 +72,22 @@ func replaySystems(tb testing.TB) []replaySystem {
 }
 
 // TestL1SolveSteadyStateAllocs is the allocation gate of the solver: once a
-// workspace has solved a replay-shaped program, solving it again must
-// allocate nothing — tableau, pricing lists and solution buffers are all
-// reused.
+// workspace has solved the replay-shaped programs, solving them again must
+// allocate nothing — tableau, index, pricing lists and solution buffers are
+// all reused.
 func TestL1SolveSteadyStateAllocs(t *testing.T) {
-	s := replaySystems(t)[0]
+	systems := replaySystems(t)
 	ws := new(Workspace)
-	if _, err := ws.MinimizeL1ResidualNonPositive(s.a, s.y); err != nil {
-		t.Fatal(err)
+	for _, s := range systems {
+		if _, err := ws.MinimizeL1ResidualNonPositive(s.a, s.y); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var err error
+	k := 0
 	allocs := testing.AllocsPerRun(20, func() {
+		s := systems[k%len(systems)]
+		k++
 		_, err = ws.MinimizeL1ResidualNonPositive(s.a, s.y)
 	})
 	if err != nil {
@@ -90,18 +98,54 @@ func TestL1SolveSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkL1Solve times one warm L1 completion of a captured replay system.
+// BenchmarkL1Solve times one warm L1 completion of each captured replay
+// system: the "indexed" arm is MinimizeL1ResidualNonPositive itself, the
+// "dense" arm the oracle solver of oracle_test.go on the same program,
+// measured in the same run. The numbers go to BENCH_lp.json at the module
+// root.
 func BenchmarkL1Solve(b *testing.B) {
-	s := replaySystems(b)[0]
-	ws := new(Workspace)
-	if _, err := ws.MinimizeL1ResidualNonPositive(s.a, s.y); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ws.MinimizeL1ResidualNonPositive(s.a, s.y); err != nil {
-			b.Fatal(err)
+	metrics := map[string]float64{}
+	for k, s := range replaySystems(b) {
+		sys := fmt.Sprintf("system%d", k)
+		ws := new(Workspace)
+		p := l1NonPositiveProblem(s.a, s.y)
+		arms := []struct {
+			name  string
+			solve func() error
+		}{
+			{"indexed", func() error {
+				_, err := ws.MinimizeL1ResidualNonPositive(s.a, s.y)
+				return err
+			}},
+			{"dense", func() error {
+				_, _, err := denseSolve(p)
+				return err
+			}},
 		}
+		for _, arm := range arms {
+			key := sys + "/" + arm.name
+			b.Run(key, func(b *testing.B) {
+				if err := arm.solve(); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := arm.solve(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				metrics[key+"-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			})
+		}
+		if x, d := metrics[sys+"/indexed-ns/op"], metrics[sys+"/dense-ns/op"]; x > 0 && d > 0 {
+			metrics[sys+"/dense-vs-indexed"] = d / x
+			b.Logf("%s (%dx%d): indexed %.3f ms, dense %.3f ms (%.2f×)", sys, s.a.Rows, s.a.Cols, x/1e6, d/1e6, d/x)
+		}
+	}
+	// go test runs a package's benchmarks in the package directory.
+	if err := benchmeta.WriteJSON(filepath.Join("..", "..", "BENCH_lp.json"), "BenchmarkL1Solve", metrics); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package segstore
 import (
 	"fmt"
 	mathbits "math/bits"
+	"sync"
 
 	"repro/internal/bitset"
 )
@@ -27,6 +28,47 @@ type Columns struct {
 	active *segment   // write buffer for rows [active.base, active.base+segRows)
 	acc    []uint64   // CountAllGood's scratch, one chunk's words; never shared
 	frozen bool       // a finished record: no chunk ever changes again
+	rows   *rowCache  // a finished record's row-read cache; nil otherwise
+}
+
+// rowCache holds, for a finished record's handle, one 64-row block of a
+// chunk (word w of every column) transposed to rows. A reader that walks
+// rows in order pays one 64×64 bit transposition per block where the
+// direct read gathers a word from every column per row. Only a read of the
+// row after the previous one transposes a block, so readers that jump
+// about keep the direct read. Records are immutable and may be read from
+// several goroutines through one handle, so the cache has a lock, and a
+// reader that finds it held reads the chunk directly.
+type rowCache struct {
+	mu   sync.Mutex
+	seg  *segment // the transposed block's chunk; nil before the first
+	w    int      // the transposed block: word w of every column
+	rows []uint64 // its 64 rows of ⌈series/64⌉ words
+	prev *segment // the previous read's chunk and row
+	r    int
+}
+
+// read materializes row r of the record chunk s into dst (cleared, at
+// least ⌈series/64⌉ words) through the cache. The caller holds rc.mu.
+func (rc *rowCache) read(s *segment, r int, dst []uint64) {
+	w := r / wordBits
+	next := s == rc.prev && r == rc.r+1
+	rc.prev, rc.r = s, r
+	if s != rc.seg || w != rc.w {
+		if !next {
+			s.rowInto(r, dst)
+			return
+		}
+		nw := (len(s.meta) + wordBits - 1) / wordBits
+		if cap(rc.rows) < wordBits*nw {
+			rc.rows = make([]uint64, wordBits*nw)
+		}
+		rc.rows = rc.rows[:wordBits*nw]
+		s.transposeBlock(w, rc.rows)
+		rc.seg, rc.w = s, w
+	}
+	nw := len(rc.rows) / wordBits
+	copy(dst, rc.rows[(r%wordBits)*nw:][:nw])
 }
 
 // Pair identifies one unordered pair of series for CountPairsGood.
@@ -122,6 +164,7 @@ func (b *Builder) Finish() *Columns {
 		}
 	}
 	c.frozen = true
+	c.rows = new(rowCache)
 	return &c
 }
 
@@ -135,6 +178,7 @@ func (c *Columns) Clone() *Columns {
 	}
 	d := *c
 	d.acc = make([]uint64, len(c.acc))
+	d.rows = new(rowCache)
 	return &d
 }
 
@@ -273,7 +317,13 @@ func (c *Columns) RowInto(t int, dst *bitset.Set) {
 // rowInto materializes absolute window row abs into dst (cleared first).
 func (c *Columns) rowInto(abs int, dst *bitset.Set) {
 	s, r := c.locate(abs)
-	s.rowInto(r, dst.ResetWords(c.series))
+	words := dst.ResetWords(c.series)
+	if c.rows == nil || !s.dense || !c.rows.mu.TryLock() {
+		s.rowInto(r, words)
+		return
+	}
+	c.rows.read(s, r, words)
+	c.rows.mu.Unlock()
 }
 
 // locate maps absolute window row abs to its chunk and chunk-relative row.

@@ -253,17 +253,25 @@ func (s *segment) bit(i, r int) bool {
 // rowInto sets bit i of dst for every column i with row r set; dst is
 // cleared and holds at least ⌈columns/64⌉ words (bitset.Set.ResetWords). A
 // dense chunk is read with a plain stride loop that builds each 64-column
-// word by shift-and-OR and stores it once; only a span-compressed segment
-// pays the span checks.
+// word from its last column down, shifting the word left by one and ORing
+// in the next column's bit — no variable shifts, and one bounds check per
+// word — and stores it once; only a span-compressed segment pays the span
+// checks.
 func (s *segment) rowInto(r int, dst []uint64) {
 	w := r / wordBits
 	if s.dense {
-		shift := uint(r % wordBits)
-		n := len(s.meta)
-		for base, off := 0, w; base < n; base += wordBits {
+		mask := uint64(1) << uint(r%wordBits)
+		stride, n := s.words, len(s.meta)
+		for base := 0; base < n; base += wordBits {
+			last := (min(n-base, wordBits) - 1) * stride
+			col := s.data[(base*stride + w):][:last+1]
 			var acc uint64
-			for b := uint(0); b < wordBits && off < len(s.data); b, off = b+1, off+s.words {
-				acc |= (s.data[off] >> shift & 1) << b
+			for off := last; off >= 0; off -= stride {
+				var bit uint64
+				if col[off]&mask != 0 {
+					bit = 1
+				}
+				acc = acc<<1 | bit
 			}
 			dst[base/wordBits] = acc
 		}
@@ -274,6 +282,41 @@ func (s *segment) rowInto(r int, dst []uint64) {
 		m := &s.meta[i]
 		if m.pop != 0 && w >= m.lo && w < m.hi && s.data[m.off+w-m.lo]&mask != 0 {
 			dst[i/wordBits] |= 1 << uint(i%wordBits)
+		}
+	}
+}
+
+// transposeBlock writes rows 64w to 64w+63 of a dense chunk into rows, row
+// b's columns at rows[b*nw:(b+1)*nw] with nw = ⌈columns/64⌉: each
+// 64-column group of word w is one 64×64 bit transposition.
+func (s *segment) transposeBlock(w int, rows []uint64) {
+	nw := (len(s.meta) + wordBits - 1) / wordBits
+	var m [wordBits]uint64
+	for g := 0; g < nw; g++ {
+		base := g * wordBits
+		k := min(len(s.meta)-base, wordBits)
+		for i := 0; i < k; i++ {
+			m[i] = s.data[(base+i)*s.words+w]
+		}
+		clear(m[k:])
+		transpose64(&m)
+		for b, v := range m {
+			rows[b*nw+g] = v
+		}
+	}
+}
+
+// transpose64 transposes the 64×64 bit matrix m in place: bit j of m[i]
+// trades places with bit i of m[j]. Each round swaps the off-diagonal
+// quadrants of every block of size 2j (Hacker's Delight §7-3, for bits
+// numbered from the least significant end).
+func transpose64(m *[wordBits]uint64) {
+	mask := uint64(0x00000000ffffffff)
+	for j := wordBits / 2; j != 0; j, mask = j>>1, mask^mask<<uint(j>>1) {
+		for k := 0; k < wordBits; k = (k + j + 1) &^ j {
+			t := (m[k]>>uint(j) ^ m[k+j]) & mask
+			m[k] ^= t << uint(j)
+			m[k+j] ^= t
 		}
 	}
 }

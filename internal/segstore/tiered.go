@@ -132,6 +132,13 @@ func NewTiered(series, capacity int, opts Options) (*TieredStore, error) {
 	}
 	if opts.Dir == "" {
 		ts.active = newBuffer(series, segRows, &ts.pool)
+		if capacity > 0 {
+			// A window overlaps at most ⌈capacity/segRows⌉+1 chunks, so
+			// one slot more holds every chunk its turnovers release
+			// while no view pins extra ones: the first turnover's put
+			// does not grow the free list on the append path.
+			ts.pool.free = make([]*segment, 0, (capacity+segRows-1)/segRows+2)
+		}
 		return ts, nil
 	}
 	ts.active = newBuffer(series, segRows, nil)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitset"
@@ -691,5 +692,46 @@ func TestRingRowsAndEqual(t *testing.T) {
 	}
 	if other := fromRows(series, rows[:capacity], recordChunkRows); equalColumns(window, other) {
 		t.Fatal("window rows equal a record over different rows")
+	}
+}
+
+// TestFirstTurnoverAllocs is the allocation gate of a RAM window's first
+// chunk turnovers: once the window has filled, and so allocated every chunk
+// it overlaps, appending two more windows of rows — evicting, sealing,
+// releasing chunks behind the window into the free list and taking them
+// back — allocates nothing. testing.AllocsPerRun would warm up on the first
+// turnover, so the count is taken around it directly. The window is a whole
+// number of chunks: a window whose head sits mid-chunk overlaps one chunk
+// more, which it allocates at its first seal after filling.
+func TestFirstTurnoverAllocs(t *testing.T) {
+	const (
+		series   = 150
+		capacity = 1024 // eight 128-row chunks
+	)
+	ts, err := NewTiered(series, capacity, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	rows := make([]*bitset.Set, 64)
+	for k := range rows {
+		rows[k] = bitset.New(series)
+		fillRow(rows[k], series, k, 3+k%5)
+	}
+	for step := 0; step < capacity; step++ {
+		appendRow(ts, rows[step%len(rows)], nil)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for step := 0; step < 2*capacity; step++ {
+		appendRow(ts, rows[step%len(rows)], nil)
+	}
+	runtime.ReadMemStats(&after)
+	if ts.SealedSegments() < 3*capacity/ts.segRows {
+		t.Fatalf("%d chunks sealed, want at least %d", ts.SealedSegments(), 3*capacity/ts.segRows)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("%d allocations over the first two turnovers of a full window, want 0", n)
 	}
 }
