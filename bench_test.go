@@ -371,7 +371,7 @@ func BenchmarkAblationTheorem(b *testing.B) {
 		var res *core.TheoremResult
 		for i := 0; i < b.N; i++ {
 			var err error
-			res, err = runTheoremOnce(top, src, core.TheoremOptions{})
+			res, err = runTheoremOnce(top, src)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -399,9 +399,24 @@ func BenchmarkAblationTheorem(b *testing.B) {
 type rowMajorSource struct {
 	numPaths int
 	rows     []*bitset.Set
+	probe    *bitset.Set // ProbPairGood's reused query set
 }
 
 func (s *rowMajorSource) NumPaths() int { return s.numPaths }
+
+func (s *rowMajorSource) ProbPathGood(i topology.PathID) float64 { return s.ProbPairGood(i, i) }
+
+func (s *rowMajorSource) ProbPairGood(i, j topology.PathID) float64 {
+	if s.probe == nil {
+		s.probe = bitset.New(s.numPaths)
+	}
+	s.probe.Clear()
+	s.probe.Add(int(i))
+	s.probe.Add(int(j))
+	return s.ProbPathsGood(s.probe)
+}
+
+func (s *rowMajorSource) PrimePairs([]measure.Pair) {}
 
 func (s *rowMajorSource) ProbPathsGood(paths *bitset.Set) float64 {
 	hits := 0

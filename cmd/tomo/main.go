@@ -3,7 +3,7 @@
 // named scenario from the registry (-scenario; see -list-scenarios) —
 // simulates end-to-end measurements (time-evolving for dynamic scenarios),
 // compiles the topology into an inference plan, runs the selected
-// estimator(s) from the estimator registry, and prints per-link true vs
+// estimator(s) among tomography.EstimatorNames, and prints per-link true vs
 // inferred congestion probabilities as text or JSON.
 //
 // Usage:
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -306,8 +307,8 @@ func emitJSON(w io.Writer, scn *tomography.Scenario, snapshots int, runs []estim
 	return enc.Encode(rep)
 }
 
-// resolveEstimators turns the -estimator selection into a list of registry
-// names, validating each against the registry.
+// resolveEstimators turns the -estimator selection into a list of estimator
+// names, validating each against tomography.EstimatorNames.
 func resolveEstimators(sel string) ([]string, error) {
 	if sel == "" {
 		sel = "correlation"
@@ -321,7 +322,7 @@ func resolveEstimators(sel string) ([]string, error) {
 		if name == "" {
 			continue
 		}
-		if _, ok := tomography.LookupEstimator(name); !ok {
+		if !slices.Contains(tomography.EstimatorNames(), name) {
 			return nil, fmt.Errorf("unknown estimator %q (registered: %s)",
 				name, strings.Join(tomography.EstimatorNames(), ", "))
 		}

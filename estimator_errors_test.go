@@ -6,7 +6,7 @@ import (
 	tomography "repro"
 )
 
-// Table-driven error-path tests for the estimator registry, pinning EXACT
+// Table-driven error-path tests for the estimators, pinning EXACT
 // error strings: operators grep logs and scripts match on these messages, so
 // a refactor that rewords them is a breaking change that must show up here.
 func TestEstimateErrorStrings(t *testing.T) {
@@ -26,7 +26,7 @@ func TestEstimateErrorStrings(t *testing.T) {
 		name      string
 		estimator string
 		plan      *tomography.Plan
-		src       tomography.Source
+		src       *tomography.Empirical
 		wantErr   string
 	}{
 		{
@@ -58,18 +58,25 @@ func TestEstimateErrorStrings(t *testing.T) {
 			wantErr:   "core: source has 5 paths, topology 3",
 		},
 		{
-			name:      "source without pattern probabilities (theorem)",
+			name:      "mismatched topology (theorem)",
 			estimator: "theorem",
 			plan:      plan,
-			src:       plainSource{numPaths: top.NumPaths()},
-			wantErr:   "tomography: the theorem estimator needs exact congestion-pattern probabilities (measure.PatternSource); tomography_test.plainSource does not provide them",
+			src:       mismatched,
+			wantErr:   "core: source has 5 paths, topology 3",
 		},
 		{
-			name:      "source without pair frequencies (mle)",
+			name:      "mismatched topology (mle)",
 			estimator: "mle",
 			plan:      plan,
-			src:       plainSource{numPaths: top.NumPaths()},
-			wantErr:   "tomography: the mle estimator needs per-path and per-pair good-frequencies (FastPairSource); tomography_test.plainSource does not provide them",
+			src:       mismatched,
+			wantErr:   "mle: source has 5 paths, topology 3",
+		},
+		{
+			name:      "nil source",
+			estimator: "correlation",
+			plan:      plan,
+			src:       nil,
+			wantErr:   `tomography: EstimateIn "correlation": nil source`,
 		},
 	}
 	for _, tc := range cases {
@@ -87,37 +94,4 @@ func TestEstimateErrorStrings(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestRegisterEstimatorPanics pins the registration-time misuse panics
-// (estimator wiring is a program-initialization concern, like database/sql
-// drivers).
-func TestRegisterEstimatorPanics(t *testing.T) {
-	assertPanicMessage := func(name, want string, fn func()) {
-		t.Helper()
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatalf("%s: no panic, want %q", name, want)
-			}
-			if msg, ok := r.(string); !ok || msg != want {
-				t.Fatalf("%s: panic %v, want %q", name, r, want)
-			}
-		}()
-		fn()
-	}
-	assertPanicMessage("duplicate registration",
-		"tomography: RegisterEstimator called twice for correlation",
-		func() { tomography.RegisterEstimator(fakeEstimator{name: "correlation"}) })
-	assertPanicMessage("empty name",
-		"tomography: RegisterEstimator with empty name",
-		func() { tomography.RegisterEstimator(fakeEstimator{name: ""}) })
-}
-
-// fakeEstimator is a registry probe that must never actually run.
-type fakeEstimator struct{ name string }
-
-func (f fakeEstimator) Name() string { return f.name }
-func (f fakeEstimator) EstimateIn(*tomography.Workspace, *tomography.Plan, tomography.Source, tomography.EstimateOptions) (*tomography.EstimateResult, error) {
-	panic("fakeEstimator must not run")
 }

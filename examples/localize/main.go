@@ -8,8 +8,8 @@
 //  1. simulate correlated measurements and compile the topology into an
 //     inference plan;
 //  2. learn the full joint distribution of each correlation set with the
-//     theorem estimator (exact Appendix-A algorithm, via the estimator
-//     registry) — and marginals-only probabilities with the independence
+//     theorem estimator (exact Appendix-A algorithm, by name through
+//     Estimate) — and marginals-only probabilities with the independence
 //     baseline for contrast;
 //  3. for every snapshot, explain the observed congested paths:
 //     LocalizeCorrelated uses the learned joint states (it knows e1 and e2
@@ -77,7 +77,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One compiled plan; two estimators from the registry.
+	// One compiled plan; two estimators by name.
 	plan, err := tomography.Compile(top, tomography.PlanOptions{})
 	if err != nil {
 		log.Fatal(err)

@@ -4,7 +4,7 @@
 // e1 and e2 correlated — define a ground-truth congestion process in which
 // e1 and e2 really are correlated, simulate end-to-end measurements,
 // compile the topology into a reusable inference plan, and recover every
-// link's congestion probability with two estimators from the registry: the
+// link's congestion probability with two of the library's estimators: the
 // practical Section-4 correlation algorithm and the exact Appendix-A
 // theorem algorithm.
 //
@@ -30,17 +30,17 @@ func main() {
 	fmt.Println("topology:", top)
 
 	// Compile the topology into an inference plan: admissible path/pair
-	// selection, equation structure and the identifiability check are
-	// computed once here and shared by every estimator run below (and by
-	// any future run over new measurements of this topology).
-	plan, err := tomography.Compile(top, tomography.PlanOptions{Identifiability: true})
+	// selection and equation structure are computed once here and shared by
+	// every estimator run below (and by any future run over new
+	// measurements of this topology).
+	plan, err := tomography.Compile(top, tomography.PlanOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Assumption 4 holds on this topology (the paper proves identifiability
 	// under it), so every link's congestion probability is recoverable.
-	fmt.Println("Assumption 4 (identifiability):", plan.Identifiability(0).Identifiable)
+	fmt.Println("Assumption 4 (identifiability):", tomography.CheckIdentifiability(top, 0).Identifiable)
 	fmt.Println("registered estimators:", tomography.EstimatorNames())
 
 	// Ground truth: e1 and e2 are congested together far more often than
@@ -82,7 +82,7 @@ func main() {
 
 	// The practical algorithm (Section 4): forms the log-linear system
 	// y1 = x1+x3, y2 = x2+x3, y3 = x2+x4, y23 = x2+x3+x4 and solves it.
-	// Estimators resolve by name through the registry; all of them run
+	// Estimators are selected by name; all of them run
 	// against the shared compiled plan.
 	corr, err := tomography.Estimate("correlation", plan, src, tomography.EstimateOptions{})
 	if err != nil {

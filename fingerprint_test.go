@@ -58,7 +58,7 @@ func fingerprintRecord(t *testing.T, scn *tomography.Scenario) *tomography.Recor
 }
 
 // fingerprintLines renders one manifest line per registry scenario ×
-// registered estimator × mode. "batch" estimates over NewEmpirical on the
+// estimator × mode. "batch" estimates over NewEmpirical on the
 // whole record; "window" replays the record through a sliding window and
 // hashes its last three checkpoints together. An estimator that refuses a
 // scenario pins its error text instead of a hash.
@@ -106,8 +106,8 @@ func fingerprintLines(t *testing.T) []string {
 	return lines
 }
 
-// TestFingerprints pins the bits of every estimate the registry can
-// produce: each registry scenario under each registered estimator, batch
+// TestFingerprints pins the bits of every estimate the facade can
+// produce: each registry scenario under each estimator, batch
 // and windowed, against testdata/fingerprints.txt. Any change to an
 // estimate's bits — a reordered float sum, a different count — fails here.
 // Regenerating the manifest (-update-fingerprints) is a deliberate change

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -40,8 +41,8 @@ func runLinearOnce(top *topology.Topology, src measure.Source, identity bool, op
 	return lp.RunIn(NewWorkspace(), src)
 }
 
-func theorem(top *topology.Topology, src measure.PatternSource, opts TheoremOptions) (*TheoremResult, error) {
-	pl, err := CompileTheorem(top, opts)
+func theorem(top *topology.Topology, src measure.PatternSource) (*TheoremResult, error) {
+	pl, err := CompileTheorem(top)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +267,7 @@ func TestTheoremExactOnFigure1A(t *testing.T) {
 	top := topology.Figure1A()
 	model := fig1aTable(t)
 	src := exactSource(t, top, model)
-	res, err := theorem(top, src, TheoremOptions{})
+	res, err := theorem(top, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestTheoremExactOnFigure1A(t *testing.T) {
 // cannot pin down on chainCorr — it is exact whenever Assumption 4 holds.
 func TestTheoremExactOnCorrelatedChain(t *testing.T) {
 	top, model := chainCorr(t)
-	res, err := theorem(top, exactSource(t, top, model), TheoremOptions{})
+	res, err := theorem(top, exactSource(t, top, model))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,16 +326,31 @@ func TestTheoremRejectsAssumption4Violation(t *testing.T) {
 	p := []float64{0.1, 0.1, 0.1}
 	model, _ := congestion.NewIndependent(p)
 	src := exactSource(t, top, model)
-	if _, err := theorem(top, src, TheoremOptions{}); err == nil {
+	if _, err := theorem(top, src); err == nil {
 		t.Fatal("theorem accepted a topology violating Assumption 4")
 	}
 }
 
 func TestTheoremRejectsHugeSets(t *testing.T) {
-	top, model := chainCorr(t)
-	src := exactSource(t, top, model)
-	if _, err := theorem(top, src, TheoremOptions{MaxSubsetsPerSet: 2}); err == nil {
-		t.Fatal("theorem accepted a set above the enumeration cap")
+	// A star of 13 links, one single-link path each, all in one correlation
+	// set: 2^13 subsets, one link past the cap.
+	b := topology.NewBuilder()
+	hub := b.AddNode()
+	var links []topology.LinkID
+	for i := 0; i < 13; i++ {
+		l := b.AddLink(hub, b.AddNode(), fmt.Sprintf("e%d", i))
+		b.AddPath(fmt.Sprintf("P%d", i), l)
+		links = append(links, l)
+	}
+	b.Correlate(links...)
+	top, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = CompileTheorem(top)
+	want := "core: correlation set 0 has 13 links (2^13 subsets exceeds the cap 4096); the theorem algorithm is exponential — use Correlation instead"
+	if err == nil || err.Error() != want {
+		t.Fatalf("CompileTheorem error = %v, want %q", err, want)
 	}
 }
 
@@ -350,7 +366,7 @@ func TestTheoremOnEmpiricalMeasurements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := theorem(top, mustEmpirical(t, rec), TheoremOptions{})
+	res, err := theorem(top, mustEmpirical(t, rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +525,7 @@ func TestTheoremExactOnRandomGrids(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := theorem(top, exactSource(t, top, model), TheoremOptions{})
+		res, err := theorem(top, exactSource(t, top, model))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -37,7 +37,7 @@ func BuildEquations(top *topology.Topology, src measure.Source, identity bool, o
 
 	sys := &EquationSystem{NumLinks: nl, Covered: bitset.New(nl)}
 	basis := oracleTracker(nl, gf2)
-	probPaths := probeFor(top, src)
+	probPaths := probeFor(src)
 	for i := range stream {
 		c := &stream[i]
 		links := linksOf(top, c, bitset.New(nl))
@@ -71,24 +71,12 @@ func BuildEquations(top *topology.Topology, src measure.Source, identity bool, o
 	return sys, nil
 }
 
-// probeFor returns the probability lookup for an equation's paths, routing
-// single-path and pair queries through the source's fast path when it has
-// one; only larger sets materialize a path bitset.
-func probeFor(top *topology.Topology, src measure.Source) func(paths []topology.PathID) float64 {
-	fast, hasFast := src.(measure.FastPairSource)
+// probeFor returns the probability lookup for a row's one or two paths.
+func probeFor(src measure.Source) func(paths []topology.PathID) float64 {
 	return func(paths []topology.PathID) float64 {
-		if hasFast {
-			switch len(paths) {
-			case 1:
-				return fast.ProbPathGood(paths[0])
-			case 2:
-				return fast.ProbPairGood(paths[0], paths[1])
-			}
+		if len(paths) == 1 {
+			return src.ProbPathGood(paths[0])
 		}
-		pathSet := bitset.New(top.NumPaths())
-		for _, p := range paths {
-			pathSet.Add(int(p))
-		}
-		return src.ProbPathsGood(pathSet)
+		return src.ProbPairGood(paths[0], paths[1])
 	}
 }

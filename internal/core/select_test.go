@@ -207,12 +207,21 @@ type nanSource struct {
 
 func (s nanSource) NumPaths() int { return s.src.NumPaths() }
 
-func (s nanSource) ProbPathsGood(paths *bitset.Set) float64 {
-	if paths.Contains(int(s.nan)) {
+func (s nanSource) ProbPathGood(i topology.PathID) float64 {
+	if i == s.nan {
 		return math.NaN()
 	}
-	return s.src.ProbPathsGood(paths)
+	return s.src.ProbPathGood(i)
 }
+
+func (s nanSource) ProbPairGood(i, j topology.PathID) float64 {
+	if i == s.nan || j == s.nan {
+		return math.NaN()
+	}
+	return s.src.ProbPairGood(i, j)
+}
+
+func (s nanSource) PrimePairs(pairs []measure.Pair) { s.src.PrimePairs(pairs) }
 
 // TestNaNProbabilityIsKept pins the selector's comparison: a NaN measured
 // probability is not at or below minProb, so its row is kept, as the fused

@@ -30,7 +30,7 @@ type Structure struct {
 	compiled selection
 	basis    rankTracker
 	// pairs lists the path pair of every pair row of compiled — the query
-	// set of the batched pair-count kernel (measure.BatchPairSource).
+	// set of the batched pair-count kernel (measure.Source.PrimePairs).
 	pairs []measure.Pair
 }
 

@@ -28,22 +28,9 @@ type TheoremResult struct {
 	JointProb map[string]float64
 }
 
-// TheoremOptions tunes the exact algorithm.
-type TheoremOptions struct {
-	// MaxSubsetsPerSet caps 2^|Cp| enumeration per correlation set
-	// (default 4096, i.e. sets of up to 12 links).
-	MaxSubsetsPerSet int
-}
-
-// Normalized returns the options with every unset field replaced by its
-// default, so zero values and explicit defaults compare equal (plan
-// memoization relies on this).
-func (o TheoremOptions) Normalized() TheoremOptions {
-	if o.MaxSubsetsPerSet <= 0 {
-		o.MaxSubsetsPerSet = 4096
-	}
-	return o
-}
+// maxSubsetsPerSet caps the 2^|Cp| subset enumeration per correlation set:
+// sets of up to 12 links.
+const maxSubsetsPerSet = 4096
 
 // corrSubset is one correlation subset A ∈ C̃ with its path coverage.
 type corrSubset struct {
@@ -51,9 +38,6 @@ type corrSubset struct {
 	links    *bitset.Set
 	coverage *bitset.Set
 	key      string
-	// covKey is the coverage's bitset.Key, precomputed so the data phase can
-	// query key-addressed pattern sources without re-encoding per call.
-	covKey string
 	// ord is the subset's index in the |ψ(A)|-ascending computation order —
 	// the workspace path's slice-indexed replacement for the alpha map.
 	ord int
@@ -66,8 +50,10 @@ type corrSubset struct {
 // serves any number of RunIn calls over different pattern sources; it is
 // immutable after CompileTheorem returns and safe for concurrent use.
 type TheoremPlan struct {
-	top     *topology.Topology
-	opts    TheoremOptions
+	top *topology.Topology
+	// none is the empty path set: the all-good pattern the data phase
+	// divides by.
+	none    *bitset.Set
 	subsets []*corrSubset   // ordered by |ψ(A)| ascending
 	bySet   [][]*corrSubset // per correlation set, enumeration order
 	// gammaCands[ai][p] lists, for ordered subset ai and correlation set p,
@@ -87,21 +73,18 @@ type gammaCand struct {
 // CompileTheorem runs the source-independent part of the exact algorithm:
 // subset enumeration, the Assumption-4 check, the computation ordering, and
 // the per-subset Γ-candidate lists.
-func CompileTheorem(top *topology.Topology, opts TheoremOptions) (*TheoremPlan, error) {
-	opts = opts.Normalized()
-
+func CompileTheorem(top *topology.Topology) (*TheoremPlan, error) {
 	var subsets []*corrSubset
 	bySet := make([][]*corrSubset, top.NumSets())
 	for p := 0; p < top.NumSets(); p++ {
 		elems := top.CorrelationSet(p).Indices()
-		if len(elems) > 30 || 1<<uint(min(len(elems), 30)) > opts.MaxSubsetsPerSet {
+		if len(elems) > 30 || 1<<uint(min(len(elems), 30)) > maxSubsetsPerSet {
 			return nil, fmt.Errorf("core: correlation set %d has %d links (2^%d subsets exceeds the cap %d); the theorem algorithm is exponential — use Correlation instead",
-				p, len(elems), len(elems), opts.MaxSubsetsPerSet)
+				p, len(elems), len(elems), maxSubsetsPerSet)
 		}
 		bitset.EnumerateSubsets(elems, func(s *bitset.Set) bool {
 			sub := &corrSubset{set: p, links: s.Clone(), coverage: top.Coverage(s)}
 			sub.key = sub.links.Key()
-			sub.covKey = sub.coverage.Key()
 			subsets = append(subsets, sub)
 			bySet[p] = append(bySet[p], sub)
 			return true
@@ -127,7 +110,7 @@ func CompileTheorem(top *topology.Topology, opts TheoremOptions) (*TheoremPlan, 
 		s.ord = i
 	}
 
-	pl := &TheoremPlan{top: top, opts: opts, subsets: subsets, bySet: bySet}
+	pl := &TheoremPlan{top: top, none: bitset.New(top.NumPaths()), subsets: subsets, bySet: bySet}
 	pl.gammaCands = make([][][]gammaCand, len(subsets))
 	for ai, a := range subsets {
 		perSet := make([][]gammaCand, len(bySet))
@@ -186,24 +169,19 @@ type gammaOption struct {
 //  3. recover P(Sᵖ = ∅) = 1/(1 + Σ αA) and P(Sᵖ = A) = αA·P(Sᵖ = ∅), then
 //     P(Xek = 1) = Σ_{A ∋ ek} P(Sᵖ = A) (Lemma 3).
 //
-// Zero steady-state allocations when the source supports key-addressed
-// pattern queries (measure.PatternKeySource — Empirical does). The result
-// aliases workspace and plan storage — read-only, valid until the next call
-// on ws; Clone detaches it.
+// Zero steady-state allocations on an Empirical source. The result aliases
+// workspace and plan storage — read-only, valid until the next call on ws;
+// Clone detaches it.
 func (pl *TheoremPlan) RunIn(ws *Workspace, src measure.PatternSource) (*TheoremResult, error) {
 	ws.acquire()
 	defer ws.release()
 	tw := &ws.thm
 	top := pl.top
-
-	keySrc, hasKeys := src.(measure.PatternKeySource)
-	var p0 float64
-	if hasKeys {
-		// The empty pattern's key is the empty string (no set bits, no words).
-		p0 = keySrc.ProbCongestedPatternKey("")
-	} else {
-		p0 = src.ProbExactCongestedPaths(bitset.New(top.NumPaths()))
+	if src.NumPaths() != top.NumPaths() {
+		return nil, fmt.Errorf("core: source has %d paths, topology %d", src.NumPaths(), top.NumPaths())
 	}
+
+	p0 := src.ProbExactCongestedPaths(pl.none)
 	if p0 <= 0 {
 		return nil, fmt.Errorf("core: P(all paths good) = %v; the theorem algorithm needs a positive all-good probability", p0)
 	}
@@ -245,12 +223,7 @@ func (pl *TheoremPlan) RunIn(ws *Workspace, src measure.PatternSource) (*Theorem
 		if gammaA <= 0 {
 			return nil, fmt.Errorf("core: ΓA = %v for subset %v; cannot solve Eq. 18", gammaA, a.links)
 		}
-		var lhs float64
-		if hasKeys {
-			lhs = keySrc.ProbCongestedPatternKey(a.covKey) / p0
-		} else {
-			lhs = src.ProbExactCongestedPaths(a.coverage) / p0
-		}
+		lhs := src.ProbExactCongestedPaths(a.coverage) / p0
 		av := (lhs - gammaBar) / gammaA
 		if av < 0 {
 			av = 0 // estimation noise can push a tiny factor below zero

@@ -35,11 +35,10 @@ type Workspace struct {
 	lp lp.Workspace
 
 	// EvaluateIn state: the right-hand sides and equations of the last
-	// system, and the probe scratch for sources without the fast pair path.
-	ys      []float64
-	eqs     []Equation
-	sys     EquationSystem
-	pathSet *bitset.Set
+	// system.
+	ys  []float64
+	eqs []Equation
+	sys EquationSystem
 
 	// Resume state: the selection resumed at a row that measures unusable,
 	// its link-set scratch, and the rank trackers that continue from the
@@ -100,34 +99,21 @@ func (s *Structure) evaluateIn(ws *Workspace, src measure.Source) (*EquationSyst
 	if src.NumPaths() != s.top.NumPaths() {
 		return nil, fmt.Errorf("core: source has %d paths, topology %d", src.NumPaths(), s.top.NumPaths())
 	}
-	// The measure package's own source is asserted by its concrete type
-	// first. That compiles to a type comparison, while an interface-to-
-	// interface assertion calls into the runtime, which allocates its
-	// per-call-site cache on a randomly chosen call: an allocation at an
-	// arbitrary estimate.
-	var fast measure.FastPairSource
-	var bp measure.BatchPairSource
-	if e, ok := src.(*measure.Empirical); ok {
-		fast, bp = e, e
-	} else {
-		fast, _ = src.(measure.FastPairSource)
-		bp, _ = src.(measure.BatchPairSource)
-	}
-	if bp != nil && len(s.pairs) > 0 {
+	if len(s.pairs) > 0 {
 		// One cache-blocked pass over the path columns resolves every pair
 		// row's probability; the per-row lookups below then hit the
 		// source's cache.
-		bp.PrimePairs(s.pairs)
+		src.PrimePairs(s.pairs)
 	}
 	sel := &s.compiled
 	ws.ys = ws.ys[:0]
 	for a, q := range sel.accepted {
-		p := ws.prob(src, fast, &s.stream[q])
+		p := prob(src, &s.stream[q])
 		if p <= minProb {
 			// The compiled selection breaks at q: resume from there.
 			sel = ws.resume(&s.compiled, a)
 			basis := s.basis.resume(ws, int(s.compiled.rankBefore[a]))
-			ws.ys = s.selectFrom(sel, basis, &ws.union, int(q), ws.ys, func(c *candidate) float64 { return ws.prob(src, fast, c) })
+			ws.ys = s.selectFrom(sel, basis, &ws.union, int(q), ws.ys, func(c *candidate) float64 { return prob(src, c) })
 			break
 		}
 		ws.ys = append(ws.ys, math.Log(p))
@@ -164,23 +150,12 @@ func (ws *Workspace) resume(compiled *selection, a int) *selection {
 	return sel
 }
 
-// prob returns the measured probability that every path of c is good,
-// through the source's single-path and pair fast path when it has one.
-func (ws *Workspace) prob(src measure.Source, fast measure.FastPairSource, c *candidate) float64 {
-	if fast != nil {
-		if c.n == 1 {
-			return fast.ProbPathGood(c.paths[0])
-		}
-		return fast.ProbPairGood(c.paths[0], c.paths[1])
+// prob returns the measured probability that every path of c is good.
+func prob(src measure.Source, c *candidate) float64 {
+	if c.n == 1 {
+		return src.ProbPathGood(c.paths[0])
 	}
-	if ws.pathSet == nil {
-		ws.pathSet = bitset.New(src.NumPaths())
-	}
-	ws.pathSet.Clear()
-	for _, p := range c.pathIDs() {
-		ws.pathSet.Add(int(p))
-	}
-	return src.ProbPathsGood(ws.pathSet)
+	return src.ProbPairGood(c.paths[0], c.paths[1])
 }
 
 // Clone returns a deep copy of the result — the way to retain a

@@ -186,7 +186,7 @@ func TestCorrelatedLocalizationBeatsIndependent(t *testing.T) {
 
 	// Learn with the theorem algorithm (joints) and the independence
 	// baseline (marginals only).
-	tp, err := core.CompileTheorem(top, core.TheoremOptions{})
+	tp, err := core.CompileTheorem(top)
 	if err != nil {
 		t.Fatal(err)
 	}

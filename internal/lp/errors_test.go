@@ -10,7 +10,7 @@ import (
 
 // TestSolverDimensionErrors pins the exact error strings of every lp entry
 // point on malformed inputs — mismatched dimensions and nil matrices must
-// surface as errors, never panics (the estimator-registry error-contract
+// surface as errors, never panics (the estimator error-contract
 // style).
 func TestSolverDimensionErrors(t *testing.T) {
 	a23 := linalg.NewMatrix(2, 3)

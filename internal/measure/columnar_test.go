@@ -120,7 +120,7 @@ func TestColumnarMatchesRowMajorReference(t *testing.T) {
 				t.Fatalf("trial %d: PathCongestionFrequency[%d] = %v, want %v", trial, i, gotF[i], wantF[i])
 			}
 		}
-		// FastPairSource answers must agree with the generic route.
+		// The Source pair answers must agree with the generic route.
 		for q := 0; q < 30; q++ {
 			i := topology.PathID(rng.Intn(numPaths))
 			j := topology.PathID(rng.Intn(numPaths))

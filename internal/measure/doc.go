@@ -3,21 +3,20 @@
 // (closed-form) counterparts computed directly from a congestion model for
 // validation.
 //
-// Two query interfaces cover the two algorithm families:
+// Two query interfaces cover the two kinds of measurement the estimators
+// read:
 //
-//   - Source supplies P(a set of paths is all-good) — the only measurement
-//     the practical Section-4 algorithm needs: the left-hand sides of the
-//     single-path equations (Eq. 9) and pair equations (Eq. 10) are
-//     logarithms of exactly these probabilities.
+//   - Source supplies the single-path and path-pair good-frequencies
+//     P(Pi good) and P(Pi and Pj good) — the left-hand sides of the
+//     Section-4 single-path (Eq. 9) and pair (Eq. 10) equations, and the
+//     observations of the composite-likelihood estimator. PrimePairs hands
+//     the source an estimate's whole pair query set up front, so that one
+//     cache-blocked pass over the columns resolves every pair.
 //   - PatternSource supplies P(the congested-path set is exactly Q) — the
 //     finer-grained measurement the Appendix-A theorem algorithm needs to
 //     solve Eq. 18.
 //
-// FastPairSource is an optional third interface: an O(1)-amortized route
-// for the single-path and path-pair queries that dominate equation
-// building, bypassing path-set materialization entirely.
-//
-// Empirical estimates all three from columnar observations on one column
+// Empirical implements both from columnar observations on one column
 // store, segstore: the immutable chunks of a finished netsim record, or
 // the chunked segstore.TieredStore of a streaming estimator or sliding
 // window. Each query is an OR of bit columns plus a popcount rather than a

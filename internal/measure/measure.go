@@ -13,58 +13,33 @@ import (
 	"repro/internal/topology"
 )
 
-// Source provides "all paths in the set are good" probabilities.
+// Source provides the single-path and path-pair good-frequencies of Eqs.
+// 9–10: the only measurements the Section-4 algorithm, the independence
+// baseline and the composite-likelihood estimator read.
 type Source interface {
 	// NumPaths returns the number of paths in the underlying experiment.
 	NumPaths() int
-	// ProbPathsGood returns P(every path in the set is good). An empty set
-	// yields 1.
-	ProbPathsGood(paths *bitset.Set) float64
-}
-
-// PatternSource provides exact congested-pattern probabilities.
-type PatternSource interface {
-	// ProbExactCongestedPaths returns P(the set of congested paths equals
-	// exactly the given set).
-	ProbExactCongestedPaths(paths *bitset.Set) float64
-}
-
-// FastPairSource is an optional fast path over Source: sources that answer
-// single-path and path-pair queries without materializing a path set. The
-// equation selection (core.Structure.EvaluateIn) routes its one- and
-// two-path lookups through it when available.
-type FastPairSource interface {
 	// ProbPathGood returns P(path i good).
 	ProbPathGood(i topology.PathID) float64
 	// ProbPairGood returns P(paths i and j both good).
 	ProbPairGood(i, j topology.PathID) float64
+	// PrimePairs tells the source every pair an estimate is about to query,
+	// so that it can resolve them in one pass over its storage. Values are
+	// identical to per-pair ProbPairGood lookups.
+	PrimePairs(pairs []Pair)
 }
 
 // Pair identifies one unordered pair of paths for the batched count kernels.
 type Pair = segstore.Pair
 
-// BatchPairSource is an optional batching hook over FastPairSource: a
-// source that can resolve many pair probabilities in one cache-blocked pass
-// over its storage. Compiled evaluate phases (core.Structure, mle.Plan) know
-// their full pair query set up front and call PrimePairs once per estimate
-// instead of streaming the columns once per pair.
-type BatchPairSource interface {
-	FastPairSource
-	// PrimePairs makes subsequent ProbPairGood calls for the given pairs
-	// cache hits, resolving any misses in one batched pass. Values are
-	// identical to per-pair ProbPairGood lookups.
-	PrimePairs(pairs []Pair)
-}
-
-// PatternKeySource is an optional allocation-free fast path over
-// PatternSource: pattern probabilities keyed by the congested-path set's
-// precomputed bitset.Key. Compiled evaluate phases (core.TheoremPlan) hold
-// the keys of every pattern they query, so the per-query set materialization
-// and key encoding disappear.
-type PatternKeySource interface {
-	// ProbCongestedPatternKey returns P(the congested-path set's Key equals
-	// key) — ProbExactCongestedPaths with the set pre-encoded.
-	ProbCongestedPatternKey(key string) float64
+// PatternSource provides exact congested-pattern probabilities, the
+// measurement of the Appendix-A theorem algorithm (Eq. 18).
+type PatternSource interface {
+	// NumPaths returns the number of paths in the underlying experiment.
+	NumPaths() int
+	// ProbExactCongestedPaths returns P(the set of congested paths equals
+	// exactly the given set).
+	ProbExactCongestedPaths(paths *bitset.Set) float64
 }
 
 // cache-size caps: when a memo map outgrows its cap it is reset wholesale.
@@ -499,14 +474,14 @@ func (e *Empirical) resetCaches() {
 	clear(e.memo)
 }
 
-// NumPaths implements Source.
+// NumPaths implements Source and PatternSource.
 func (e *Empirical) NumPaths() int { return e.cols.NumSeries() }
 
 // Snapshots returns the number of snapshots backing the estimates.
 func (e *Empirical) Snapshots() int { return e.cols.Snapshots() }
 
-// ProbPathsGood implements Source: the fraction of snapshots in which no
-// path of the set was congested. A memoized query allocates nothing: the
+// ProbPathsGood returns the fraction of snapshots in which no path of the
+// set was congested. A memoized query allocates nothing: the
 // set's key is encoded into a reusable buffer and looked up zero-copy; the
 // key string is materialized only when a result is first inserted.
 func (e *Empirical) ProbPathsGood(paths *bitset.Set) float64 {
@@ -540,7 +515,7 @@ func (e *Empirical) ProbPathsGood(paths *bitset.Set) float64 {
 	return p
 }
 
-// ProbPathGood implements FastPairSource via the per-path cache.
+// ProbPathGood implements Source via the per-path cache.
 func (e *Empirical) ProbPathGood(i topology.PathID) float64 {
 	n := e.cols.Snapshots()
 	if n == 0 {
@@ -562,7 +537,7 @@ func (e *Empirical) ProbPathGood(i topology.PathID) float64 {
 	return p
 }
 
-// ProbPairGood implements FastPairSource via the pair cache.
+// ProbPairGood implements Source via the pair cache.
 func (e *Empirical) ProbPairGood(i, j topology.PathID) float64 {
 	if i == j {
 		return e.ProbPathGood(i)
@@ -606,23 +581,6 @@ func (e *Empirical) ProbExactCongestedPaths(paths *bitset.Set) float64 {
 	return 0
 }
 
-// ProbCongestedPatternKey implements PatternKeySource: the histogram lookup
-// with the pattern's bitset.Key precomputed by the caller. Equal to
-// ProbExactCongestedPaths of the set the key encodes.
-func (e *Empirical) ProbCongestedPatternKey(key string) float64 {
-	n := e.cols.Snapshots()
-	if n == 0 {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.materializePatterns(n)
-	if p, ok := e.patterns[key]; ok {
-		return float64(*p) / float64(n)
-	}
-	return 0
-}
-
 // materializePatterns builds the congested-pattern histogram from the
 // retained rows on first use. Caller holds e.mu.
 func (e *Empirical) materializePatterns(n int) {
@@ -637,7 +595,7 @@ func (e *Empirical) materializePatterns(n int) {
 	}
 }
 
-// PrimePairs implements BatchPairSource: it resolves every listed pair that
+// PrimePairs implements Source: it resolves every listed pair that
 // is not already cached with one batched pass over the path columns and
 // installs the results in the pair cache, so the ProbPairGood calls that
 // follow are map hits. Values are bit-identical
@@ -723,11 +681,12 @@ func NewExact(top *topology.Topology, model congestion.Model) (*Exact, error) {
 	return &Exact{top: top, model: model}, nil
 }
 
-// NumPaths implements Source.
+// NumPaths implements Source and PatternSource.
 func (e *Exact) NumPaths() int { return e.top.NumPaths() }
 
-// ProbPathsGood implements Source: all paths good ⇔ every link on them good
-// (Assumption 2), so the answer is ProbAllGood over the union of their links.
+// ProbPathsGood returns P(every path in the set is good): all paths good ⇔
+// every link on them good (Assumption 2), so the answer is ProbAllGood over
+// the union of their links.
 func (e *Exact) ProbPathsGood(paths *bitset.Set) float64 {
 	links := bitset.New(e.top.NumLinks())
 	paths.ForEach(func(i int) bool {
@@ -736,6 +695,19 @@ func (e *Exact) ProbPathsGood(paths *bitset.Set) float64 {
 	})
 	return e.model.ProbAllGood(links)
 }
+
+// ProbPathGood implements Source through ProbPathsGood.
+func (e *Exact) ProbPathGood(i topology.PathID) float64 {
+	return e.ProbPathsGood(bitset.FromIndices(int(i)))
+}
+
+// ProbPairGood implements Source through ProbPathsGood.
+func (e *Exact) ProbPairGood(i, j topology.PathID) float64 {
+	return e.ProbPathsGood(bitset.FromIndices(int(i), int(j)))
+}
+
+// PrimePairs implements Source; closed-form queries need no batching.
+func (e *Exact) PrimePairs([]Pair) {}
 
 // materialize builds the per-set state tables (once).
 func (e *Exact) materialize() error {

@@ -33,42 +33,19 @@ import (
 	"repro/internal/topology"
 )
 
-// Source is the measurement interface the estimator consumes: empirical
-// good-frequencies of single paths and of path pairs. measure.Empirical
-// satisfies it; any source exposing the measure.Source + FastPairSource
-// pair does too.
-type Source interface {
-	// NumPaths returns the number of paths in the underlying experiment.
-	NumPaths() int
-	// ProbPathGood returns the empirical P(path i good).
-	ProbPathGood(i topology.PathID) float64
-	// ProbPairGood returns the empirical P(paths i and j both good).
-	ProbPairGood(i, j topology.PathID) float64
-}
-
 // Options tunes the optimizer.
 type Options struct {
 	// MaxIters bounds the gradient-ascent iterations (default 500).
 	MaxIters int
-	// Tol is the convergence threshold on the relative likelihood
-	// improvement (default 1e-10).
-	Tol float64
-	// InitialProb is the starting per-link congestion probability
-	// (default 0.05).
-	InitialProb float64
 }
 
-func (o *Options) fill() {
-	if o.MaxIters <= 0 {
-		o.MaxIters = 500
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-10
-	}
-	if o.InitialProb <= 0 || o.InitialProb >= 1 {
-		o.InitialProb = 0.05
-	}
-}
+const (
+	// tol is the convergence threshold on the relative likelihood
+	// improvement.
+	tol = 1e-10
+	// initialProb is the starting per-link congestion probability.
+	initialProb = 0.05
+)
 
 // Result is the estimator output.
 type Result struct {
@@ -119,7 +96,7 @@ type Plan struct {
 	linksOf      [][]int // observation → link indices
 	// pairs lists the pair observations' path pairs in observation order —
 	// the precomputed query set of the batched pair-count kernel
-	// (measure.BatchPairSource.PrimePairs).
+	// (measure.Source.PrimePairs).
 	pairs []measure.Pair
 }
 
@@ -257,21 +234,22 @@ func (p *Plan) likelihood(x, f []float64) float64 {
 // the source and maximizes the composite likelihood. Every per-call and
 // per-iteration buffer (frequencies, iterate, gradient, line-search trial,
 // the per-observation g vector) lives in ws, and pair frequencies are
-// resolved by one batched cache-blocked pass when the source supports it
-// (measure.BatchPairSource). The result aliases ws and is valid until its
-// next use; Clone detaches it.
-func (p *Plan) EstimateIn(ws *Workspace, src Source, opts Options) (*Result, error) {
+// resolved by one batched cache-blocked pass (measure.Source.PrimePairs).
+// The result aliases ws and is valid until its next use; Clone detaches it.
+func (p *Plan) EstimateIn(ws *Workspace, src measure.Source, opts Options) (*Result, error) {
 	ws.acquire()
 	defer ws.release()
 	top := p.top
 	if src.NumPaths() != top.NumPaths() {
 		return nil, fmt.Errorf("mle: source has %d paths, topology %d", src.NumPaths(), top.NumPaths())
 	}
-	opts.fill()
+	if opts.MaxIters <= 0 {
+		opts.MaxIters = 500
+	}
 	nl := top.NumLinks()
 
-	if bp, ok := src.(measure.BatchPairSource); ok && len(p.pairs) > 0 {
-		bp.PrimePairs(p.pairs)
+	if len(p.pairs) > 0 {
+		src.PrimePairs(p.pairs)
 	}
 	nObs := len(p.observations)
 	ws.f = scratch.Grow(ws.f, nObs)
@@ -288,7 +266,7 @@ func (p *Plan) EstimateIn(ws *Workspace, src Source, opts Options) (*Result, err
 
 	ws.x = scratch.Grow(ws.x, nl)
 	x := ws.x // log q_k ≤ 0
-	init := math.Log(1 - opts.InitialProb)
+	init := math.Log(1 - initialProb)
 	for k := range x {
 		x[k] = init
 	}
@@ -330,7 +308,7 @@ func (p *Plan) EstimateIn(ws *Workspace, src Source, opts Options) (*Result, err
 			nll := p.likelihood(trial, f)
 			if nll > ll {
 				copy(x, trial)
-				if nll-ll < opts.Tol*(math.Abs(ll)+1) {
+				if nll-ll < tol*(math.Abs(ll)+1) {
 					ll = nll
 					improved = false // converged
 					break

@@ -29,7 +29,7 @@ func simulate(t *testing.T, top *topology.Topology, model congestion.Model, n in
 }
 
 // estimate compiles the estimator and runs it once on a fresh workspace.
-func estimate(top *topology.Topology, src Source, opts Options) (*Result, error) {
+func estimate(top *topology.Topology, src measure.Source, opts Options) (*Result, error) {
 	p, err := Compile(top)
 	if err != nil {
 		return nil, err

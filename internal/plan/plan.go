@@ -9,9 +9,7 @@
 //     variants coexist on one plan;
 //   - the exact algorithm's subset enumeration, Assumption-4 validation and
 //     Γ-candidate lists (core.TheoremPlan);
-//   - the composite-likelihood MLE's observation structure (mle.Plan);
-//   - the Assumption-4 identifiability check, memoized per enumeration
-//     budget.
+//   - the composite-likelihood MLE's observation structure (mle.Plan).
 //
 // Every compiled structure is memoized under a sync.Once, so concurrent
 // first uses compile exactly once, and all Plan methods are safe for
@@ -40,13 +38,6 @@ type Options struct {
 	// Lazy skips the eager compilation entirely: every structure compiles
 	// on first use. Useful when only one estimator family will run.
 	Lazy bool
-	// Identifiability runs the Assumption-4 check at compile time (with
-	// SubsetCap as the enumeration budget); the result is available via
-	// Plan.Identifiability without recomputation.
-	Identifiability bool
-	// SubsetCap is the enumeration budget of the compile-time
-	// identifiability check (≤ 0 uses the default).
-	SubsetCap int
 }
 
 // linearKey is the comparable structural signature of a compiled linear
@@ -77,19 +68,6 @@ type linearEntry struct {
 	err  error
 }
 
-// theoremEntry memoizes one compiled theorem structure.
-type theoremEntry struct {
-	once sync.Once
-	tp   *core.TheoremPlan
-	err  error
-}
-
-// identEntry memoizes one identifiability check.
-type identEntry struct {
-	once sync.Once
-	res  topology.CheckResult
-}
-
 // Plan is a compiled, reusable inference plan for one topology. Compile it
 // once, then run any estimator against any number of measurement sources;
 // the expensive topology-dependent work is shared. All methods are safe for
@@ -97,10 +75,12 @@ type identEntry struct {
 type Plan struct {
 	top *topology.Topology
 
-	mu      sync.Mutex
-	linear  map[linearKey]*linearEntry
-	theorem map[core.TheoremOptions]*theoremEntry
-	ident   map[int]*identEntry
+	mu     sync.Mutex
+	linear map[linearKey]*linearEntry
+
+	thmOnce sync.Once
+	thmPlan *core.TheoremPlan
+	thmErr  error
 
 	mleOnce sync.Once
 	mlePlan *mle.Plan
@@ -115,12 +95,7 @@ func Compile(top *topology.Topology, opts Options) (*Plan, error) {
 	if top == nil {
 		return nil, fmt.Errorf("plan: nil topology")
 	}
-	p := &Plan{
-		top:     top,
-		linear:  map[linearKey]*linearEntry{},
-		theorem: map[core.TheoremOptions]*theoremEntry{},
-		ident:   map[int]*identEntry{},
-	}
+	p := &Plan{top: top, linear: map[linearKey]*linearEntry{}}
 	if !opts.Lazy {
 		if _, err := p.linearPlan(false, opts.Algorithm); err != nil {
 			return nil, err
@@ -128,9 +103,6 @@ func Compile(top *topology.Topology, opts Options) (*Plan, error) {
 		if _, err := p.linearPlan(true, opts.Algorithm); err != nil {
 			return nil, err
 		}
-	}
-	if opts.Identifiability {
-		p.Identifiability(opts.SubsetCap)
 	}
 	return p, nil
 }
@@ -176,21 +148,6 @@ type Workspace struct {
 // matters.
 func (p *Plan) NewWorkspace() *Workspace { return &Workspace{} }
 
-// theoremPlan returns the memoized compiled theorem structure for one
-// options signature.
-func (p *Plan) theoremPlan(opts core.TheoremOptions) (*core.TheoremPlan, error) {
-	opts = opts.Normalized()
-	p.mu.Lock()
-	e := p.theorem[opts]
-	if e == nil {
-		e = &theoremEntry{}
-		p.theorem[opts] = e
-	}
-	p.mu.Unlock()
-	e.once.Do(func() { e.tp, e.err = core.CompileTheorem(p.top, opts) })
-	return e.tp, e.err
-}
-
 // CorrelationIn runs the paper's Section-4 algorithm through the compiled
 // plan: zero steady-state allocations. The result aliases ws.
 func (p *Plan) CorrelationIn(ws *Workspace, src measure.Source, opts core.Options) (*core.Result, error) {
@@ -212,42 +169,23 @@ func (p *Plan) IndependenceIn(ws *Workspace, src measure.Source, opts core.Optio
 }
 
 // TheoremIn runs the exact Appendix-A algorithm through the compiled plan:
-// zero steady-state allocations when the source supports key-addressed
-// pattern queries. The result aliases ws.
-func (p *Plan) TheoremIn(ws *Workspace, src measure.PatternSource, opts core.TheoremOptions) (*core.TheoremResult, error) {
-	tp, err := p.theoremPlan(opts)
-	if err != nil {
-		return nil, err
+// zero steady-state allocations on an Empirical source. The result aliases
+// ws.
+func (p *Plan) TheoremIn(ws *Workspace, src measure.PatternSource) (*core.TheoremResult, error) {
+	p.thmOnce.Do(func() { p.thmPlan, p.thmErr = core.CompileTheorem(p.top) })
+	if p.thmErr != nil {
+		return nil, p.thmErr
 	}
-	return tp.RunIn(&ws.core, src)
+	return p.thmPlan.RunIn(&ws.core, src)
 }
 
 // MLEIn runs the composite-likelihood estimator through the compiled plan
 // on workspace-owned optimizer state: every per-iteration buffer is reused.
 // The result aliases ws.
-func (p *Plan) MLEIn(ws *Workspace, src mle.Source, opts mle.Options) (*mle.Result, error) {
-	mp, err := p.mlePlanCompiled()
-	if err != nil {
-		return nil, err
-	}
-	return mp.EstimateIn(&ws.mle, src, opts)
-}
-
-func (p *Plan) mlePlanCompiled() (*mle.Plan, error) {
+func (p *Plan) MLEIn(ws *Workspace, src measure.Source, opts mle.Options) (*mle.Result, error) {
 	p.mleOnce.Do(func() { p.mlePlan, p.mleErr = mle.Compile(p.top) })
-	return p.mlePlan, p.mleErr
-}
-
-// Identifiability returns the memoized Assumption-4 check for the given
-// enumeration budget (≤ 0 uses the default).
-func (p *Plan) Identifiability(subsetCap int) topology.CheckResult {
-	p.mu.Lock()
-	e := p.ident[subsetCap]
-	if e == nil {
-		e = &identEntry{}
-		p.ident[subsetCap] = e
+	if p.mleErr != nil {
+		return nil, p.mleErr
 	}
-	p.mu.Unlock()
-	e.once.Do(func() { e.res = topology.CheckIdentifiability(p.top, subsetCap) })
-	return e.res
+	return p.mlePlan.EstimateIn(&ws.mle, src, opts)
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestPlanMatchesOneShotAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp, err := core.CompileTheorem(ftop, core.TheoremOptions{})
+	tp, err := core.CompileTheorem(ftop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestPlanMatchesOneShotAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotThm, err := fp.TheoremIn(ws, fsrc, core.TheoremOptions{})
+	gotThm, err := fp.TheoremIn(ws, fsrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,5 +239,74 @@ func TestPlanConcurrentUse(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// blockingSource is a measurement source whose first query parks until
+// released — it holds a workspace demonstrably mid-estimate so the
+// concurrency guard can be exercised deterministically.
+type blockingSource struct {
+	numPaths int
+	entered  chan struct{}
+	release  chan struct{}
+	once     sync.Once
+}
+
+func (s *blockingSource) park() {
+	s.once.Do(func() {
+		close(s.entered)
+		<-s.release
+	})
+}
+
+func (s *blockingSource) NumPaths() int                             { return s.numPaths }
+func (s *blockingSource) ProbPathGood(topology.PathID) float64      { s.park(); return 0.9 }
+func (s *blockingSource) ProbPairGood(_, _ topology.PathID) float64 { s.park(); return 0.9 }
+func (s *blockingSource) PrimePairs([]measure.Pair)                 { s.park() }
+
+// TestWorkspaceConcurrentUseDetected pins the misuse contract: a second
+// goroutine estimating on a workspace that is mid-estimate panics with a
+// diagnostic instead of silently corrupting results. Run under -race in
+// CI, which would additionally flag any unsynchronized access.
+func TestWorkspaceConcurrentUseDetected(t *testing.T) {
+	s, err := scenario.BuildNamed("quickstart", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(s.Topology, Options{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &blockingSource{
+		numPaths: s.Topology.NumPaths(),
+		entered:  make(chan struct{}),
+		release:  make(chan struct{}),
+	}
+	ws := p.NewWorkspace()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.CorrelationIn(ws, src, core.Options{})
+		done <- err
+	}()
+	<-src.entered // the workspace is now provably held mid-estimate
+
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		_, _ = p.CorrelationIn(ws, src, core.Options{})
+		panicked <- nil
+	}()
+	r := <-panicked
+	close(src.release)
+	if err := <-done; err != nil {
+		t.Fatalf("first CorrelationIn failed: %v", err)
+	}
+	if r == nil {
+		t.Fatal("concurrent CorrelationIn on one workspace did not panic")
+	}
+	msg, ok := r.(string)
+	if !ok || !strings.Contains(msg, "used concurrently") {
+		t.Fatalf("concurrent use panicked with %v, want a 'used concurrently' diagnostic", r)
 	}
 }

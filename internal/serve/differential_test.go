@@ -17,7 +17,7 @@ import (
 )
 
 // TestDaemonMatchesOfflineReplay is the serving layer's headline
-// correctness guarantee: for EVERY registered estimator, the estimates the
+// correctness guarantee: for EVERY estimator, the estimates the
 // daemon serves over HTTP are bit-identical to an offline WindowedEstimate
 // replay of the same probe stream. Four tenants (one per estimator) ingest
 // and estimate concurrently, so under -race this also proves the shard
@@ -63,7 +63,7 @@ func runOfflineDifferentialWire(t *testing.T, cfg Config, wire string) {
 	)
 	estimators := tomography.EstimatorNames()
 	if len(estimators) < 4 {
-		t.Fatalf("estimator registry lists %v, want at least 4 for the concurrency guarantee", estimators)
+		t.Fatalf("EstimatorNames lists %v, want at least 4 for the concurrency guarantee", estimators)
 	}
 
 	d := New(cfg)

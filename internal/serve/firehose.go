@@ -37,7 +37,7 @@ type FirehoseConfig struct {
 	Batch int
 	// Window is each tenant's sliding-window size (0 ⇒ 256).
 	Window int
-	// Estimator is the registry estimator each tenant runs
+	// Estimator is the estimator each tenant runs
 	// ("" ⇒ correlation).
 	Estimator string
 	// EstimateEvery requests an estimate after every EstimateEvery accepted

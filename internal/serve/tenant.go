@@ -29,7 +29,7 @@ type TenantConfig struct {
 	Topology json.RawMessage `json:"topology,omitempty"`
 	// Window is the sliding-window length in snapshots (> 0).
 	Window int `json:"window"`
-	// Estimator is the registry estimator to run per estimate
+	// Estimator is the estimator to run per estimate
 	// ("" ⇒ correlation).
 	Estimator string `json:"estimator,omitempty"`
 }

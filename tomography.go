@@ -12,12 +12,12 @@
 //  2. Collect per-snapshot path observations. The netsim engine simulates
 //     them from a ground-truth congestion model; a real deployment would
 //     fill a Record from probe measurements instead.
-//  3. Compile the topology into an inference Plan, then run any registered
-//     Estimator — "correlation" (the paper's Section-4 algorithm),
+//  3. Compile the topology into an inference Plan, then run one of the four
+//     estimators — "correlation" (the paper's Section-4 algorithm),
 //     "independence" (the Nguyen–Thiran baseline), "theorem" (the exact
-//     Appendix-A algorithm), or "mle" (composite-likelihood) — with
-//     Estimate, or with EstimateIn on a reused Workspace, to recover
-//     P(link congested) for every link. The plan precomputes everything
+//     Appendix-A algorithm), or "mle" (composite-likelihood) — over an
+//     Empirical source with Estimate, or with EstimateIn on a reused
+//     Workspace, to recover P(link congested) for every link. The plan precomputes everything
 //     that depends only on the topology (admissible path/pair selection,
 //     equation sparsity, identifiability), so repeated inference over new
 //     records, streaming appends or batch trials only fills probabilities
@@ -87,9 +87,8 @@ type (
 	// to Empirical.Append and returned by Record.PathSnapshot. Build one
 	// with NewPathSet.
 	PathSet = bitset.Set
-	// Source supplies P(path set all-good) estimates to the algorithms.
-	Source = measure.Source
-	// Empirical estimates probabilities from columnar observations.
+	// Empirical estimates probabilities from columnar observations: the
+	// measurement source every estimator reads.
 	Empirical = measure.Empirical
 )
 
@@ -101,8 +100,6 @@ type (
 	Options = core.Options
 	// TheoremResult is the output of the exact algorithm.
 	TheoremResult = core.TheoremResult
-	// TheoremOptions tunes the exact algorithm.
-	TheoremOptions = core.TheoremOptions
 	// MLEResult is the output of the composite-likelihood estimator.
 	MLEResult = mle.Result
 	// MLEOptions tunes the composite-likelihood optimizer.

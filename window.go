@@ -94,7 +94,7 @@ func BuildScenario(name string, seed int64) (*Scenario, error) {
 // histogram, keeping memory bounded on an endless stream. At any moment it
 // is bit-identical to a one-shot batch source over the retained rows.
 // Window wraps one of these together with a compiled plan; use
-// NewSlidingWindow directly to drive the registry by hand.
+// NewSlidingWindow directly to drive the estimators by hand.
 func NewSlidingWindow(numPaths, window int) (*Empirical, error) {
 	return measure.NewSlidingWindow(numPaths, window)
 }
@@ -120,7 +120,7 @@ type WindowConfig struct {
 	// Size is the sliding-window length in snapshots (> 0): estimates cover
 	// only the most recent Size observations.
 	Size int
-	// Estimator is the registry name to run per estimate ("" ⇒ correlation).
+	// Estimator names the estimator to run per estimate ("" ⇒ correlation).
 	Estimator string
 	// Options tunes the estimator.
 	Options EstimateOptions
@@ -187,7 +187,7 @@ func NewWindow(top *Topology, cfg WindowConfig) (*Window, error) {
 	if name == "" {
 		name = "correlation"
 	}
-	if _, ok := LookupEstimator(name); !ok {
+	if !knownEstimator(name) {
 		return nil, fmt.Errorf("tomography: NewWindow: unknown estimator %q (registered: %v)", name, EstimatorNames())
 	}
 	p := cfg.Plan
@@ -408,7 +408,7 @@ func (v *WindowView) Close() {
 }
 
 // Source exposes the window's measurement source (e.g. to run a second
-// estimator over the same window through the registry).
+// estimator over the same window with EstimateIn).
 func (w *Window) Source() *Empirical { return w.src }
 
 // Plan returns the compiled plan the window estimates through.
