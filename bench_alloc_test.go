@@ -6,11 +6,13 @@
 package tomography_test
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	tomography "repro"
+	"repro/internal/bitset"
 	"repro/internal/brite"
 	"repro/internal/core"
 	"repro/internal/measure"
@@ -33,7 +35,7 @@ func BenchmarkWindowedInferenceWorkspace(b *testing.B) {
 	)
 	net, proc := dynamicsWorkload(b)
 	top := net.Topology
-	rec, err := tomography.SimulateDynamic(tomography.DynamicSimConfig{
+	rec, err := tomography.Simulate(tomography.SimConfig{
 		Topology: top, Process: proc, Snapshots: snapshots, Seed: 12,
 	})
 	if err != nil {
@@ -137,8 +139,11 @@ func BenchmarkBatchPairCount(b *testing.B) {
 	build := segstore.NewBuilder(paths, snapshots)
 	// Timing is data-independent (OR + popcount); a sparse random fill keeps
 	// fixture construction cheap at this scale.
+	row := bitset.New(paths)
 	for t := 0; t < snapshots; t++ {
-		build.SetBit(rng.Intn(paths), t)
+		row.Clear()
+		row.Add(rng.Intn(paths))
+		build.Append(row)
 	}
 	rec := build.Finish()
 	var pairs []segstore.Pair
@@ -201,7 +206,7 @@ func BenchmarkDeadPathRunIn(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec, err := netsim.Run(netsim.Config{Topology: s.Topology, Model: s.Model, Snapshots: snapshots, Seed: 97})
+	rec, err := netsim.Run(context.Background(), netsim.Config{Topology: s.Topology, Model: s.Model, Snapshots: snapshots, Seed: 97})
 	if err != nil {
 		b.Fatal(err)
 	}

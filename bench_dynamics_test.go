@@ -4,6 +4,7 @@
 package tomography_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -55,10 +56,12 @@ func dynamicsWorkload(b *testing.B) (*brite.Network, tomography.CongestionProces
 	return net, proc
 }
 
-// BenchmarkDynamicsSim prices the sequential Markov-modulated engine against
-// the i.i.d. block-parallel simulator on the same topology (both serial, so
-// the delta is the dynamics bookkeeping, not parallelism), and the engine's
-// PacketLevel observation serial against its 8-worker fan-out.
+// BenchmarkDynamicsSim prices the simulator on one topology with each
+// congestion source: the Markov-modulated process against the i.i.d.
+// router-backed model (both serial, so the delta is the dynamics
+// bookkeeping, not parallelism), each serial against its 8-worker fan-out
+// (the process under PacketLevel, since a StateLevel process step never
+// fans out).
 func BenchmarkDynamicsSim(b *testing.B) {
 	const (
 		snapshots = 5000
@@ -77,7 +80,7 @@ func BenchmarkDynamicsSim(b *testing.B) {
 
 	b.Run("markov-modulated", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := tomography.SimulateDynamic(tomography.DynamicSimConfig{
+			if _, err := tomography.Simulate(tomography.SimConfig{
 				Topology: top, Process: proc, Snapshots: snapshots, Seed: 9, Workers: 1,
 			}); err != nil {
 				b.Fatal(err)
@@ -99,7 +102,7 @@ func BenchmarkDynamicsSim(b *testing.B) {
 		}
 		b.Run("markov-modulated-"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := tomography.SimulateDynamic(tomography.DynamicSimConfig{
+				if _, err := tomography.Simulate(tomography.SimConfig{
 					Topology: top, Process: proc, Snapshots: packetSnapshots, Seed: 9,
 					Mode: tomography.PacketLevel, Workers: workers,
 				}); err != nil {
@@ -111,28 +114,36 @@ func BenchmarkDynamicsSim(b *testing.B) {
 			metrics[name+"-snapshots/sec"] = packetSnapshots / (ns / 1e9)
 		})
 	}
-	b.Run("iid-baseline", func(b *testing.B) {
-		s, err := scenario.Brite(scenario.BriteConfig{
-			Net: net, FracCongested: 0.10, Level: scenario.HighCorrelation, Seed: 31,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := netsim.Run(netsim.Config{
-				Topology: s.Topology, Model: s.Model, Snapshots: snapshots, Seed: 9, Parallelism: 1,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		metrics["iid-ns/op"] = ns
-		metrics["iid-snapshots/sec"] = snapshots / (ns / 1e9)
+	// The i.i.d. model draw fans out like a PacketLevel observation: every
+	// snapshot's draw comes from its own derived stream.
+	iid, err := scenario.Brite(scenario.BriteConfig{
+		Net: net, FracCongested: 0.10, Level: scenario.HighCorrelation, Seed: 31,
 	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		name, key := "iid-baseline", "iid"
+		if workers > 1 {
+			name = fmt.Sprintf("iid-parallel-%d", workers)
+			key = name
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := netsim.Run(context.Background(), netsim.Config{
+					Topology: iid.Topology, Model: iid.Model, Snapshots: snapshots, Seed: 9, Workers: workers,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			metrics[key+"-ns/op"] = ns
+			metrics[key+"-snapshots/sec"] = snapshots / (ns / 1e9)
+		})
+	}
 	if d, s := metrics["dynamic-snapshots/sec"], metrics["iid-snapshots/sec"]; d > 0 && s > 0 {
-		b.Logf("dynamic %.0f snapshots/sec vs i.i.d. %.0f snapshots/sec (%.2f× overhead); packet-level %.0f snapshots/sec serial, %.0f at 8 workers",
-			d, s, s/d, metrics["packet-snapshots/sec"], metrics["packet-parallel-8-snapshots/sec"])
+		b.Logf("dynamic %.0f snapshots/sec vs i.i.d. %.0f snapshots/sec (%.2f× overhead), i.i.d. %.0f at 8 workers; packet-level %.0f snapshots/sec serial, %.0f at 8 workers",
+			d, s, s/d, metrics["iid-parallel-8-snapshots/sec"], metrics["packet-snapshots/sec"], metrics["packet-parallel-8-snapshots/sec"])
 	}
 	writeBenchJSONFile(b, "BENCH_dynamics.json", "BenchmarkDynamicsSim", metrics)
 }
@@ -160,7 +171,7 @@ func BenchmarkWindowedInference(b *testing.B) {
 	)
 	net, proc := dynamicsWorkload(b)
 	top := net.Topology
-	rec, err := tomography.SimulateDynamic(tomography.DynamicSimConfig{
+	rec, err := tomography.Simulate(tomography.SimConfig{
 		Topology: top, Process: proc, Snapshots: snapshots, Seed: 12,
 	})
 	if err != nil {

@@ -31,7 +31,7 @@ func planWorkload(b *testing.B, snapshots int) (*scenario.Scenario, *measure.Emp
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: s.Topology, Model: s.Model, Snapshots: snapshots, Seed: 97,
 	})
 	if err != nil {
@@ -138,11 +138,11 @@ func BenchmarkEvaluateBatchPlanReuse(b *testing.B) {
 		ws := core.NewWorkspace()
 		for i := 0; i < b.N; i++ {
 			for j, s := range scenarios {
-				rec, err := netsim.Run(netsim.Config{
+				rec, err := netsim.Run(context.Background(), netsim.Config{
 					Topology: s.Topology, Model: s.Model, Snapshots: snapshots,
 					// runner.DeriveSeed mirrors EvaluateBatch's per-scenario
 					// seeding, so both sides simulate identical records.
-					Seed: runner.DeriveSeed(rootSeed, j), Parallelism: 1,
+					Seed: runner.DeriveSeed(rootSeed, j), Workers: 1,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -183,7 +183,7 @@ func benchScenario(b *testing.B, snapshots int, mode netsim.Mode, packets int) (
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: s.Topology, Model: s.Model, Snapshots: snapshots, Seed: 97,
 		Mode: mode, PacketsPerPath: packets,
 	})
@@ -357,7 +357,7 @@ func BenchmarkAblationTheorem(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec, err := netsim.Run(netsim.Config{Topology: top, Model: model, Snapshots: 50000, Seed: 3})
+	rec, err := netsim.Run(context.Background(), netsim.Config{Topology: top, Model: model, Snapshots: 50000, Seed: 3})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -367,23 +367,48 @@ func BenchmarkAblationTheorem(b *testing.B) {
 	}
 	truth := congestion.Marginals(model)
 
-	b.Run("theorem", func(b *testing.B) {
+	// Each algorithm is priced in two arms: the compile alone, and a warm
+	// estimate that compiles once outside the timer, so a change to the
+	// data phase shows apart from a change to the compile.
+	b.Run("theorem-compile", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.CompileTheorem(top); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("theorem-estimate", func(b *testing.B) {
+		tp, err := core.CompileTheorem(top)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ws := core.NewWorkspace()
+		b.ResetTimer()
 		var res *core.TheoremResult
 		for i := 0; i < b.N; i++ {
-			var err error
-			res, err = runTheoremOnce(top, src)
-			if err != nil {
+			if res, err = tp.RunIn(ws, src); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(eval.Mean(eval.AbsErrors(truth, res.CongestionProb, nil)), "mean-err")
 	})
-	b.Run("correlation", func(b *testing.B) {
+	b.Run("correlation-compile", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.CompileLinear(top, false, core.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("correlation-estimate", func(b *testing.B) {
+		lp, err := core.CompileLinear(top, false, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ws := core.NewWorkspace()
+		b.ResetTimer()
 		var res *core.Result
 		for i := 0; i < b.N; i++ {
-			var err error
-			res, err = runLinearOnce(top, src, false, core.Options{})
-			if err != nil {
+			if res, err = lp.RunIn(ws, src); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -464,7 +489,7 @@ func measureWorkload(b *testing.B) (*scenario.Scenario, *netsim.Record, []*bitse
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: s.Topology, Model: s.Model, Snapshots: 10000, Seed: 97,
 	})
 	if err != nil {

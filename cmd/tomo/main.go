@@ -175,24 +175,18 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 // simulateSource simulates the scenario's measurements and returns the
 // estimation source. With storeDir empty everything lives in RAM (a record
-// plus a batch Empirical over it); with storeDir set the observations go to
-// an out-of-core spill window sized to hold every snapshot — dynamic
-// scenarios stream straight from the simulator with no record in RAM, static
-// ones replay their record through it. Both sources hold identical retained
-// rows, so the estimates (and the printed report) are bit-identical.
+// plus a batch Empirical over it); with storeDir set the observations
+// stream from the simulator straight into an out-of-core spill window sized
+// to hold every snapshot, with no record in RAM. Both sources hold
+// identical retained rows, so the estimates (and the printed report) are
+// bit-identical.
 func simulateSource(scn *tomography.Scenario, snapshots int, seed int64, mode tomography.SimMode, storeDir string) (*tomography.Empirical, error) {
+	cfg := tomography.SimConfig{
+		Topology: scn.Topology, Model: scn.Model, Process: scn.Process,
+		Snapshots: snapshots, Seed: seed + 99, Mode: mode,
+	}
 	if storeDir == "" {
-		var rec *tomography.Record
-		var err error
-		if scn.Process != nil {
-			rec, err = tomography.SimulateDynamic(tomography.DynamicSimConfig{
-				Topology: scn.Topology, Process: scn.Process, Snapshots: snapshots, Seed: seed + 99, Mode: mode,
-			})
-		} else {
-			rec, err = tomography.Simulate(tomography.SimConfig{
-				Topology: scn.Topology, Model: scn.Model, Snapshots: snapshots, Seed: seed + 99, Mode: mode,
-			})
-		}
+		rec, err := tomography.Simulate(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -203,23 +197,8 @@ func simulateSource(scn *tomography.Scenario, snapshots int, seed int64, mode to
 	if err != nil {
 		return nil, err
 	}
-	if scn.Process != nil {
-		err = tomography.SimulateDynamicStream(tomography.DynamicSimConfig{
-			Topology: scn.Topology, Process: scn.Process, Snapshots: snapshots, Seed: seed + 99, Mode: mode,
-			OnSnapshot: func(_ int, congested *tomography.PathSet) { emp.Append(congested) },
-		})
-	} else {
-		var rec *tomography.Record
-		rec, err = tomography.Simulate(tomography.SimConfig{
-			Topology: scn.Topology, Model: scn.Model, Snapshots: snapshots, Seed: seed + 99, Mode: mode,
-		})
-		if err == nil {
-			for ts := 0; ts < rec.Snapshots(); ts++ {
-				emp.Append(rec.PathSnapshot(ts))
-			}
-		}
-	}
-	if err != nil {
+	cfg.OnSnapshot = func(_ int, congested *tomography.PathSet) { emp.Append(congested) }
+	if err := tomography.SimulateStream(cfg); err != nil {
 		emp.Close()
 		return nil, err
 	}

@@ -20,16 +20,9 @@ func TestDeadPathEstimatesInRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rec *tomography.Record
-		if scn.Process != nil {
-			rec, err = tomography.SimulateDynamic(tomography.DynamicSimConfig{
-				Topology: scn.Topology, Process: scn.Process, Snapshots: snapshots, Seed: 1,
-			})
-		} else {
-			rec, err = tomography.Simulate(tomography.SimConfig{
-				Topology: scn.Topology, Model: scn.Model, Snapshots: snapshots, Seed: 1,
-			})
-		}
+		rec, err := tomography.Simulate(tomography.SimConfig{
+			Topology: scn.Topology, Model: scn.Model, Process: scn.Process, Snapshots: snapshots, Seed: 1,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

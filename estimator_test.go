@@ -1,6 +1,7 @@
 package tomography_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -30,7 +31,7 @@ func randomFixture(t testing.TB, seed int64, paths int) (*topology.Topology, *me
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: s.Topology, Model: s.Model, Snapshots: 700, Seed: seed + 2,
 	})
 	if err != nil {

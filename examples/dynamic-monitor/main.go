@@ -69,7 +69,7 @@ func main() {
 
 	detectedAt := -1
 	checkpoints := map[int]bool{1000: true, 2900: true, 3100: true, 3400: true, 5900: true}
-	rec, err := tomography.SimulateDynamic(tomography.DynamicSimConfig{
+	rec, err := tomography.Simulate(tomography.SimConfig{
 		Topology: top, Process: proc, Snapshots: snapshots, Seed: 42,
 		OnSnapshot: func(t int, congested *tomography.PathSet) {
 			changed := monitor.Observe(congested)

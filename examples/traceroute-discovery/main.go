@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -63,7 +64,7 @@ func main() {
 	}
 
 	// 2. Measure and learn.
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: top, Model: model, Snapshots: 4000, Seed: 11,
 		RecordLinkStates: true,
 	})

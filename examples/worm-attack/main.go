@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,7 +57,7 @@ func main() {
 	fmt.Printf("congested links: %d (of which %d are worm targets, mislabeled as uncorrelated)\n",
 		attacked.CongestedLinks.Len(), attacked.Mislabeled.Len())
 
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: top, Model: attacked.Model, Snapshots: 2500, Seed: 23,
 	})
 	if err != nil {

@@ -35,22 +35,14 @@ func fingerprintHash(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// fingerprintRecord simulates a registry scenario the way cmd/tomo does:
-// the dynamic simulator for a scenario with a time-indexed process, the
-// i.i.d. one otherwise.
+// fingerprintRecord simulates a registry scenario, whichever congestion
+// source it carries.
 func fingerprintRecord(t *testing.T, scn *tomography.Scenario) *tomography.Record {
 	t.Helper()
-	var rec *tomography.Record
-	var err error
-	if scn.Process != nil {
-		rec, err = tomography.SimulateDynamic(tomography.DynamicSimConfig{
-			Topology: scn.Topology, Process: scn.Process, Snapshots: fingerprintSnapshots, Seed: fingerprintSeed,
-		})
-	} else {
-		rec, err = tomography.Simulate(tomography.SimConfig{
-			Topology: scn.Topology, Model: scn.Model, Snapshots: fingerprintSnapshots, Seed: fingerprintSeed,
-		})
-	}
+	rec, err := tomography.Simulate(tomography.SimConfig{
+		Topology: scn.Topology, Model: scn.Model, Process: scn.Process,
+		Snapshots: fingerprintSnapshots, Seed: fingerprintSeed,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

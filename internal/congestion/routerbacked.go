@@ -22,8 +22,10 @@ type RouterBacked struct {
 	RouterP []float64
 
 	numRouter int
-	// routerState is scratch reused per Sample via a pool-free approach:
-	// Sample allocates on the caller's stack-ish slice instead; see Sample.
+	// backs[r] lists the logical links router-level link r backs, the
+	// inverse of Backing, so Sample marks a congested router's links
+	// without a per-snapshot router-state buffer.
+	backs [][]int
 }
 
 // NewRouterBacked validates and builds the model.
@@ -44,13 +46,18 @@ func NewRouterBacked(backing [][]int, routerP []float64) (*RouterBacked, error) 
 		}
 	}
 	cp := make([][]int, len(backing))
+	backs := make([][]int, len(routerP))
 	for k, b := range backing {
 		cp[k] = append([]int{}, b...)
+		for _, r := range b {
+			backs[r] = append(backs[r], k)
+		}
 	}
 	return &RouterBacked{
 		Backing:   cp,
 		RouterP:   append([]float64{}, routerP...),
 		numRouter: len(routerP),
+		backs:     backs,
 	}, nil
 }
 
@@ -60,18 +67,14 @@ func (m *RouterBacked) NumLinks() int { return len(m.Backing) }
 // NumRouterLinks returns the size of the underlying router-level namespace.
 func (m *RouterBacked) NumRouterLinks() int { return m.numRouter }
 
-// Sample implements Model: draw router-level states, derive logical states.
+// Sample implements Model: draw router-level states in router order and
+// mark every logical link a congested router link backs.
 func (m *RouterBacked) Sample(rng *rand.Rand, out *bitset.Set) {
 	out.Clear()
-	state := make([]bool, m.numRouter)
 	for r, p := range m.RouterP {
-		state[r] = p > 0 && rng.Float64() < p
-	}
-	for k, b := range m.Backing {
-		for _, r := range b {
-			if state[r] {
+		if p > 0 && rng.Float64() < p {
+			for _, k := range m.backs[r] {
 				out.Add(k)
-				break
 			}
 		}
 	}

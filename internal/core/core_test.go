@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -360,7 +361,7 @@ func TestTheoremOnEmpiricalMeasurements(t *testing.T) {
 	}
 	top := topology.Figure1A()
 	model := fig1aTable(t)
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: top, Model: model, Snapshots: 300000, Seed: 21, Mode: netsim.StateLevel,
 	})
 	if err != nil {
@@ -384,7 +385,7 @@ func TestCorrelationOnEmpiricalMeasurements(t *testing.T) {
 	}
 	top := topology.Figure1A()
 	model := fig1aTable(t)
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: top, Model: model, Snapshots: 200000, Seed: 22, Mode: netsim.StateLevel,
 	})
 	if err != nil {
@@ -544,7 +545,7 @@ func TestUseAllEquationsLeastSquares(t *testing.T) {
 	}
 	top := topology.Figure1A()
 	model := fig1aTable(t)
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: top, Model: model, Snapshots: 100000, Seed: 23, Mode: netsim.StateLevel,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -128,7 +129,7 @@ func TestCorrelationOnPacketLevelMeasurements(t *testing.T) {
 	// that misclassification probability to negligible levels.
 	top := topology.Figure1A()
 	model := fig1aTable(t)
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: top, Model: model, Snapshots: 20000, Seed: 41,
 		Mode: netsim.PacketLevel, PacketsPerPath: 2000,
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -34,7 +35,7 @@ func briteRecord(t testing.TB, seed int64) (*topology.Topology, *netsim.Record) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: s.Topology, Model: s.Model, Snapshots: 800, Seed: seed + 2,
 	})
 	if err != nil {

@@ -16,7 +16,7 @@
 //
 // A Process is an immutable specification. Start(seed) begins one
 // deterministic realization; the netsim engine drives it one snapshot at a
-// time (netsim.RunDynamic), emitting observations into the columnar
+// time (netsim.Run with Config.Process), emitting observations into the columnar
 // measurement store through the streaming Append path. StationaryMarginals
 // exposes the long-run per-link congestion probabilities — the ground truth
 // that windowed online inference (tomography.Window) is evaluated against
@@ -217,9 +217,6 @@ func NewMarkovModulated(cfg Config) (*MarkovModulated, error) {
 
 // NumLinks implements Process.
 func (m *MarkovModulated) NumLinks() int { return m.cfg.numLinks }
-
-// NumGroups returns the number of modulated groups.
-func (m *MarkovModulated) NumGroups() int { return len(m.cfg.groups) }
 
 // StationaryMarginals implements Process: per link, the stationary
 // probability the modulator is on times OnProb plus the complement times

@@ -206,30 +206,16 @@ var trialWorkspaces = sync.Pool{New: func() any { return &plan.Workspace{} }}
 // which sizes the nested snapshot-simulator pool so total concurrency stays
 // within p.Workers.
 func runTrial(ctx context.Context, s *scenario.Scenario, pl *plan.Plan, p Params, snapshots, trial int) (trialResult, error) {
-	var rec *netsim.Record
-	var err error
-	if s.Process != nil {
-		// Time-indexed scenario: the sequential dynamic engine carries
-		// congestion state across snapshots.
-		rec, err = netsim.RunDynamic(ctx, netsim.DynamicConfig{
-			Topology:       s.Topology,
-			Process:        s.Process,
-			Snapshots:      snapshots,
-			Seed:           trialSeed(p, trial),
-			Mode:           p.Mode,
-			PacketsPerPath: p.PacketsPerPath,
-		})
-	} else {
-		rec, err = netsim.RunContext(ctx, netsim.Config{
-			Topology:       s.Topology,
-			Model:          s.Model,
-			Snapshots:      snapshots,
-			Seed:           trialSeed(p, trial),
-			Mode:           p.Mode,
-			PacketsPerPath: p.PacketsPerPath,
-			Parallelism:    p.Workers,
-		})
-	}
+	rec, err := netsim.Run(ctx, netsim.Config{
+		Topology:       s.Topology,
+		Model:          s.Model,
+		Process:        s.Process,
+		Snapshots:      snapshots,
+		Seed:           trialSeed(p, trial),
+		Mode:           p.Mode,
+		PacketsPerPath: p.PacketsPerPath,
+		Workers:        p.Workers,
+	})
 	if err != nil {
 		return trialResult{}, fmt.Errorf("simulating %s: %w", s.Name, err)
 	}

@@ -1,6 +1,7 @@
 package locate
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -130,7 +131,7 @@ func TestFeasibilityInvariant(t *testing.T) {
 	// whose coverage equals the observation.
 	top := topology.Figure1A()
 	model := fig1aModel(t)
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: top, Model: model, Snapshots: 500, Seed: 3,
 		Mode: netsim.StateLevel, RecordLinkStates: true,
 	})
@@ -172,7 +173,7 @@ func TestFeasibilityInvariant(t *testing.T) {
 func TestCorrelatedLocalizationBeatsIndependent(t *testing.T) {
 	top := topology.Figure1A()
 	model := fig1aModel(t)
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: top, Model: model, Snapshots: 30000, Seed: 5,
 		Mode: netsim.StateLevel, RecordLinkStates: true,
 	})

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -139,9 +140,9 @@ func TestColumnarMatchesRowMajorReference(t *testing.T) {
 // the columnar estimates to a row-major scan of the same record.
 func TestColumnarMatchesRowMajorUnderParallelSimulation(t *testing.T) {
 	top := topology.Figure1A()
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: top, Model: fig1aTable(t), Snapshots: 3000, Seed: 12,
-		Mode: netsim.StateLevel, Parallelism: 8,
+		Mode: netsim.StateLevel, Workers: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -333,9 +333,6 @@ func (e *Empirical) Evict() bool {
 // estimator.
 func (e *Empirical) Window() int { return e.cols.Capacity() }
 
-// IsView reports whether this estimator is an immutable snapshot view.
-func (e *Empirical) IsView() bool { return e.view != nil }
-
 // SnapshotView freezes the estimator's current window into an immutable
 // copy-on-write view: the window's sealed chunks are shared by reference —
 // each view holds a per-chunk reference count, so eviction, ReleaseMapped

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -123,7 +124,7 @@ func TestEmpiricalConvergesToExact(t *testing.T) {
 	}
 	top := topology.Figure1A()
 	model := fig1aTable(t)
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: top, Model: model, Snapshots: 200000, Seed: 5, Mode: netsim.StateLevel,
 	})
 	if err != nil {
@@ -170,7 +171,7 @@ func TestEmpiricalConvergesToExact(t *testing.T) {
 func TestEmpiricalHelpers(t *testing.T) {
 	top := topology.Figure1A()
 	model := fig1aTable(t)
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: top, Model: model, Snapshots: 50000, Seed: 6, Mode: netsim.StateLevel,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package mle
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 
 func simulate(t *testing.T, top *topology.Topology, model congestion.Model, n int, seed int64) *measure.Empirical {
 	t.Helper()
-	rec, err := netsim.Run(netsim.Config{Topology: top, Model: model, Snapshots: n, Seed: seed})
+	rec, err := netsim.Run(context.Background(), netsim.Config{Topology: top, Model: model, Snapshots: n, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestEstimateCompetitiveWithLinearOnIndependentScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := netsim.Run(netsim.Config{Topology: top, Model: s.Model, Snapshots: 4000, Seed: 17})
+	rec, err := netsim.Run(context.Background(), netsim.Config{Topology: top, Model: s.Model, Snapshots: 4000, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,19 +7,19 @@ import (
 	"repro/internal/bitset"
 )
 
-// TestRunDynamicParallelMatchesSerial pins the chunked parallel RunDynamic
-// path bit-identical to the sequential loop across worker counts {1, 2, 7,
-// 8}, including recorded link states and the OnSnapshot tap sequence —
-// same sets, same order, same indices. Only PacketLevel takes the chunked
-// path, and it exercises the per-snapshot derived-noise streams the fan-out
-// depends on; StateLevel always runs the sequential loop, so its arm pins
-// only that Workers has no effect there. Snapshot counts straddle the chunk
-// size so partial final chunks are covered.
+// TestRunDynamicParallelMatchesSerial pins a process run's fanned-out step
+// bit-identical to the serial one across worker counts {1, 2, 7, 8},
+// including recorded link states and the OnSnapshot tap sequence — same
+// sets, same order, same indices. Only PacketLevel fans a process run out,
+// and it exercises the per-snapshot derived-noise streams the fan-out
+// depends on; a StateLevel process step draws no randomness and runs
+// inline, so its arm pins only that Workers has no effect there. Snapshot
+// counts straddle the chunk size so partial final chunks are covered.
 func TestRunDynamicParallelMatchesSerial(t *testing.T) {
 	top, proc := dynFixture(t)
 	for _, mode := range []Mode{StateLevel, PacketLevel} {
-		for _, snapshots := range []int{1, dynChunkSnapshots - 1, dynChunkSnapshots, dynChunkSnapshots*2 + 37} {
-			base := DynamicConfig{
+		for _, snapshots := range []int{1, chunkSnapshots - 1, chunkSnapshots, chunkSnapshots*2 + 37} {
+			base := Config{
 				Topology: top, Process: proc, Snapshots: snapshots, Seed: 17,
 				Mode: mode, RecordLinkStates: true, Workers: 1,
 			}
@@ -30,7 +30,7 @@ func TestRunDynamicParallelMatchesSerial(t *testing.T) {
 				}
 				wantTap = append(wantTap, congested.Clone())
 			}
-			want, err := RunDynamic(context.Background(), base)
+			want, err := Run(context.Background(), base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,7 +44,7 @@ func TestRunDynamicParallelMatchesSerial(t *testing.T) {
 					}
 					gotTap = append(gotTap, congested.Clone())
 				}
-				got, err := RunDynamic(context.Background(), cfg)
+				got, err := Run(context.Background(), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,13 +68,13 @@ func TestRunDynamicParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunDynamicParallelCancellation pins that the chunked PacketLevel path
+// TestRunDynamicParallelCancellation pins that a fanned-out process run
 // still honours context cancellation.
 func TestRunDynamicParallelCancellation(t *testing.T) {
 	top, proc := dynFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunDynamic(ctx, DynamicConfig{Topology: top, Process: proc, Snapshots: 10, Mode: PacketLevel, Workers: 4})
+	_, err := Run(ctx, Config{Topology: top, Process: proc, Snapshots: 10, Mode: PacketLevel, Workers: 4})
 	if err == nil {
 		t.Fatal("cancelled context accepted by parallel path")
 	}

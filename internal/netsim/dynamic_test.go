@@ -32,12 +32,12 @@ func dynFixture(t *testing.T) (*topology.Topology, *dynamics.MarkovModulated) {
 
 func TestRunDynamicDeterministic(t *testing.T) {
 	top, proc := dynFixture(t)
-	cfg := DynamicConfig{Topology: top, Process: proc, Snapshots: 600, Seed: 5, RecordLinkStates: true}
-	a, err := RunDynamic(context.Background(), cfg)
+	cfg := Config{Topology: top, Process: proc, Snapshots: 600, Seed: 5, RecordLinkStates: true}
+	a, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDynamic(context.Background(), cfg)
+	b, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRunDynamicDeterministic(t *testing.T) {
 		t.Fatal("two runs with the same seed produced different records")
 	}
 	cfg.Seed = 6
-	c, err := RunDynamic(context.Background(), cfg)
+	c, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRunDynamicDeterministic(t *testing.T) {
 func TestRunDynamicObservationsConsistent(t *testing.T) {
 	top, proc := dynFixture(t)
 	var tapped []*bitset.Set
-	rec, err := RunDynamic(context.Background(), DynamicConfig{
+	rec, err := Run(context.Background(), Config{
 		Topology: top, Process: proc, Snapshots: 400, Seed: 9, RecordLinkStates: true,
 		OnSnapshot: func(_ int, congested *bitset.Set) {
 			tapped = append(tapped, congested.Clone())
@@ -95,18 +95,19 @@ func TestRunDynamicErrors(t *testing.T) {
 	}
 	cases := []struct {
 		name    string
-		cfg     DynamicConfig
+		cfg     Config
 		errPart string
 	}{
-		{"nil topology", DynamicConfig{Process: proc, Snapshots: 10}, "nil topology"},
-		{"nil process", DynamicConfig{Topology: top, Snapshots: 10}, "nil process"},
-		{"mismatched links", DynamicConfig{Topology: top, Process: other, Snapshots: 10}, "covers 99 links"},
-		{"no snapshots", DynamicConfig{Topology: top, Process: proc}, "snapshots = 0"},
-		{"bad tl", DynamicConfig{Topology: top, Process: proc, Snapshots: 10, Tl: 2}, "tl"},
-		{"bad packets", DynamicConfig{Topology: top, Process: proc, Snapshots: 10, PacketsPerPath: -1}, "packets"},
+		{"nil topology", Config{Process: proc, Snapshots: 10}, "nil topology"},
+		{"nil process", Config{Topology: top, Snapshots: 10}, "nil process"},
+		{"model and process", Config{Topology: top, Model: fig1aModel(t), Process: proc, Snapshots: 10}, "both"},
+		{"mismatched links", Config{Topology: top, Process: other, Snapshots: 10}, "covers 99 links"},
+		{"no snapshots", Config{Topology: top, Process: proc}, "snapshots = 0"},
+		{"bad tl", Config{Topology: top, Process: proc, Snapshots: 10, Tl: 2}, "tl"},
+		{"bad packets", Config{Topology: top, Process: proc, Snapshots: 10, PacketsPerPath: -1}, "packets"},
 	}
 	for _, tc := range cases {
-		if _, err := RunDynamic(context.Background(), tc.cfg); err == nil {
+		if _, err := Run(context.Background(), tc.cfg); err == nil {
 			t.Errorf("%s: config accepted, want error", tc.name)
 		} else if !strings.Contains(err.Error(), tc.errPart) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.errPart)
@@ -115,7 +116,7 @@ func TestRunDynamicErrors(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunDynamic(ctx, DynamicConfig{Topology: top, Process: proc, Snapshots: 10}); err == nil {
+	if _, err := Run(ctx, Config{Topology: top, Process: proc, Snapshots: 10}); err == nil {
 		t.Error("cancelled context accepted")
 	}
 }

@@ -10,17 +10,18 @@
 //     the threshold tp — the full data path of the paper's simulator,
 //     including measurement noise.
 //
-// Snapshots are independent, so the engine shards them across the
-// internal/runner worker pool in 64-snapshot-aligned blocks; per-snapshot
-// RNGs are derived deterministically from the seed (runner.DeriveSeed),
-// making runs reproducible regardless of parallelism, and RunContext
-// honours cancellation between blocks.
-//
-// Observations land directly in the record's preallocated bit columns (a
-// segstore.Builder: one bit column per path over snapshots). Because every
-// block owns whole words of every column, the shards never share a word:
-// the deterministic "merge" is the layout itself, and no post-processing
-// pass is needed.
+// Congested links come from exactly one of two sources: an i.i.d.
+// congestion.Model drawn afresh each snapshot, or a time-indexed
+// dynamics.Process whose state carries from one snapshot to the next. One
+// loop serves both, chunk by chunk: the process (if any) advances
+// sequentially into the chunk's buffered link states; a per-snapshot step
+// draws the model's links and observes the paths, fanned out over the
+// internal/runner worker pool when it draws randomness (a serial run's
+// chunk is one snapshot); and the chunk is emitted in snapshot order into
+// the record and the OnSnapshot tap. Every
+// random draw of snapshot t comes from runner.DeriveSeed(seed, t) (and the
+// process realization from its own stream), so records and tap sequences
+// are bit-identical for every worker count.
 package netsim
 
 import (
@@ -30,6 +31,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/congestion"
+	"repro/internal/dynamics"
 	"repro/internal/loss"
 	"repro/internal/runner"
 	"repro/internal/segstore"
@@ -58,24 +60,40 @@ func (m Mode) String() string {
 	}
 }
 
-// Config parameterizes a simulation run.
+// Config parameterizes a simulation run. Exactly one of Model and Process
+// is set.
 type Config struct {
-	Topology  *topology.Topology
-	Model     congestion.Model
+	Topology *topology.Topology
+	// Model draws each snapshot's congested links independently of every
+	// other snapshot.
+	Model congestion.Model
+	// Process is a time-indexed congestion process (e.g.
+	// dynamics.MarkovModulated) that carries state between snapshots.
+	Process   dynamics.Process
 	Snapshots int
-	Seed      int64
-	Mode      Mode
+	// Seed drives the model draws, the process realization and the
+	// packet-level measurement noise.
+	Seed int64
+	Mode Mode
 	// Tl is the link congestion threshold (0 ⇒ loss.DefaultTl). Only used in
 	// PacketLevel mode.
 	Tl float64
 	// PacketsPerPath is the probe count per path per snapshot
 	// (0 ⇒ loss.DefaultPacketsPerPath). Only used in PacketLevel mode.
 	PacketsPerPath int
-	// Parallelism caps the worker count (0 ⇒ GOMAXPROCS).
-	Parallelism int
 	// RecordLinkStates additionally stores the true congested-link set of
 	// every snapshot (for validation and diagnostics; costs memory).
 	RecordLinkStates bool
+	// OnSnapshot, when non-nil, is called with each snapshot's index and
+	// congested-path observation, in snapshot order — the streaming tap
+	// online consumers (sliding windows, change detectors) attach to. The
+	// set is reused between calls; clone it to retain.
+	OnSnapshot func(t int, congestedPaths *bitset.Set)
+	// Workers caps the per-snapshot fan-out (0 ⇒ GOMAXPROCS, capped by any
+	// worker budget the context carries). Only a step that draws randomness
+	// — a model draw or a PacketLevel observation — fans out; a process
+	// under StateLevel is a few word ORs per snapshot and runs inline.
+	Workers int
 }
 
 // Record holds the observations of one experiment as immutable bit
@@ -128,92 +146,18 @@ func row(cols *segstore.Columns, t int) *bitset.Set {
 	return dst
 }
 
-// Run executes the simulation and returns the observation record. It is
-// RunContext with a background context.
-func Run(cfg Config) (*Record, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext executes the simulation on the runner worker pool, honouring
-// ctx between snapshots, and returns the observation record.
-func RunContext(ctx context.Context, cfg Config) (*Record, error) {
-	if cfg.Topology == nil {
-		return nil, fmt.Errorf("netsim: nil topology")
-	}
-	if cfg.Model == nil {
-		return nil, fmt.Errorf("netsim: nil model")
-	}
-	if cfg.Model.NumLinks() != cfg.Topology.NumLinks() {
-		return nil, fmt.Errorf("netsim: model covers %d links, topology has %d",
-			cfg.Model.NumLinks(), cfg.Topology.NumLinks())
-	}
-	if cfg.Snapshots <= 0 {
-		return nil, fmt.Errorf("netsim: snapshots = %d, want > 0", cfg.Snapshots)
-	}
-	tl := cfg.Tl
-	if tl == 0 {
-		tl = loss.DefaultTl
-	}
-	if tl < 0 || tl >= 1 {
-		return nil, fmt.Errorf("netsim: tl = %v, want (0, 1)", tl)
-	}
-	packets := cfg.PacketsPerPath
-	if packets == 0 {
-		packets = loss.DefaultPacketsPerPath
-	}
-	if packets < 0 {
-		return nil, fmt.Errorf("netsim: packets per path = %d", packets)
+// Run executes the simulation, honouring ctx between chunks of snapshots,
+// and returns the observation record.
+func Run(ctx context.Context, cfg Config) (*Record, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	paths := segstore.NewBuilder(cfg.Topology.NumPaths(), cfg.Snapshots)
 	var links *segstore.Builder
 	if cfg.RecordLinkStates {
 		links = segstore.NewBuilder(cfg.Topology.NumLinks(), cfg.Snapshots)
 	}
-
-	// Tasks are 64-snapshot-aligned blocks: block b owns word b of every
-	// column, so concurrent writers never share a word and the columnar
-	// record needs no merge pass. The per-snapshot RNG is still derived from
-	// (seed, snapshot) alone, so the record is bit-identical for any worker
-	// count. Scratch bitsets and the generator are allocated once per worker
-	// and reused; the generator is reseeded for every snapshot.
-	blocks := (cfg.Snapshots + segstore.BlockRows - 1) / segstore.BlockRows
-	type scratch struct {
-		linkState, pathState *bitset.Set
-		rng                  *rand.Rand
-	}
-	pool := &runner.Runner{Workers: cfg.Parallelism}
-	_, err := runner.MapScratch(ctx, pool, blocks,
-		func() *scratch {
-			return &scratch{
-				linkState: bitset.New(cfg.Topology.NumLinks()),
-				pathState: bitset.New(cfg.Topology.NumPaths()),
-				rng:       rand.New(rand.NewSource(0)),
-			}
-		},
-		func(_ context.Context, block int, sc *scratch) (struct{}, error) {
-			lo := block * segstore.BlockRows
-			hi := lo + segstore.BlockRows
-			if hi > cfg.Snapshots {
-				hi = cfg.Snapshots
-			}
-			for snap := lo; snap < hi; snap++ {
-				sc.rng.Seed(runner.DeriveSeed(cfg.Seed, snap))
-				cfg.Model.Sample(sc.rng, sc.linkState)
-				if links != nil {
-					sc.linkState.ForEach(func(k int) bool {
-						links.SetBit(k, snap)
-						return true
-					})
-				}
-				observePaths(cfg.Topology, sc.linkState, sc.rng, cfg.Mode, tl, packets, sc.pathState)
-				sc.pathState.ForEach(func(p int) bool {
-					paths.SetBit(p, snap)
-					return true
-				})
-			}
-			return struct{}{}, nil
-		})
-	if err != nil {
+	if err := simulate(ctx, cfg, paths, links); err != nil {
 		return nil, err
 	}
 	rec := &Record{Paths: paths.Finish()}
@@ -221,6 +165,153 @@ func RunContext(ctx context.Context, cfg Config) (*Record, error) {
 		rec.Links = links.Finish()
 	}
 	return rec, nil
+}
+
+// Stream is Run without the record: every snapshot goes only to
+// cfg.OnSnapshot (required) and nothing is materialized in RAM — the
+// generation mode for day-scale replays whose observations stream straight
+// into a spill-enabled window. The OnSnapshot sequence is bit-identical to
+// Run's under the same configuration.
+func Stream(ctx context.Context, cfg Config) error {
+	if cfg.OnSnapshot == nil {
+		return fmt.Errorf("netsim: Stream requires an OnSnapshot tap (nothing else receives the snapshots)")
+	}
+	if cfg.RecordLinkStates {
+		return fmt.Errorf("netsim: Stream records nothing; use Run for link states")
+	}
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	return simulate(ctx, cfg, nil, nil)
+}
+
+// validate checks cfg and fills the packet-level defaults.
+func (cfg *Config) validate() error {
+	if cfg.Topology == nil {
+		return fmt.Errorf("netsim: nil topology")
+	}
+	var source interface{ NumLinks() int }
+	switch {
+	case cfg.Model != nil && cfg.Process != nil:
+		return fmt.Errorf("netsim: both a model and a process set, want one")
+	case cfg.Model != nil:
+		source = cfg.Model
+	case cfg.Process != nil:
+		source = cfg.Process
+	default:
+		return fmt.Errorf("netsim: nil model and nil process, want one")
+	}
+	if source.NumLinks() != cfg.Topology.NumLinks() {
+		return fmt.Errorf("netsim: congestion source covers %d links, topology has %d",
+			source.NumLinks(), cfg.Topology.NumLinks())
+	}
+	if cfg.Snapshots <= 0 {
+		return fmt.Errorf("netsim: snapshots = %d, want > 0", cfg.Snapshots)
+	}
+	if cfg.Tl == 0 {
+		cfg.Tl = loss.DefaultTl
+	}
+	if cfg.Tl < 0 || cfg.Tl >= 1 {
+		return fmt.Errorf("netsim: tl = %v, want (0, 1)", cfg.Tl)
+	}
+	if cfg.PacketsPerPath == 0 {
+		cfg.PacketsPerPath = loss.DefaultPacketsPerPath
+	}
+	if cfg.PacketsPerPath < 0 {
+		return fmt.Errorf("netsim: packets per path = %d", cfg.PacketsPerPath)
+	}
+	return nil
+}
+
+// chunkSnapshots is the chunk a fanned-out run hands its workers: big
+// enough to amortize the fan-out, small enough that the buffered link and
+// path states stay cache-resident and OnSnapshot latency stays bounded. It
+// is also the cancellation check interval.
+const chunkSnapshots = 512
+
+// simulate is the one snapshot loop behind Run and Stream: per chunk,
+// advance the process into buffered link states, run the per-snapshot
+// step (serially, or fanned out when it draws randomness and the worker
+// budget allows), then emit the chunk in snapshot order to paths and links
+// (when non-nil) and the tap. cfg is validated.
+func simulate(ctx context.Context, cfg Config, paths, links *segstore.Builder) error {
+	random := cfg.Model != nil || cfg.Mode == PacketLevel
+	pool := &runner.Runner{Workers: cfg.Workers}
+	fanOut := random && pool.Budget(ctx) > 1
+	// A serial run steps one snapshot at a time, so its two buffers stay
+	// hot; a fan-out buffers a chunk to hand the workers.
+	chunk := 1
+	if fanOut {
+		chunk = min(chunkSnapshots, cfg.Snapshots)
+	}
+	linkStates := make([]*bitset.Set, chunk)
+	pathStates := make([]*bitset.Set, chunk)
+	for i := range linkStates {
+		linkStates[i] = bitset.New(cfg.Topology.NumLinks())
+		pathStates[i] = bitset.New(cfg.Topology.NumPaths())
+	}
+	var run dynamics.Run
+	if cfg.Process != nil {
+		run = cfg.Process.Start(cfg.Seed)
+	}
+	// step simulates snapshot t into link (drawn here for a model, already
+	// advanced for a process) and path. rng is nil exactly when the step
+	// draws no randomness; otherwise every draw of snapshot t comes from
+	// its own derived stream, so steps are independent of each other and
+	// of the process realization.
+	step := func(t int, link, path *bitset.Set, rng *rand.Rand) {
+		if rng != nil {
+			rng.Seed(runner.DeriveSeed(cfg.Seed, t))
+			if cfg.Model != nil {
+				cfg.Model.Sample(rng, link)
+			}
+		}
+		observePaths(cfg.Topology, link, rng, cfg.Mode, cfg.Tl, cfg.PacketsPerPath, path)
+	}
+	var rng *rand.Rand
+	if random && !fanOut {
+		rng = rand.New(rand.NewSource(0))
+	}
+	for base := 0; base < cfg.Snapshots; base += chunk {
+		if base%chunkSnapshots == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		m := min(chunk, cfg.Snapshots-base)
+		if run != nil {
+			for i := 0; i < m; i++ {
+				run.Next(linkStates[i])
+			}
+		}
+		if fanOut {
+			_, err := runner.MapScratch(ctx, pool, m,
+				func() *rand.Rand { return rand.New(rand.NewSource(0)) },
+				func(_ context.Context, i int, rng *rand.Rand) (struct{}, error) {
+					step(base+i, linkStates[i], pathStates[i], rng)
+					return struct{}{}, nil
+				})
+			if err != nil {
+				return err
+			}
+		} else {
+			for i := 0; i < m; i++ {
+				step(base+i, linkStates[i], pathStates[i], rng)
+			}
+		}
+		for i := 0; i < m; i++ {
+			if paths != nil {
+				paths.Append(pathStates[i])
+			}
+			if links != nil {
+				links.Append(linkStates[i])
+			}
+			if cfg.OnSnapshot != nil {
+				cfg.OnSnapshot(base+i, pathStates[i])
+			}
+		}
+	}
+	return nil
 }
 
 // observePaths derives the congested-path set for one snapshot into out

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,20 +28,20 @@ func fig1aModel(t *testing.T) congestion.Model {
 func TestRunValidation(t *testing.T) {
 	top := topology.Figure1A()
 	model := fig1aModel(t)
-	if _, err := Run(Config{Topology: nil, Model: model, Snapshots: 10}); err == nil {
+	if _, err := Run(context.Background(), Config{Topology: nil, Model: model, Snapshots: 10}); err == nil {
 		t.Fatal("nil topology accepted")
 	}
-	if _, err := Run(Config{Topology: top, Model: nil, Snapshots: 10}); err == nil {
+	if _, err := Run(context.Background(), Config{Topology: top, Model: nil, Snapshots: 10}); err == nil {
 		t.Fatal("nil model accepted")
 	}
-	if _, err := Run(Config{Topology: top, Model: model, Snapshots: 0}); err == nil {
+	if _, err := Run(context.Background(), Config{Topology: top, Model: model, Snapshots: 0}); err == nil {
 		t.Fatal("zero snapshots accepted")
 	}
 	bad, _ := congestion.NewIndependent([]float64{0.5})
-	if _, err := Run(Config{Topology: top, Model: bad, Snapshots: 10}); err == nil {
+	if _, err := Run(context.Background(), Config{Topology: top, Model: bad, Snapshots: 10}); err == nil {
 		t.Fatal("model/topology size mismatch accepted")
 	}
-	if _, err := Run(Config{Topology: top, Model: model, Snapshots: 10, Tl: 1.5}); err == nil {
+	if _, err := Run(context.Background(), Config{Topology: top, Model: model, Snapshots: 10, Tl: 1.5}); err == nil {
 		t.Fatal("bad tl accepted")
 	}
 }
@@ -49,9 +50,9 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	top := topology.Figure1A()
 	model := fig1aModel(t)
 	run := func(par int, mode Mode) *Record {
-		rec, err := Run(Config{
+		rec, err := Run(context.Background(), Config{
 			Topology: top, Model: model, Snapshots: 500, Seed: 42,
-			Mode: mode, Parallelism: par, PacketsPerPath: 50,
+			Mode: mode, Workers: par, PacketsPerPath: 50,
 			RecordLinkStates: true,
 		})
 		if err != nil {
@@ -73,7 +74,7 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 func TestStateLevelSeparability(t *testing.T) {
 	top := topology.Figure1A()
 	model := fig1aModel(t)
-	rec, err := Run(Config{
+	rec, err := Run(context.Background(), Config{
 		Topology: top, Model: model, Snapshots: 2000, Seed: 7,
 		Mode: StateLevel, RecordLinkStates: true,
 	})
@@ -95,7 +96,7 @@ func TestStateLevelSeparability(t *testing.T) {
 func TestStateLevelFrequenciesMatchModel(t *testing.T) {
 	top := topology.Figure1A()
 	model := fig1aModel(t)
-	rec, err := Run(Config{Topology: top, Model: model, Snapshots: 100000, Seed: 9, Mode: StateLevel})
+	rec, err := Run(context.Background(), Config{Topology: top, Model: model, Snapshots: 100000, Seed: 9, Mode: StateLevel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +115,11 @@ func TestPacketLevelApproximatesStateLevel(t *testing.T) {
 	top := topology.Figure1A()
 	model := fig1aModel(t)
 	const n = 4000
-	recS, err := Run(Config{Topology: top, Model: model, Snapshots: n, Seed: 11, Mode: StateLevel})
+	recS, err := Run(context.Background(), Config{Topology: top, Model: model, Snapshots: n, Seed: 11, Mode: StateLevel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recP, err := Run(Config{Topology: top, Model: model, Snapshots: n, Seed: 11, Mode: PacketLevel, PacketsPerPath: 500})
+	recP, err := Run(context.Background(), Config{Topology: top, Model: model, Snapshots: n, Seed: 11, Mode: PacketLevel, PacketsPerPath: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestModeString(t *testing.T) {
 
 func TestRecordLinkStatesOptional(t *testing.T) {
 	top := topology.Figure1A()
-	rec, err := Run(Config{Topology: top, Model: fig1aModel(t), Snapshots: 10, Seed: 1, Mode: StateLevel})
+	rec, err := Run(context.Background(), Config{Topology: top, Model: fig1aModel(t), Snapshots: 10, Seed: 1, Mode: StateLevel})
 	if err != nil {
 		t.Fatal(err)
 	}

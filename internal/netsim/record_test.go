@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -27,9 +28,9 @@ func sameColumns(a, b *segstore.Columns) bool {
 	return true
 }
 
-// oracleRows simulates cfg one snapshot at a time, row-major, with the
-// per-snapshot streams RunContext derives: the reference every record
-// RunContext builds must match, whatever its worker count. Its StateLevel
+// oracleRows simulates a model cfg one snapshot at a time, row-major, with
+// the per-snapshot streams Run derives: the reference every record Run
+// builds must match, whatever its worker count. Its StateLevel
 // rows come from the per-path definition of separability, not from the
 // code under test.
 func oracleRows(cfg Config) (paths, links []*bitset.Set) {
@@ -60,9 +61,9 @@ func separableRow(top *topology.Topology, links *bitset.Set) *bitset.Set {
 	return row
 }
 
-// TestRunContextMatchesRowOracle pins RunContext's block-parallel fill:
-// at 1, 2 and 8 workers the record's path and link rows are exactly the
-// row-major oracle's, including a record long enough to span two chunks.
+// TestRunContextMatchesRowOracle pins Run over an i.i.d. model: at 1, 2
+// and 8 workers the record's path and link rows are exactly the row-major
+// oracle's, including a record long enough to span two record chunks.
 func TestRunContextMatchesRowOracle(t *testing.T) {
 	top := topology.Figure1A()
 	for _, c := range []struct {
@@ -78,8 +79,8 @@ func TestRunContextMatchesRowOracle(t *testing.T) {
 		}
 		wantPaths, wantLinks := oracleRows(cfg)
 		for _, workers := range []int{1, 2, 8} {
-			cfg.Parallelism = workers
-			rec, err := Run(cfg)
+			cfg.Workers = workers
+			rec, err := Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

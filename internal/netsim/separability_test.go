@@ -45,9 +45,9 @@ func checkSeparable(t *testing.T, name string, top *topology.Topology, paths, li
 	}
 }
 
-// TestStateLevelSeparabilityMultiWord pins every state-level producer —
-// RunDynamic at any Workers, RunDynamicStream and RunContext — to
-// Assumption 2 on a topology with more than 64 paths and links: each
+// TestStateLevelSeparabilityMultiWord pins every state-level producer — a
+// process through Run at any Workers and through Stream, and a model
+// through Run — to Assumption 2 on a topology with more than 64 paths and links: each
 // snapshot's congested paths are exactly those that traverse a congested
 // link.
 func TestStateLevelSeparabilityMultiWord(t *testing.T) {
@@ -55,11 +55,11 @@ func TestStateLevelSeparabilityMultiWord(t *testing.T) {
 	top := s.Topology
 	const snapshots = 3000
 	for _, workers := range []int{1, 4} {
-		cfg := DynamicConfig{
+		cfg := Config{
 			Topology: top, Process: s.Process, Snapshots: snapshots, Seed: 3,
 			RecordLinkStates: true, Workers: workers,
 		}
-		rec, err := RunDynamic(context.Background(), cfg)
+		rec, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,17 +68,17 @@ func TestStateLevelSeparabilityMultiWord(t *testing.T) {
 			paths = append(paths, rec.PathSnapshot(ts))
 			links = append(links, rec.LinkSnapshot(ts))
 		}
-		checkSeparable(t, "RunDynamic", top, paths, links)
+		checkSeparable(t, "process Run", top, paths, links)
 
 		// The stream realizes the same process path, so the record's link
 		// rows are its link states.
 		cfg.RecordLinkStates = false
 		var streamed []*bitset.Set
 		cfg.OnSnapshot = func(_ int, congested *bitset.Set) { streamed = append(streamed, congested.Clone()) }
-		if err := RunDynamicStream(context.Background(), cfg); err != nil {
+		if err := Stream(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
-		checkSeparable(t, "RunDynamicStream", top, streamed, links)
+		checkSeparable(t, "process Stream", top, streamed, links)
 	}
 
 	p := make([]float64, top.NumLinks())
@@ -89,7 +89,7 @@ func TestStateLevelSeparabilityMultiWord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := RunContext(context.Background(), Config{
+	rec, err := Run(context.Background(), Config{
 		Topology: top, Model: model, Snapshots: snapshots, Seed: 3, RecordLinkStates: true,
 	})
 	if err != nil {
@@ -100,23 +100,44 @@ func TestStateLevelSeparabilityMultiWord(t *testing.T) {
 		paths = append(paths, rec.PathSnapshot(ts))
 		links = append(links, rec.LinkSnapshot(ts))
 	}
-	checkSeparable(t, "RunContext", top, paths, links)
+	checkSeparable(t, "model Run", top, paths, links)
 }
 
-// TestRunDynamicStateLevelAllocsFlat pins that a warm state-level
-// RunDynamic allocates nothing per snapshot: its allocation count is the
-// same at 2000 and at 4000 snapshots, whatever Workers asks for.
-func TestRunDynamicStateLevelAllocsFlat(t *testing.T) {
-	s := diurnalFixture(t)
+// checkAllocsFlat fails unless a warm Run of cfg allocates the same at 2000
+// and at 4000 snapshots: nothing per snapshot.
+func checkAllocsFlat(t *testing.T, cfg Config) {
+	t.Helper()
 	allocs := func(snapshots int) float64 {
-		cfg := DynamicConfig{Topology: s.Topology, Process: s.Process, Snapshots: snapshots, Seed: 5, Workers: 4}
+		cfg.Snapshots = snapshots
 		return testing.AllocsPerRun(3, func() {
-			if _, err := RunDynamic(context.Background(), cfg); err != nil {
+			if _, err := Run(context.Background(), cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	if short, long := allocs(2000), allocs(4000); short != long {
-		t.Fatalf("RunDynamic allocates %.0f at 2000 snapshots and %.0f at 4000, want equal", short, long)
+		t.Fatalf("Run allocates %.0f at 2000 snapshots and %.0f at 4000, want equal", short, long)
 	}
+}
+
+// TestRunDynamicStateLevelAllocsFlat pins that a state-level process run
+// allocates nothing per snapshot, whatever Workers asks for: its step
+// draws no randomness, so it never fans out.
+func TestRunDynamicStateLevelAllocsFlat(t *testing.T) {
+	s := diurnalFixture(t)
+	checkAllocsFlat(t, Config{Topology: s.Topology, Process: s.Process, Seed: 5, Workers: 4})
+}
+
+// TestRunModelSerialAllocsFlat pins that a serial i.i.d. run allocates
+// nothing per snapshot, on the router-backed worm model whose draw once
+// allocated a router-state buffer every snapshot.
+func TestRunModelSerialAllocsFlat(t *testing.T) {
+	s, err := scenario.BuildNamed("worm", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Model == nil {
+		t.Fatal("worm has no i.i.d. model")
+	}
+	checkAllocsFlat(t, Config{Topology: s.Topology, Model: s.Model, Seed: 5, Workers: 1})
 }

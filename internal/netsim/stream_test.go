@@ -9,19 +9,27 @@ import (
 )
 
 // TestRunDynamicStreamMatchesRecord pins the streaming generator's
-// contract: the OnSnapshot sequence of a record-less RunDynamicStream is
-// bit-identical to the record RunDynamic produces under the same
-// configuration — in both modes, serial and (PacketLevel) chunked-parallel
+// contract: the OnSnapshot sequence of a record-less Stream is
+// bit-identical to the record Run produces under the same configuration —
+// for a process and an i.i.d. model, in both modes, serial and fanned out
 // alike.
 func TestRunDynamicStreamMatchesRecord(t *testing.T) {
 	top, proc := dynFixture(t)
+	model := fig1aModel(t)
 	for _, c := range []struct {
+		model   bool
 		mode    Mode
 		workers int
-	}{{StateLevel, 1}, {StateLevel, 4}, {PacketLevel, 1}, {PacketLevel, 4}} {
+	}{
+		{false, StateLevel, 1}, {false, StateLevel, 4}, {false, PacketLevel, 1}, {false, PacketLevel, 4},
+		{true, StateLevel, 1}, {true, StateLevel, 4}, {true, PacketLevel, 1}, {true, PacketLevel, 4},
+	} {
 		mode, workers := c.mode, c.workers
-		cfg := DynamicConfig{Topology: top, Process: proc, Snapshots: 1300, Seed: 11, Mode: mode, Workers: workers}
-		rec, err := RunDynamic(context.Background(), cfg)
+		cfg := Config{Topology: top, Process: proc, Snapshots: 1300, Seed: 11, Mode: mode, Workers: workers}
+		if c.model {
+			cfg.Process, cfg.Model = nil, model
+		}
+		rec, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,22 +37,22 @@ func TestRunDynamicStreamMatchesRecord(t *testing.T) {
 		next := 0
 		cfg.OnSnapshot = func(ts int, congested *bitset.Set) {
 			if ts != next {
-				t.Fatalf("%v workers=%d: snapshot %d arrived, want %d (out of order)", mode, workers, ts, next)
+				t.Fatalf("model=%v %v workers=%d: snapshot %d arrived, want %d (out of order)", c.model, mode, workers, ts, next)
 			}
 			next++
 			streamed = append(streamed, congested.Clone())
 		}
-		if err := RunDynamicStream(context.Background(), cfg); err != nil {
+		if err := Stream(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
 		if len(streamed) != rec.Snapshots() {
-			t.Fatalf("%v workers=%d: streamed %d snapshots, record has %d", mode, workers, len(streamed), rec.Snapshots())
+			t.Fatalf("model=%v %v workers=%d: streamed %d snapshots, record has %d", c.model, mode, workers, len(streamed), rec.Snapshots())
 		}
 		row := bitset.New(top.NumPaths())
 		for ts, got := range streamed {
 			rec.Paths.RowInto(ts, row)
 			if !got.Equal(row) {
-				t.Fatalf("%v workers=%d: snapshot %d streamed %v, record %v", mode, workers, ts, got, row)
+				t.Fatalf("model=%v %v workers=%d: snapshot %d streamed %v, record %v", c.model, mode, workers, ts, got, row)
 			}
 		}
 	}
@@ -53,17 +61,17 @@ func TestRunDynamicStreamMatchesRecord(t *testing.T) {
 // TestRunDynamicStreamErrors pins the streaming-mode preconditions.
 func TestRunDynamicStreamErrors(t *testing.T) {
 	top, proc := dynFixture(t)
-	cfg := DynamicConfig{Topology: top, Process: proc, Snapshots: 10, Seed: 1}
-	if err := RunDynamicStream(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "OnSnapshot") {
+	cfg := Config{Topology: top, Process: proc, Snapshots: 10, Seed: 1}
+	if err := Stream(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "OnSnapshot") {
 		t.Fatalf("nil OnSnapshot: err = %v, want an OnSnapshot requirement", err)
 	}
 	cfg.OnSnapshot = func(int, *bitset.Set) {}
 	cfg.RecordLinkStates = true
-	if err := RunDynamicStream(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "link states") {
+	if err := Stream(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "link states") {
 		t.Fatalf("RecordLinkStates: err = %v, want a records-nothing error", err)
 	}
 	cfg.RecordLinkStates = false
-	if err := RunDynamicStream(context.Background(), cfg); err != nil {
+	if err := Stream(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 }

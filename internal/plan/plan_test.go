@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -30,7 +31,7 @@ func briteFixture(t *testing.T, seed int64) (*topology.Topology, *measure.Empiri
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: s.Topology, Model: s.Model, Snapshots: 600, Seed: seed + 2,
 	})
 	if err != nil {
@@ -66,7 +67,7 @@ func fig1aFixture(t *testing.T) (*topology.Topology, *measure.Empirical) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := netsim.Run(netsim.Config{Topology: top, Model: model, Snapshots: 5000, Seed: 3})
+	rec, err := netsim.Run(context.Background(), netsim.Config{Topology: top, Model: model, Snapshots: 5000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,10 +58,11 @@ func ctxBudget(ctx context.Context) int {
 	return b
 }
 
-// budget resolves this pool's total worker allowance: its own request
-// (Workers, defaulting to GOMAXPROCS) capped by whatever budget the
-// enclosing pool left for it.
-func (r *Runner) budget(ctx context.Context) int {
+// Budget resolves this pool's total worker allowance under ctx: its own
+// request (Workers, defaulting to GOMAXPROCS) capped by whatever budget the
+// enclosing pool left for it. A caller that would open a pool only to run
+// it on one worker can check Budget first and loop inline instead.
+func (r *Runner) Budget(ctx context.Context) int {
 	b := r.Workers
 	if b <= 0 {
 		b = runtime.GOMAXPROCS(0)
@@ -129,7 +130,7 @@ func runScratch[S any](ctx context.Context, r *Runner, n int, mk func() S, task 
 	if n <= 0 {
 		return ctx.Err()
 	}
-	budget := r.budget(ctx)
+	budget := r.Budget(ctx)
 	workers := budget
 	if workers > n {
 		workers = n

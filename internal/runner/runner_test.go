@@ -222,7 +222,7 @@ func TestNestedPoolSharesBudget(t *testing.T) {
 	single := &Runner{Workers: 2}
 	err = single.Run(context.Background(), 2, func(ctx context.Context, _ int) error {
 		inner := &Runner{Workers: 64}
-		if got := inner.budget(ctx); got != 1 {
+		if got := inner.Budget(ctx); got != 1 {
 			t.Errorf("nested effective budget = %d, want 1", got)
 		}
 		return nil

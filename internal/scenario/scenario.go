@@ -45,7 +45,7 @@ type Scenario struct {
 	Model congestion.Model
 	// Process, when non-nil, is a time-indexed congestion process replacing
 	// the i.i.d. Model draw: the simulator evolves it snapshot by snapshot
-	// (netsim.RunDynamic). Truth then holds its stationary marginals.
+	// (netsim.Config.Process). Truth then holds its stationary marginals.
 	Process dynamics.Process
 	// Truth[k] is the exact P(Xek = 1) (static) or the stationary long-run
 	// congestion probability (dynamic).

@@ -76,10 +76,6 @@ type Pair struct {
 	A, B int
 }
 
-// BlockRows is the row-block granularity of concurrent SetBit fills: one
-// word of every column.
-const BlockRows = wordBits
-
 // recordChunkRows is the chunk size of a record: 512 words per column, so
 // one chunk of a few hundred columns stays in L2 while CountPairsGood
 // serves every pair from it.
@@ -87,7 +83,7 @@ const recordChunkRows = 32768
 
 // Builder fills the columns of a record whose row count is known up front,
 // in RAM chunks preallocated by NewBuilder, and freezes them with Finish.
-// Rows are filled either by SetBit in any order or by Append in row order.
+// Rows are filled by Append in row order.
 type Builder struct {
 	cols Columns
 	next int // the row Append fills next
@@ -115,20 +111,6 @@ func newBuilder(series, rows, chunkRows int) *Builder {
 	first, _, _ := b.cols.piece(0)
 	b.cols.acc = make([]uint64, first.words)
 	return b
-}
-
-// SetBit marks series i congested in row t. Concurrent callers must own
-// disjoint blocks of BlockRows rows: a block is one word of every column,
-// and chunks hold whole blocks, so such writers never share a word and the
-// record is the same for any number of them.
-func (b *Builder) SetBit(i, t int) {
-	c := &b.cols
-	if t < 0 || t >= c.n {
-		panic(fmt.Sprintf("segstore: row %d outside record [0, %d)", t, c.n))
-	}
-	c.checkSeries(i)
-	s, r := c.locate(t)
-	s.data[i*s.words+r/wordBits] |= 1 << uint(r%wordBits)
 }
 
 // Append fills the next row in order with the congested series. It panics

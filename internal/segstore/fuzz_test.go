@@ -228,7 +228,7 @@ func FuzzWindow(f *testing.F) {
 // record in 64-row chunks (so longer inputs span several, the last one
 // short) while a plain shadow slice keeps the rows. The finished record's
 // counts and rows must match a recount over the shadow, and it must equal
-// a record built from the shadow bit by bit through SetBit. No input may
+// a record built from the shadow bit by bit (fromRows). No input may
 // panic; byte-derived series indices are kept in range (out-of-range
 // appends are a documented panic).
 func FuzzAppend(f *testing.F) {
@@ -291,7 +291,7 @@ func FuzzAppend(f *testing.F) {
 			}
 		}
 		if !equalColumns(rec, fromRows(series, shadow, recordChunkRows)) {
-			t.Fatal("appended record does not equal a SetBit record over the same rows")
+			t.Fatal("appended record does not equal a bit-by-bit record over the same rows")
 		}
 	})
 }

@@ -48,13 +48,16 @@ func (o rowOracle) Bit(i, t int) bool {
 	return t >= 0 && t < len(o.rows) && o.rows[t].Contains(i)
 }
 
-// fromRows builds a finished record from row-major rows through SetBit, in
-// chunks of chunkRows rows: rows[t] is the set of congested series in row t.
+// fromRows builds a finished record from row-major rows bit by bit,
+// setting each congested bit straight in its chunk's column word — a fill
+// independent of Append — in chunks of chunkRows rows: rows[t] is the set
+// of congested series in row t.
 func fromRows(series int, rows []*bitset.Set, chunkRows int) *Columns {
 	b := newBuilder(series, len(rows), chunkRows)
 	for t, row := range rows {
+		s, r := b.cols.locate(t)
 		row.ForEach(func(i int) bool {
-			b.SetBit(i, t)
+			s.data[i*s.words+r/wordBits] |= 1 << uint(r%wordBits)
 			return true
 		})
 	}

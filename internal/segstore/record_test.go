@@ -34,8 +34,8 @@ func mustPanic(t *testing.T, name string, fn func()) {
 }
 
 // TestAppendMatchesFromRows pins the two build paths against each other:
-// a record filled row by row with Append equals one filled bit by bit with
-// SetBit, for random shapes that straddle word and chunk boundaries.
+// a record filled row by row with Append equals one filled bit by bit
+// (fromRows), for random shapes that straddle word and chunk boundaries.
 func TestAppendMatchesFromRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
@@ -46,7 +46,7 @@ func TestAppendMatchesFromRows(t *testing.T) {
 
 		stream := appendRecord(series, rows, chunkRows)
 		if !equalColumns(stream, fromRows(series, rows, chunkRows)) {
-			t.Fatalf("trial %d: appended record differs from the SetBit record", trial)
+			t.Fatalf("trial %d: appended record differs from the bit-by-bit record", trial)
 		}
 		if !equalColumns(stream, fromRows(series, rows, recordChunkRows)) {
 			t.Fatalf("trial %d: %d-row chunks change the record", trial, chunkRows)
@@ -113,15 +113,18 @@ func TestCountsMatchRowMajorReference(t *testing.T) {
 	}
 }
 
-// TestFixedSetBit pins SetBit and Bit at word and chunk boundaries, and the
-// range panics.
-func TestFixedSetBit(t *testing.T) {
+// TestFixedBit pins Append and Bit at word and chunk boundaries, and that a
+// finished Builder refuses rows.
+func TestFixedBit(t *testing.T) {
 	b := newBuilder(3, 130, 64)
-	b.SetBit(0, 0)
-	b.SetBit(1, 64)
-	b.SetBit(2, 129)
-	mustPanic(t, "SetBit outside the record", func() { b.SetBit(0, 130) })
-	mustPanic(t, "SetBit on a series out of range", func() { b.SetBit(3, 0) })
+	marks := map[int]int{0: 0, 64: 1, 129: 2}
+	for r := 0; r < 130; r++ {
+		row := bitset.New(3)
+		if i, ok := marks[r]; ok {
+			row.Add(i)
+		}
+		b.Append(row)
+	}
 	rec := b.Finish()
 	for _, c := range []struct {
 		i, t int
@@ -136,7 +139,7 @@ func TestFixedSetBit(t *testing.T) {
 	if rec.CongestedCount(2) != 1 {
 		t.Fatalf("CongestedCount(2) = %d, want 1", rec.CongestedCount(2))
 	}
-	mustPanic(t, "SetBit after Finish", func() { b.SetBit(0, 1) })
+	mustPanic(t, "Append after Finish", func() { b.Append(bitset.New(3)) })
 }
 
 // TestAppendPastRecordPanics pins the Append path's bounds: a record holds

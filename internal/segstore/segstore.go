@@ -5,7 +5,7 @@
 // (Columns), whatever holds them:
 //
 //   - a finished record (Builder): RAM chunks preallocated for a known row
-//     count, filled by SetBit or Append and then frozen;
+//     count, filled row by row by Append and then frozen;
 //   - a sliding window (TieredStore): a write buffer sealed into chunks
 //     that stay in RAM or, with a spill directory, go to disk;
 //   - a window's snapshot view (TieredView), sharing its sealed chunks.

@@ -316,16 +316,10 @@ func checkWires(ctx context.Context, cfg *FirehoseConfig, tenant string, jsonStr
 
 func firehoseTenantName(i int) string { return fmt.Sprintf("t%d", i) }
 
-// simulateScenario produces a tenant's probe stream: the dynamic engine
-// for time-indexed scenarios, the i.i.d. simulator otherwise.
+// simulateScenario produces a tenant's probe stream.
 func simulateScenario(scn *tomography.Scenario, snapshots int, seed int64) (*tomography.Record, error) {
-	if scn.Process != nil {
-		return tomography.SimulateDynamic(tomography.DynamicSimConfig{
-			Topology: scn.Topology, Process: scn.Process, Snapshots: snapshots, Seed: seed,
-		})
-	}
 	return tomography.Simulate(tomography.SimConfig{
-		Topology: scn.Topology, Model: scn.Model, Snapshots: snapshots, Seed: seed,
+		Topology: scn.Topology, Model: scn.Model, Process: scn.Process, Snapshots: snapshots, Seed: seed,
 	})
 }
 

@@ -1,6 +1,7 @@
 package tomographer
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/netsim"
@@ -23,7 +24,7 @@ func setup(t *testing.T) (*topology.Topology, *netsim.Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := netsim.Run(netsim.Config{
+	rec, err := netsim.Run(context.Background(), netsim.Config{
 		Topology: s.Topology, Model: s.Model, Snapshots: 2000, Seed: 7,
 	})
 	if err != nil {

@@ -11,7 +11,6 @@ package topology
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/bitset"
@@ -98,17 +97,6 @@ func (t *Topology) SetOf(id LinkID) int { return t.setOf[id] }
 // The returned set must not be modified.
 func (t *Topology) CorrelationSet(p int) *bitset.Set { return t.sets[p] }
 
-// CorrelationSetLinks returns the link IDs in the p-th correlation set in
-// ascending order.
-func (t *Topology) CorrelationSetLinks(p int) []LinkID {
-	idx := t.sets[p].Indices()
-	out := make([]LinkID, len(idx))
-	for i, v := range idx {
-		out[i] = LinkID(v)
-	}
-	return out
-}
-
 // LinkCoverage returns ψ({link}) — the set of paths traversing the link.
 // The returned set must not be modified.
 func (t *Topology) LinkCoverage(id LinkID) *bitset.Set { return t.coverage[id] }
@@ -121,15 +109,6 @@ func (t *Topology) Coverage(links *bitset.Set) *bitset.Set {
 		out.UnionWith(t.coverage[i])
 		return true
 	})
-	return out
-}
-
-// CoverageOfLinks is Coverage for a slice of link IDs.
-func (t *Topology) CoverageOfLinks(ids []LinkID) *bitset.Set {
-	out := bitset.New(len(t.paths))
-	for _, id := range ids {
-		out.UnionWith(t.coverage[id])
-	}
 	return out
 }
 
@@ -341,23 +320,4 @@ func (b *Builder) Build() (*Topology, error) {
 		}
 	}
 	return t, nil
-}
-
-// SortedLinkIDs returns 0..NumLinks-1 as LinkIDs; convenience for ranging.
-func (t *Topology) SortedLinkIDs() []LinkID {
-	out := make([]LinkID, len(t.links))
-	for i := range out {
-		out[i] = LinkID(i)
-	}
-	return out
-}
-
-// SetSizes returns the sizes of all correlation sets, descending.
-func (t *Topology) SetSizes() []int {
-	out := make([]int, len(t.sets))
-	for i, s := range t.sets {
-		out[i] = s.Len()
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }

@@ -69,7 +69,7 @@ func TestWindowedSpillMatchesRAM(t *testing.T) {
 	}
 }
 
-// TestWindowSpillStreaming closes the loop end to end: SimulateDynamicStream
+// TestWindowSpillStreaming closes the loop end to end: SimulateStream
 // feeds a spill-backed Window live (no record in RAM on the spill side), and
 // its estimate must be bit-identical to a RAM window driven from the recorded
 // run of the same configuration.
@@ -91,8 +91,8 @@ func TestWindowSpillStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tomography.DynamicSimConfig{Topology: top, Process: proc, Snapshots: snapshots, Seed: 3}
-	rec, err := tomography.SimulateDynamic(cfg)
+	cfg := tomography.SimConfig{Topology: top, Process: proc, Snapshots: snapshots, Seed: 3}
+	rec, err := tomography.Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestWindowSpillStreaming(t *testing.T) {
 	}
 	defer spillW.Close()
 	cfg.OnSnapshot = func(ts int, congested *tomography.PathSet) { spillW.Observe(congested) }
-	if err := tomography.SimulateDynamicStream(cfg); err != nil {
+	if err := tomography.SimulateStream(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if spillW.Seen() != ramW.Seen() || spillW.Len() != ramW.Len() {

@@ -206,7 +206,17 @@ func Figure1A() *Topology { return topology.Figure1A() }
 func Figure1B() *Topology { return topology.Figure1B() }
 
 // Simulate runs the snapshot simulator and returns the observation record.
-func Simulate(cfg SimConfig) (*Record, error) { return netsim.Run(cfg) }
+// cfg carries exactly one congestion source: an i.i.d. Model, or a
+// time-indexed Process whose state carries from snapshot to snapshot. An
+// optional OnSnapshot tap sees every observation in snapshot order.
+func Simulate(cfg SimConfig) (*Record, error) { return netsim.Run(context.Background(), cfg) }
+
+// SimulateStream is Simulate without the record: every snapshot goes only
+// to cfg.OnSnapshot (required) and nothing is materialized in RAM — the
+// generation mode for day-scale replays whose observations stream straight
+// into a spill-enabled window. The OnSnapshot sequence is bit-identical to
+// Simulate's under the same configuration.
+func SimulateStream(cfg SimConfig) error { return netsim.Stream(context.Background(), cfg) }
 
 // NewEmpirical wraps a record into a measurement source. It fails on a nil
 // or empty record (zero snapshots admit no frequency estimates).
@@ -398,10 +408,10 @@ func (c *planCache) get(top *Topology) (*Plan, error) {
 // the per-topology structural work (admissible path/pair selection, rank
 // tracking) is paid once per topology rather than once per trial.
 //
-// Scenarios carrying a time-indexed congestion process (Scenario.Process,
-// e.g. the dynamic entries of the named registry) are simulated with the
-// sequential dynamic engine instead of the i.i.d. block-parallel one; their
-// errors are measured against the process's stationary marginals.
+// A scenario carrying a time-indexed congestion process (Scenario.Process,
+// e.g. the dynamic entries of the named registry) goes through the same
+// simulator as an i.i.d. one; its errors are measured against the
+// process's stationary marginals.
 //
 // A scenario that fails records its error in its own BatchResult and does
 // not abort the batch; EvaluateBatch itself returns an error only for
@@ -436,36 +446,18 @@ func EvaluateBatch(ctx context.Context, scenarios []*Scenario, opts BatchOptions
 // retained results are detached from it before it is reused.
 func (res *BatchResult) fill(ctx context.Context, opts BatchOptions, plans *planCache, ws *plan.Workspace, seed int64) {
 	s := res.Scenario
-	var rec *Record
-	var err error
-	if s.Process != nil {
-		// Time-indexed scenario: the dynamic engine evolves the congestion
-		// state snapshot by snapshot (the process chain stays sequential;
-		// PacketLevel observation fans out across the worker budget).
-		rec, err = netsim.RunDynamic(ctx, netsim.DynamicConfig{
-			Topology:       s.Topology,
-			Process:        s.Process,
-			Snapshots:      opts.Snapshots,
-			Seed:           seed,
-			Mode:           opts.Mode,
-			PacketsPerPath: opts.PacketsPerPath,
-			// Like the i.i.d. branch: a fanned-out batch forces this nested
-			// fan-out serial; a one-scenario batch hands it the full budget.
-			Workers: opts.Workers,
-		})
-	} else {
-		rec, err = netsim.RunContext(ctx, netsim.Config{
-			Topology:       s.Topology,
-			Model:          s.Model,
-			Snapshots:      opts.Snapshots,
-			Seed:           seed,
-			Mode:           opts.Mode,
-			PacketsPerPath: opts.PacketsPerPath,
-			// A fanned-out batch forces this nested pool serial; a one-scenario
-			// batch hands it the full budget.
-			Parallelism: opts.Workers,
-		})
-	}
+	rec, err := netsim.Run(ctx, netsim.Config{
+		Topology:       s.Topology,
+		Model:          s.Model,
+		Process:        s.Process,
+		Snapshots:      opts.Snapshots,
+		Seed:           seed,
+		Mode:           opts.Mode,
+		PacketsPerPath: opts.PacketsPerPath,
+		// A fanned-out batch forces this nested fan-out serial; a
+		// one-scenario batch hands it the full budget.
+		Workers: opts.Workers,
+	})
 	if err != nil {
 		res.Err = err
 		return

@@ -1,14 +1,12 @@
 package tomography
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/dynamics"
 	"repro/internal/measure"
-	"repro/internal/netsim"
 	"repro/internal/scenario"
 	"repro/internal/segstore"
 )
@@ -49,26 +47,14 @@ func NewChangeDetector(warmup int, drift, threshold float64) (*ChangeDetector, e
 	return dynamics.NewDetector(warmup, drift, threshold)
 }
 
-// DynamicSimConfig parameterizes SimulateDynamic.
-type DynamicSimConfig = netsim.DynamicConfig
+// DynamicSimConfig is SimConfig under its old name, and SimulateDynamic is
+// Simulate: both stay only for the benchmark harness's input builder
+// (perfbench/inputs.go), and go with the benchmark revision of ROADMAP
+// item 8.
+type DynamicSimConfig = SimConfig
 
-// SimulateDynamic runs the time-evolving simulator: the process carries
-// congestion state from snapshot to snapshot, and observations are emitted
-// through the columnar store's streaming path (with an optional OnSnapshot
-// tap for online consumers). See netsim.RunDynamic.
-func SimulateDynamic(cfg DynamicSimConfig) (*Record, error) {
-	return netsim.RunDynamic(context.Background(), cfg)
-}
-
-// SimulateDynamicStream is SimulateDynamic without the record: every
-// snapshot goes only to cfg.OnSnapshot (required) and nothing is
-// materialized in RAM — the generation mode for day-scale replays whose
-// observations stream straight into a spill-enabled window. The OnSnapshot
-// sequence is bit-identical to SimulateDynamic's under the same
-// configuration and seed.
-func SimulateDynamicStream(cfg DynamicSimConfig) error {
-	return netsim.RunDynamicStream(context.Background(), cfg)
-}
+// SimulateDynamic is Simulate; see DynamicSimConfig.
+func SimulateDynamic(cfg DynamicSimConfig) (*Record, error) { return Simulate(cfg) }
 
 // ScenarioSpec describes one named scenario in the registry.
 type ScenarioSpec = scenario.Spec

@@ -355,7 +355,7 @@ func TestWindowTracksShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = tomography.SimulateDynamic(tomography.DynamicSimConfig{
+	_, err = tomography.Simulate(tomography.SimConfig{
 		Topology: top, Process: proc, Snapshots: 1200, Seed: 23,
 		OnSnapshot: func(_ int, congested *tomography.PathSet) {
 			w.Observe(congested)

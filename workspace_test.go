@@ -1,6 +1,7 @@
 package tomography_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -48,7 +49,7 @@ func briteWindowFixture(t testing.TB, snapshots int) (*scenario.Scenario, []*tom
 		t.Fatal(err)
 	}
 	rec, err := tomography.Simulate(tomography.SimConfig{
-		Topology: s.Topology, Model: s.Model, Snapshots: snapshots, Seed: 97, Parallelism: 1,
+		Topology: s.Topology, Model: s.Model, Snapshots: snapshots, Seed: 97, Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +83,7 @@ func figure1AWindowFixture(t testing.TB, snapshots int) (*tomography.Topology, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := netsim.Run(netsim.Config{Topology: top, Model: model, Snapshots: snapshots, Seed: 3, Parallelism: 1})
+	rec, err := netsim.Run(context.Background(), netsim.Config{Topology: top, Model: model, Snapshots: snapshots, Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestWindowedEstimateFuncSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, err := tomography.Simulate(tomography.SimConfig{
-		Topology: s.Topology, Model: s.Model, Snapshots: 600, Seed: 11, Parallelism: 1,
+		Topology: s.Topology, Model: s.Model, Snapshots: 600, Seed: 11, Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
