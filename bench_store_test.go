@@ -1,6 +1,7 @@
 // Segment-store benchmarks (BENCH_store.json): price the fused count
 // kernels running over mmap-backed sealed segments against the same
-// kernels over RAM chunks, and record the spill write path's throughput.
+// kernels over RAM chunks, record the spill write path's throughput, and
+// price a window's batch ingest append.
 // The acceptance target for this artifact is warm mapped counts at ≥ 0.8×
 // the RAM store — pages are resident after the first pass, so the
 // remaining gap is the per-segment dispatch and boundary masking.
@@ -10,6 +11,7 @@ import (
 	"math/rand"
 	"testing"
 
+	tomography "repro"
 	"repro/internal/bitset"
 	"repro/internal/segstore"
 )
@@ -204,4 +206,70 @@ func BenchmarkSegmentSpill(b *testing.B) {
 		b.Logf("append: RAM %.0f ns/op, spill (amortized seal+fsync) %.0f ns/op (%.1f× RAM)", r, s, s/r)
 	}
 	writeBenchJSONFile(b, "BENCH_store.json", "BenchmarkSegmentSpill", metrics)
+}
+
+// BenchmarkObserveBatchWords prices the daemon's ingest append: the
+// diurnal scenario's feed posted in 2048-row packed batches into a warm
+// 65536-row window, the shape of perfbench's ingest workload. Each op is
+// one batch — the window's block-transposing column append, its eviction
+// of the displaced rows and the change detector over every row — and the
+// reported figure is ns per snapshot. The RAM arm seals into RAM chunks;
+// the spill arm writes every sealed 8192-row segment to disk.
+func BenchmarkObserveBatchWords(b *testing.B) {
+	const (
+		batch  = 2048
+		window = 1 << 16
+		feed   = 16384
+	)
+	scn, err := tomography.BuildScenario("diurnal", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, err := tomography.Simulate(tomography.SimConfig{
+		Topology: scn.Topology, Model: scn.Model, Process: scn.Process, Snapshots: feed, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	numPaths := scn.Topology.NumPaths()
+	wpr := (numPaths + 63) / 64
+	words := make([]uint64, feed*wpr)
+	for t := 0; t < feed; t++ {
+		copy(words[t*wpr:(t+1)*wpr], rec.PathSnapshot(t).Words())
+	}
+	metrics := map[string]float64{"paths": float64(numPaths), "batch": batch, "window": window}
+	for _, arm := range []struct {
+		name  string
+		spill bool
+	}{{"ram", false}, {"spill", true}} {
+		b.Run(arm.name, func(b *testing.B) {
+			cfg := tomography.WindowConfig{Size: window}
+			if arm.spill {
+				cfg.Spill = &tomography.SpillConfig{Dir: b.TempDir(), Reset: true}
+			}
+			win, err := tomography.NewWindow(scn.Topology, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer win.Close()
+			next := 0
+			post := func() {
+				win.ObserveBatchWords(words[next*wpr:(next+batch)*wpr], wpr, batch)
+				next = (next + batch) % feed
+			}
+			// Fill the window and turn it over once, so every timed batch
+			// evicts as many rows as it appends.
+			for k := 0; k < 2*window/batch; k++ {
+				post()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post()
+			}
+			nsPerSnap := float64(b.Elapsed().Nanoseconds()) / float64(b.N*batch)
+			b.ReportMetric(nsPerSnap, "ns/snapshot")
+			metrics[arm.name+"-ns/snapshot"] = nsPerSnap
+		})
+	}
+	writeBenchJSONFile(b, "BENCH_store.json", "BenchmarkObserveBatchWords", metrics)
 }

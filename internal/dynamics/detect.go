@@ -93,8 +93,10 @@ func (d *Detector) Observe(x float64) bool {
 		d.mean += (d.ewma - d.mean) / float64(d.n)
 		return false
 	}
-	d.pos = math.Max(0, d.pos+d.ewma-d.mean-d.Drift)
-	d.neg = math.Max(0, d.neg+d.mean-d.ewma-d.Drift)
+	// The builtin max has math.Max's NaN and ±0 results and compiles
+	// inline; math.Max is an assembly call on amd64.
+	d.pos = max(0, d.pos+d.ewma-d.mean-d.Drift)
+	d.neg = max(0, d.neg+d.mean-d.ewma-d.Drift)
 	if d.pos <= d.Threshold && d.neg <= d.Threshold {
 		return false
 	}

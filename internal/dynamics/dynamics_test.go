@@ -296,3 +296,85 @@ func TestDetectorDefaults(t *testing.T) {
 		t.Fatal("NaN drift accepted")
 	}
 }
+
+// observeMathMax is Detector.Observe as written with math.Max, the oracle
+// for TestDetectorBuiltinMaxMatchesMathMax.
+func observeMathMax(d *Detector, x float64) bool {
+	idx := d.total
+	d.total++
+	d.n++
+	alpha := d.Smoothing
+	if alpha <= 0 || alpha > 1 {
+		alpha = 1
+	}
+	if d.total == 1 {
+		d.ewma = x
+	} else {
+		d.ewma += alpha * (x - d.ewma)
+	}
+	if d.n <= d.Warmup {
+		d.mean += (d.ewma - d.mean) / float64(d.n)
+		return false
+	}
+	d.pos = math.Max(0, d.pos+d.ewma-d.mean-d.Drift)
+	d.neg = math.Max(0, d.neg+d.mean-d.ewma-d.Drift)
+	if d.pos <= d.Threshold && d.neg <= d.Threshold {
+		return false
+	}
+	d.changes = append(d.changes, idx)
+	d.n, d.mean, d.pos, d.neg = 0, 0, 0, 0
+	return true
+}
+
+// TestDetectorBuiltinMaxMatchesMathMax pins that Observe's builtin max
+// keeps math.Max's results bit for bit: the same alarms and the same
+// Float64bits of every state field after each observation, over zeros and
+// negative zeros, a constant run past the warmup, a step up and down, and
+// NaN.
+func TestDetectorBuiltinMaxMatchesMathMax(t *testing.T) {
+	var signal []float64
+	for i := 0; i < 8; i++ {
+		signal = append(signal, 0, math.Copysign(0, -1))
+	}
+	for i := 0; i < 40; i++ {
+		signal = append(signal, 0.1)
+	}
+	for i := 0; i < 30; i++ {
+		signal = append(signal, 0.6)
+	}
+	for i := 0; i < 30; i++ {
+		signal = append(signal, 0)
+	}
+	signal = append(signal, math.NaN(), 0.2, math.NaN())
+	for i := 0; i < 20; i++ {
+		signal = append(signal, 0.3)
+	}
+	for _, cfg := range []Detector{
+		{Warmup: 10, Drift: 0.05, Threshold: 1, Smoothing: DefaultSmoothing},
+		{Warmup: 5, Drift: 0, Threshold: 0.5, Smoothing: 1},
+		{Warmup: 1, Drift: -0.1, Threshold: 0, Smoothing: 0.5},
+	} {
+		got, want := cfg, cfg
+		for k, x := range signal {
+			if a, b := got.Observe(x), observeMathMax(&want, x); a != b {
+				t.Fatalf("%+v: observation %d (%v): alarm %v, math.Max oracle %v", cfg, k, x, a, b)
+			}
+			for _, f := range [][2]float64{{got.mean, want.mean}, {got.ewma, want.ewma}, {got.pos, want.pos}, {got.neg, want.neg}} {
+				if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+					t.Fatalf("%+v: observation %d (%v): state %v, math.Max oracle %v", cfg, k, x, f[0], f[1])
+				}
+			}
+			if got.n != want.n || got.total != want.total {
+				t.Fatalf("%+v: observation %d: counters %d/%d, oracle %d/%d", cfg, k, got.n, got.total, want.n, want.total)
+			}
+		}
+		if len(got.changes) != len(want.changes) || got.Alarms() == 0 {
+			t.Fatalf("%+v: %d alarms, oracle %d (want at least one)", cfg, len(got.changes), len(want.changes))
+		}
+		for k := range got.changes {
+			if got.changes[k] != want.changes[k] {
+				t.Fatalf("%+v: change points %v, oracle %v", cfg, got.changes, want.changes)
+			}
+		}
+	}
+}

@@ -231,15 +231,17 @@ func (e *Empirical) Append(congested *bitset.Set) {
 // AppendBatchWords ingests a batch of snapshots in one mutation, presented
 // as packed word-rows: rows snapshots, each wordsPerRow uint64 words (bit i
 // of word w ⇒ path w*64+i congested), laid out back to back in words — the
-// layout the binary probe wire format carries and the window store
-// appends directly, so wire ingest materializes no per-snapshot bitset.
-// It is bit-identical to appending the rows one at a time, but pays the
-// bookkeeping once: the evictions a full window's batch forces are applied
-// as one DropOldest, and the probability caches are reset once. The
-// pattern histogram keys a word row identically to its set
-// (AppendKeyWords trims the stride padding). Panics like Append, and on a
-// stride/row-count mismatch. The words may be reused by the caller after
-// the call returns.
+// layout the binary probe wire format carries, so wire ingest materializes
+// no per-snapshot bitset. The window store holds its columns column-major;
+// it transposes each whole, word-aligned 64-row block of the batch into
+// them (segstore.TieredStore.AppendBatchWords) and scatters the rows
+// around the blocks bit by bit. It is bit-identical to appending the rows
+// one at a time, but pays the bookkeeping once: the evictions a full
+// window's batch forces are applied as one DropOldest, and the probability
+// caches are reset once. A materialized pattern histogram is kept row by
+// row; it keys a word row identically to its set (AppendKeyWords trims the
+// stride padding). Panics like Append, and on a stride/row-count mismatch.
+// The words may be reused by the caller after the call returns.
 func (e *Empirical) AppendBatchWords(words []uint64, wordsPerRow, rows int) {
 	e.mutable("AppendBatchWords")
 	if rows == 0 {
@@ -254,32 +256,30 @@ func (e *Empirical) AppendBatchWords(words []uint64, wordsPerRow, rows int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	c := e.store.Capacity()
-	if d := e.store.Snapshots() + rows - c; c > 0 && d > 0 && d <= e.store.Snapshots() {
-		// The batch displaces exactly the d oldest retained snapshots:
-		// forget their histogram entries row by row, then move the window
-		// start once. (A batch larger than the whole window — d exceeding
-		// the retained count — falls through to the per-row loop, where
-		// AppendEvictWords handles the mid-batch evictions.)
-		if e.patterns != nil {
-			for t := 0; t < d; t++ {
-				e.store.RowInto(t, e.evictScratch)
+	if e.patterns != nil && c > 0 && rows > c {
+		// A batch larger than the whole window evicts rows it appended
+		// itself: go row by row so the histogram forgets each one.
+		for r := 0; r < rows; r++ {
+			row := words[r*wordsPerRow : (r+1)*wordsPerRow]
+			if e.store.AppendEvictWords(row, e.evictScratch) {
 				e.forgetPattern(e.evictScratch)
 			}
+			e.recordPatternWords(row)
 		}
-		e.store.DropOldest(d)
+		e.resetCaches()
+		return
 	}
-	// Only the pattern histogram consumes evicted rows; when it is not
-	// materialized, let the store skip producing them.
-	ev := e.evictScratch
-	if e.patterns == nil {
-		ev = nil
-	}
-	for r := 0; r < rows; r++ {
-		row := words[r*wordsPerRow : (r+1)*wordsPerRow]
-		if e.store.AppendEvictWords(row, ev) && ev != nil {
-			e.forgetPattern(ev)
+	if d := e.store.Snapshots() + rows - c; e.patterns != nil && c > 0 {
+		// The batch displaces the d oldest retained snapshots: forget
+		// their histogram entries before the store drops them.
+		for t := 0; t < d; t++ {
+			e.store.RowInto(t, e.evictScratch)
+			e.forgetPattern(e.evictScratch)
 		}
-		e.recordPatternWords(row)
+	}
+	e.store.AppendBatchWords(words, wordsPerRow, rows)
+	for r := 0; e.patterns != nil && r < rows; r++ {
+		e.recordPatternWords(words[r*wordsPerRow : (r+1)*wordsPerRow])
 	}
 	e.resetCaches()
 }

@@ -1,6 +1,7 @@
 package segstore
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -141,6 +142,7 @@ func FuzzWindow(f *testing.F) {
 	f.Add([]byte{1, 1, 0x80, 0x80, 0x80})
 	f.Add([]byte{7, 64, 0xaa, 0x55, 0xee})
 	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{66, 6, 0x40, 13, 127}, 12))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -228,14 +230,18 @@ func FuzzWindow(f *testing.F) {
 // record in 64-row chunks (so longer inputs span several, the last one
 // short) while a plain shadow slice keeps the rows. The finished record's
 // counts and rows must match a recount over the shadow, and it must equal
-// a record built from the shadow bit by bit (fromRows). No input may
-// panic; byte-derived series indices are kept in range (out-of-range
-// appends are a documented panic).
+// a record built from the shadow bit by bit (fromRows). The same rows,
+// split into batches whose sizes the input bytes pick, also go through a
+// 64-row-chunk window store's AppendBatchWords, which must hold the same
+// rows and counts and seal every whole chunk. No input may panic;
+// byte-derived series indices are kept in range (out-of-range appends are
+// a documented panic).
 func FuzzAppend(f *testing.F) {
 	f.Add([]byte{3, 8, 0x01, 0x02, 0xff, 0x00})
 	f.Add([]byte{1, 1, 0x80, 0x80, 0x80})
 	f.Add([]byte{7, 64, 0xaa, 0x55, 0xee})
 	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{66, 6, 0x40, 13, 127}, 12))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
@@ -292,6 +298,37 @@ func FuzzAppend(f *testing.F) {
 		}
 		if !equalColumns(rec, fromRows(series, shadow, recordChunkRows)) {
 			t.Fatal("appended record does not equal a bit-by-bit record over the same rows")
+		}
+
+		ts, err := NewTiered(series, 0, Options{SegmentRows: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ts.Close()
+		wpr := (series + wordBits - 1) / wordBits
+		words := make([]uint64, len(shadow)*wpr)
+		for r, row := range shadow {
+			copy(words[r*wpr:], row.Words())
+		}
+		for at, k := 0, 0; at < len(shadow); k++ {
+			n := int(data[k%len(data)]) % 150
+			if n == 0 && k >= len(data) {
+				n = len(shadow) // the bytes may pick only empty batches
+			}
+			n = min(n, len(shadow)-at)
+			ts.AppendBatchWords(words[at*wpr:(at+n)*wpr], wpr, n)
+			at += n
+		}
+		if !equalColumns(&ts.Columns, rec) {
+			t.Fatal("batch-appended window does not equal the record over the same rows")
+		}
+		for i := 0; i < series; i++ {
+			if got, want := ts.CongestedCount(i), rec.CongestedCount(i); got != want {
+				t.Fatalf("series %d: batch-appended count %d, record %d", i, got, want)
+			}
+		}
+		if got, want := ts.SealedSegments(), len(shadow)/64; got != want {
+			t.Fatalf("batch-appended window sealed %d chunks, want %d", got, want)
 		}
 	})
 }

@@ -307,16 +307,46 @@ func (s *segment) transposeBlock(w int, rows []uint64) {
 }
 
 // transpose64 transposes the 64×64 bit matrix m in place: bit j of m[i]
-// trades places with bit i of m[j]. Each round swaps the off-diagonal
-// quadrants of every block of size 2j (Hacker's Delight §7-3, for bits
-// numbered from the least significant end).
+// trades places with bit i of m[j]. Round j swaps the off-diagonal j×j
+// quadrants of every 2j×2j block (Hacker's Delight §7-3, for bits numbered
+// from the least significant end). Each round walks its blocks through
+// fixed-size array pointers, so the compiler drops the bounds checks; the
+// last two rounds run together on each 4-word block, which they alone
+// touch.
 func transpose64(m *[wordBits]uint64) {
-	mask := uint64(0x00000000ffffffff)
-	for j := wordBits / 2; j != 0; j, mask = j>>1, mask^mask<<uint(j>>1) {
-		for k := 0; k < wordBits; k = (k + j + 1) &^ j {
-			t := (m[k]>>uint(j) ^ m[k+j]) & mask
-			m[k] ^= t << uint(j)
-			m[k+j] ^= t
+	for k := 0; k < 32; k++ {
+		m[k], m[k+32] = swapBits(m[k], m[k+32], 32, 0x00000000ffffffff)
+	}
+	for b := 0; b < wordBits; b += 32 {
+		h := (*[32]uint64)(m[b:])
+		for k := 0; k < 16; k++ {
+			h[k], h[k+16] = swapBits(h[k], h[k+16], 16, 0x0000ffff0000ffff)
 		}
 	}
+	for b := 0; b < wordBits; b += 16 {
+		h := (*[16]uint64)(m[b:])
+		for k := 0; k < 8; k++ {
+			h[k], h[k+8] = swapBits(h[k], h[k+8], 8, 0x00ff00ff00ff00ff)
+		}
+	}
+	for b := 0; b < wordBits; b += 8 {
+		h := (*[8]uint64)(m[b:])
+		for k := 0; k < 4; k++ {
+			h[k], h[k+4] = swapBits(h[k], h[k+4], 4, 0x0f0f0f0f0f0f0f0f)
+		}
+	}
+	for b := 0; b < wordBits; b += 4 {
+		h := (*[4]uint64)(m[b:])
+		h[0], h[2] = swapBits(h[0], h[2], 2, 0x3333333333333333)
+		h[1], h[3] = swapBits(h[1], h[3], 2, 0x3333333333333333)
+		h[0], h[1] = swapBits(h[0], h[1], 1, 0x5555555555555555)
+		h[2], h[3] = swapBits(h[2], h[3], 1, 0x5555555555555555)
+	}
+}
+
+// swapBits exchanges the bits of a under mask<<j with the bits of b under
+// mask.
+func swapBits(a, b uint64, j uint, mask uint64) (uint64, uint64) {
+	t := (a>>j ^ b) & mask
+	return a ^ t<<j, b ^ t
 }

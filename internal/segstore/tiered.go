@@ -229,6 +229,13 @@ func (ts *TieredStore) AppendEvictWords(rowWords []uint64, evicted *bitset.Set) 
 	} else if evicted != nil {
 		evicted.Clear()
 	}
+	ts.appendRow(rowWords)
+	return didEvict
+}
+
+// appendRow scatters one packed row into the write buffer bit by bit and
+// seals the buffer when the row fills it. The window must have room.
+func (ts *TieredStore) appendRow(rowWords []uint64) {
 	a := ts.active
 	r := ts.n - a.base
 	w, mask := r/wordBits, uint64(1)<<uint(r%wordBits)
@@ -253,7 +260,85 @@ func (ts *TieredStore) AppendEvictWords(rowWords []uint64, evicted *bitset.Set) 
 	if r+1 == ts.segRows {
 		ts.seal()
 	}
-	return didEvict
+}
+
+// AppendBatchWords appends rows snapshots presented as packed word-rows,
+// wordsPerRow = ⌈series/64⌉ words each, back to back in words. It is
+// bit-identical to AppendEvictWords on each row in turn with no evicted
+// set: the oldest snapshots the batch displaces are dropped first, and a
+// batch larger than the whole window goes row by row. Each whole 64-row
+// block that starts on a word boundary of the write buffer is transposed
+// into the columns (appendBlock); the rows before and after it are
+// scattered bit by bit. A bit at or past the series count panics at its
+// row, after the rows before it have been appended.
+func (ts *TieredStore) AppendBatchWords(words []uint64, wordsPerRow, rows int) {
+	if want := (ts.series + wordBits - 1) / wordBits; wordsPerRow != want {
+		panic(fmt.Sprintf("segstore: batch stride %d words, want %d for %d series", wordsPerRow, want, ts.series))
+	}
+	if c := ts.capacity; c > 0 {
+		if rows > c {
+			for r := 0; r < rows; r++ {
+				ts.AppendEvictWords(words[r*wordsPerRow:(r+1)*wordsPerRow], nil)
+			}
+			return
+		}
+		ts.DropOldest(ts.retained + rows - c)
+	}
+	for r := 0; r < rows; {
+		if (ts.n-ts.active.base)%wordBits == 0 && rows-r >= wordBits &&
+			ts.appendBlock(words[r*wordsPerRow:(r+wordBits)*wordsPerRow]) {
+			r += wordBits
+			continue
+		}
+		ts.appendRow(words[r*wordsPerRow : (r+1)*wordsPerRow])
+		r++
+	}
+}
+
+// appendBlock appends 64 packed rows starting on a word boundary of the
+// write buffer: each 64-column group g of the block is one 64×64 bit
+// transposition, after which m[i] is column 64g+i's word of the block. The
+// buffer's words for the block are still zero, so a nonzero column word is
+// stored as is and its popcount added to the column. It reports false,
+// appending nothing, when a row sets a padding bit past the series count,
+// so the caller's per-row path panics at that row.
+func (ts *TieredStore) appendBlock(block []uint64) bool {
+	nw := len(block) / wordBits
+	if r := ts.series % wordBits; r != 0 {
+		pad := ^uint64(0) << uint(r)
+		for b := nw - 1; b < len(block); b += nw {
+			if block[b]&pad != 0 {
+				return false
+			}
+		}
+	}
+	a := ts.active
+	w := (ts.n - a.base) / wordBits
+	var m [wordBits]uint64
+	for g := 0; g < nw; g++ {
+		var or uint64
+		for b := range m {
+			m[b] = block[b*nw+g]
+			or |= m[b]
+		}
+		if or == 0 {
+			continue
+		}
+		transpose64(&m)
+		base := g * wordBits
+		for i, v := range m[:min(ts.series-base, wordBits)] {
+			if v != 0 {
+				a.data[(base+i)*a.words+w] = v
+				a.meta[base+i].pop += mathbits.OnesCount64(v)
+			}
+		}
+	}
+	ts.n += wordBits
+	ts.retained += wordBits
+	if (w+1)*wordBits == ts.segRows {
+		ts.seal()
+	}
+	return true
 }
 
 // EvictOldest shrinks the window by one snapshot, reporting whether one was

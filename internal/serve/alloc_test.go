@@ -13,17 +13,35 @@ import (
 // through Window.ObserveBatchWords must be garbage-free — O(1) allocations
 // per batch means zero in the steady state, regardless of the batch's
 // snapshot count. This is the serving-layer counterpart of the
-// TestWindowedInferenceSteadyStateAllocs gate CI enforces.
+// TestWindowedInferenceSteadyStateAllocs gate CI enforces. The 64-row arm
+// posts batches into a 256-row window; the 2048-row arm has the ingest
+// workload's batch shape, whose appends run the block-transposing column
+// write across several 64-row blocks and four seals of the 4096-row
+// window's 512-row chunks per batch.
 func TestBinaryIngestSteadyStateAllocs(t *testing.T) {
+	for _, arm := range []struct {
+		name                     string
+		batch, window, snapshots int
+	}{
+		{"batch64", 64, 256, 512},
+		{"batch2048", 2048, 4096, 8192},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			checkBinaryIngestAllocs(t, arm.batch, arm.window, arm.snapshots)
+		})
+	}
+}
+
+func checkBinaryIngestAllocs(t *testing.T, batch, window, snapshots int) {
 	scn, err := tomography.BuildScenario("quickstart", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := simulateScenario(scn, 512, 1)
+	rec, err := simulateScenario(scn, snapshots, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bodies, err := encodeStreamBinary(rec, 64)
+	bodies, err := encodeStreamBinary(rec, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +50,7 @@ func TestBinaryIngestSteadyStateAllocs(t *testing.T) {
 	// A detector that never alarms, so the measurement sees only the
 	// decode + append path and not change-point bookkeeping.
 	win, err := tomography.NewWindow(scn.Topology, tomography.WindowConfig{
-		Size:      256,
+		Size:      window,
 		Estimator: "correlation",
 		Detector:  &tomography.ChangeDetector{Warmup: math.MaxInt32, Drift: 1, Threshold: 1e18, Smoothing: 1},
 	})

@@ -50,11 +50,40 @@ func TestDaemonMatchesOfflineReplayBinary(t *testing.T) {
 	runOfflineDifferentialWire(t, Config{Shards: 2, QueueDepth: 64}, "binary")
 }
 
+// TestDaemonMatchesOfflineReplaySharedPlan re-runs the differential replay
+// with every estimator's tenant registered on the same registry scenario
+// and seed: they must hold one shared topology and plan, and still serve
+// estimates bit-identical to the offline replay while estimating through
+// that plan concurrently from two shards and a 2-worker estimate pool.
+func TestDaemonMatchesOfflineReplaySharedPlan(t *testing.T) {
+	d := runOfflineDifferentialMode(t, Config{Shards: 2, QueueDepth: 64, EstimateWorkers: 2}, "binary", true)
+	var plan *tomography.Plan
+	for name, tn := range d.tenants {
+		switch {
+		case plan == nil:
+			plan = tn.win.Plan()
+		case tn.win.Plan() != plan:
+			t.Errorf("tenant %s holds its own plan; scenario tenants on one seed should share one", name)
+		}
+	}
+	if len(d.plans.m) != 1 {
+		t.Errorf("daemon built %d scenario plans, want 1", len(d.plans.m))
+	}
+}
+
 func runOfflineDifferential(t *testing.T, cfg Config) {
 	runOfflineDifferentialWire(t, cfg, "json")
 }
 
 func runOfflineDifferentialWire(t *testing.T, cfg Config, wire string) {
+	runOfflineDifferentialMode(t, cfg, wire, false)
+}
+
+// runOfflineDifferentialMode runs one tenant per estimator against its
+// offline replay and returns the shut-down daemon. Each tenant registers
+// an inline topology built from its own scenario seed, or, with
+// sharedScenario, the registry scenario under one seed for all of them.
+func runOfflineDifferentialMode(t *testing.T, cfg Config, wire string, sharedScenario bool) *Daemon {
 	const (
 		window = 120
 		stride = 40
@@ -79,7 +108,11 @@ func runOfflineDifferentialWire(t *testing.T, cfg Config, wire string) {
 		go func(i int, est string) {
 			defer wg.Done()
 			tenant := fmt.Sprintf("diff-%s", est)
-			scn, err := tomography.BuildScenario("quickstart", seed+int64(i))
+			scnSeed := seed + int64(i)
+			if sharedScenario {
+				scnSeed = seed
+			}
+			scn, err := tomography.BuildScenario("quickstart", scnSeed)
 			if err != nil {
 				t.Errorf("%s: building scenario: %v", tenant, err)
 				return
@@ -101,15 +134,20 @@ func runOfflineDifferentialWire(t *testing.T, cfg Config, wire string) {
 			}
 			last[i] = points[len(points)-1].Result
 
-			// Register the tenant with its inline topology document.
-			var topoJSON bytes.Buffer
-			if err := scn.Topology.Encode(&topoJSON); err != nil {
-				t.Errorf("%s: encoding topology: %v", tenant, err)
-				return
+			// Register the tenant with its inline topology document, or
+			// by scenario name.
+			reg := TenantConfig{Name: tenant, Window: window, Estimator: est}
+			if sharedScenario {
+				reg.Scenario, reg.Seed = "quickstart", scnSeed
+			} else {
+				var topoJSON bytes.Buffer
+				if err := scn.Topology.Encode(&topoJSON); err != nil {
+					t.Errorf("%s: encoding topology: %v", tenant, err)
+					return
+				}
+				reg.Topology = topoJSON.Bytes()
 			}
-			regBody, _ := json.Marshal(TenantConfig{
-				Name: tenant, Topology: topoJSON.Bytes(), Window: window, Estimator: est,
-			})
+			regBody, _ := json.Marshal(reg)
 			if status, body := post(t, srv.URL+"/v1/tenants", regBody); status != http.StatusCreated {
 				t.Errorf("%s: register: status %d: %s", tenant, status, body)
 				return
@@ -206,6 +244,7 @@ func runOfflineDifferentialWire(t *testing.T, cfg Config, wire string) {
 				tenant, f.Response.CongestionProb, last[i].CongestionProb)
 		}
 	}
+	return d
 }
 
 // bitIdentical compares float slices by their IEEE-754 bits — the "no

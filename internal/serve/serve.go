@@ -65,6 +65,9 @@ type Daemon struct {
 	nextShard int
 	draining  bool
 
+	// plans shares topologies and plans among scenario tenants.
+	plans scenarioPlans
+
 	shards []*shard
 	wg     sync.WaitGroup
 
@@ -130,7 +133,7 @@ var errShuttingDown = errors.New("serve: daemon shutting down")
 // is still empty (free) so every published view carries it. Duplicate
 // names are rejected.
 func (d *Daemon) Register(cfg TenantConfig) (*Tenant, error) {
-	t, err := newTenant(cfg, d.cfg.SpillDir, d.cfg.SpillSegmentRows)
+	t, err := newTenant(cfg, &d.plans, d.cfg.SpillDir, d.cfg.SpillSegmentRows)
 	if err != nil {
 		return nil, err
 	}

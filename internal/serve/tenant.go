@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	tomography "repro"
@@ -76,12 +77,54 @@ func (t *Tenant) Seen() int64 { return int64(t.view.Load().seen) }
 // the latest published view.
 func (t *Tenant) ChangePoints() int64 { return int64(t.view.Load().changePoints) }
 
-// newTenant validates a TenantConfig and builds the tenant (plan compiled,
-// window empty). The shard index is assigned by the daemon, which also
-// passes its configured spill directory down to the window; a non-empty
-// spillDir gives the tenant an out-of-core window whose segments live
-// under its own escaped-name subdirectory.
-func newTenant(cfg TenantConfig, spillDir string, spillSegRows int) (*Tenant, error) {
+// scenarioPlans shares one topology and one lazily compiled plan among the
+// tenants registered on the same registry scenario and seed, so the
+// scenario is built and each plan structure compiled once rather than per
+// tenant. The plan memoizes every structure under a sync.Once, so tenants
+// on different shards may estimate through it concurrently. The daemon
+// never removes a tenant, so the map holds one entry per scenario and seed
+// that a registration has named.
+type scenarioPlans struct {
+	mu sync.Mutex
+	m  map[scenarioKey]*tomography.Plan
+}
+
+type scenarioKey struct {
+	name string
+	seed int64
+}
+
+// get returns the shared plan of a scenario and seed, building the
+// scenario on first use.
+func (sp *scenarioPlans) get(name string, seed int64) (*tomography.Plan, error) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	key := scenarioKey{name, seed}
+	if p, ok := sp.m[key]; ok {
+		return p, nil
+	}
+	scn, err := tomography.BuildScenario(name, seed)
+	if err != nil {
+		return nil, err
+	}
+	p, err := tomography.Compile(scn.Topology, tomography.PlanOptions{Lazy: true})
+	if err != nil {
+		return nil, err
+	}
+	if sp.m == nil {
+		sp.m = make(map[scenarioKey]*tomography.Plan)
+	}
+	sp.m[key] = p
+	return p, nil
+}
+
+// newTenant validates a TenantConfig and builds the tenant (window empty).
+// A scenario tenant takes its topology and plan from plans; an inline
+// topology gets a plan of its own, compiled lazily. The shard index is
+// assigned by the daemon, which also passes its configured spill directory
+// down to the window; a non-empty spillDir gives the tenant an out-of-core
+// window whose segments live under its own escaped-name subdirectory.
+func newTenant(cfg TenantConfig, plans *scenarioPlans, spillDir string, spillSegRows int) (*Tenant, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("serve: register: tenant name is empty")
 	}
@@ -94,12 +137,14 @@ func newTenant(cfg TenantConfig, spillDir string, spillSegRows int) (*Tenant, er
 		return nil, fmt.Errorf("serve: register tenant %q: specify exactly one of scenario or topology", cfg.Name)
 	}
 	var top *tomography.Topology
+	var plan *tomography.Plan
 	if hasScenario {
-		scn, err := tomography.BuildScenario(cfg.Scenario, cfg.Seed)
+		var err error
+		plan, err = plans.get(cfg.Scenario, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("serve: register tenant %q: %w", cfg.Name, err)
 		}
-		top = scn.Topology
+		top = plan.Topology()
 	} else {
 		var err error
 		top, err = decodeTopology(cfg.Topology)
@@ -111,7 +156,7 @@ func newTenant(cfg TenantConfig, spillDir string, spillSegRows int) (*Tenant, er
 	if estimator == "" {
 		estimator = "correlation"
 	}
-	wcfg := tomography.WindowConfig{Size: cfg.Window, Estimator: estimator}
+	wcfg := tomography.WindowConfig{Size: cfg.Window, Estimator: estimator, Plan: plan}
 	if spillDir != "" {
 		// url.PathEscape keeps arbitrary tenant names from escaping the
 		// spill root, except that it passes dots through — escape them too

@@ -233,9 +233,11 @@ func (w *Window) Observe(congested *PathSet) bool {
 // ObserveBatchWords feeds a batch of snapshots in observation order,
 // presented as packed word-rows: rows snapshots, each wordsPerRow uint64
 // words (bit i of word w ⇒ path w*64+i congested), laid out back to back in
-// words — the exact layout the binary probe wire format carries and the
-// window's columns store, so wire ingest appends without materializing a
-// PathSet per snapshot. It is bit-identical to calling Observe on each row
+// words — the exact layout the binary probe wire format carries, so wire
+// ingest appends without materializing a PathSet per snapshot. The
+// window's columns are column-major: each whole 64-row block of the batch
+// is transposed into them, and the rows around the blocks are scattered
+// bit by bit. It is bit-identical to calling Observe on each row
 // (the detector sees the congested fraction as a popcount over each word
 // row), but the evictions the batch forces are applied in one pass and the
 // probability caches are reset once. It returns how many of the batch's
