@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,6 +145,61 @@ func TestAPIErrorStrings(t *testing.T) {
 				status, body = post(t, srv.URL+tc.path, tc.body)
 			}
 			assertError(t, status, body, tc.wantStatus, tc.wantErr)
+		})
+	}
+
+	// Oversized bodies, against a daemon whose MaxBody is far below a
+	// registration document: the cap must hold whether the client declares
+	// the length up front or streams the body chunked with none.
+	small := New(Config{Shards: 1, QueueDepth: 8, MaxBody: 64})
+	smallSrv := httptest.NewServer(small.Handler())
+	defer smallSrv.Close()
+	defer small.Shutdown(context.Background())
+	if _, err := small.Register(TenantConfig{Name: "alpha", Scenario: "quickstart", Seed: 1, Window: 100}); err != nil {
+		t.Fatal(err)
+	}
+	oversizedIngest := []byte(`{"reports":[` + strings.Repeat(`[0,1],`, 40) + `[2]]}`)
+	oversizedRegistration := mustJSON(TenantConfig{
+		Name: "a-tenant-name-long-enough-to-pass-the-cap", Scenario: "quickstart", Window: 100,
+	})
+	for _, tc := range []struct {
+		name    string
+		path    string
+		body    []byte
+		chunked bool
+		wantErr string
+	}{
+		{
+			name: "oversized ingest with Content-Length", path: "/v1/ingest?tenant=alpha",
+			body:    oversizedIngest,
+			wantErr: `serve: decode probe batch: reading body: http: request body too large`,
+		},
+		{
+			name: "oversized chunked ingest", path: "/v1/ingest?tenant=alpha",
+			body: oversizedIngest, chunked: true,
+			wantErr: `serve: decode probe batch: reading body: http: request body too large`,
+		},
+		{
+			name: "oversized registration", path: "/v1/tenants",
+			body:    oversizedRegistration,
+			wantErr: `serve: register: reading body: http: request body too large`,
+		},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			// A reader with no Len method makes the client send the body
+			// chunked, without a Content-Length header.
+			var body io.Reader = bytes.NewReader(tc.body)
+			if tc.chunked {
+				body = struct{ io.Reader }{body}
+			}
+			resp, err := http.Post(smallSrv.URL+tc.path, ContentTypeJSON, body)
+			if err != nil {
+				t.Fatalf("POST %s: %v", tc.path, err)
+			}
+			defer resp.Body.Close()
+			got, _ := io.ReadAll(resp.Body)
+			assertError(t, resp.StatusCode, string(got), http.StatusBadRequest, tc.wantErr)
 		})
 	}
 }
