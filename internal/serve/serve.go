@@ -1,14 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -214,8 +215,11 @@ func (d *Daemon) Ingest(name string, body []byte) (accepted int, err error) {
 // the decoder (ContentTypeBinary ⇒ the TOMOW1 binary columnar format,
 // anything else ⇒ JSON, so JSON stays the default). Both decoders validate
 // into the same pooled word-batch buffers, and the shard worker appends
-// those words column-wise — an accepted batch costs O(1) allocations on
-// the daemon regardless of its snapshot count.
+// those words column-wise, so decoding and appending a batch allocate
+// nothing once warm. Nothing refers to body after the call returns.
+// Through the HTTP handler, which reads the body into a pooled buffer
+// too, a warm post allocates a constant whatever its snapshot count
+// (TestIngestHandlerAllocsFlat).
 func (d *Daemon) IngestWire(name string, body []byte, contentType string) (accepted int, err error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -445,13 +449,18 @@ func (d *Daemon) handleTenants(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, d.Tenants())
 	case http.MethodPost:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, d.cfg.MaxBody))
+		body, err := d.readBody(w, r)
 		if err != nil {
 			d.writeError(w, fmt.Errorf("serve: register: reading body: %w", err))
 			return
 		}
+		// Unmarshal copies what it keeps, Topology's json.RawMessage
+		// included, and its errors hold no body bytes: the buffer can go
+		// back to the pool before the tenant is built.
 		var cfg TenantConfig
-		if err := json.Unmarshal(body, &cfg); err != nil {
+		err = json.Unmarshal(body.Bytes(), &cfg)
+		bodyPool.Put(body)
+		if err != nil {
 			d.writeError(w, fmt.Errorf("serve: register: decode: %w", err))
 			return
 		}
@@ -471,19 +480,80 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, d.cfg.MaxBody))
+	body, err := d.readBody(w, r)
 	if err != nil {
 		d.writeError(w, fmt.Errorf("serve: decode probe batch: reading body: %w", err))
 		return
 	}
-	accepted, err := d.IngestWire(r.URL.Query().Get("tenant"), body, r.Header.Get("Content-Type"))
+	// Nothing refers to the body once IngestWire returns: both decoders
+	// copy it into the pooled word batch before the queue send, their
+	// errors are formatted strings, and the metrics keep only its length.
+	// A decoder that aliased the body would break this, and
+	// TestIngestDoesNotAliasBody would catch it.
+	defer bodyPool.Put(body)
+	tenant := r.URL.Query().Get("tenant")
+	accepted, err := d.IngestWire(tenant, body.Bytes(), r.Header.Get("Content-Type"))
 	if err != nil {
 		d.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, struct {
-		Accepted int `json:"accepted"`
-	}{Accepted: accepted})
+	// A shard that has not yet taken an earlier batch is behind. When the
+	// host has no idle CPU, its worker's thread is typically queued in the
+	// kernel behind the thread serving HTTP, and without a yield it waits
+	// there until the kernel rebalances, about a scheduler tick, while
+	// more batches pile up behind it for the next estimate to wait on.
+	if d.shardBehind(tenant) {
+		yieldCPU()
+	}
+	writeAccepted(w, body.Bytes()[:0], accepted)
+}
+
+// shardBehind reports whether the named tenant's shard queue still holds
+// a batch its worker has not taken.
+func (d *Daemon) shardBehind(name string) bool {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	t, ok := d.tenants[name]
+	return ok && len(d.shards[t.shard].queue) > 0
+}
+
+// writeAccepted emits the 202 reply to an accepted ingest. It is
+// byte-identical to writeJSON of struct{ Accepted int `json:"accepted"` },
+// without encoding/json's reflection and indenting on every post. The
+// reply is built in scratch, the spent body buffer: a local array would
+// escape to the heap through the Write call.
+func writeAccepted(w http.ResponseWriter, scratch []byte, accepted int) {
+	b := append(scratch, "{\n  \"accepted\": "...)
+	b = strconv.AppendInt(b, int64(accepted), 10)
+	b = append(b, "\n}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	w.Write(b)
+}
+
+// bodyPool recycles request-body buffers across POSTs, so a post costs
+// its bytes once on the wire and not a fresh copy on the heap. A buffer
+// holds at most about twice MaxBody (a chunked body grows it by doubling).
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads a request body, capped at MaxBody, into a buffer from
+// bodyPool; the caller puts it back once nothing refers to its bytes. A
+// Content-Length within the cap sizes the buffer in one step; a larger or
+// missing one (a chunked body) takes the buffer's plain growth, so a lying
+// header cannot make it allocate past the cap.
+func (d *Daemon) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if n := r.ContentLength; n > 0 && n <= d.cfg.MaxBody {
+		// ReadFrom wants MinRead free bytes before every read, the one
+		// that meets EOF included.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, d.cfg.MaxBody)); err != nil {
+		bodyPool.Put(buf)
+		return nil, err
+	}
+	return buf, nil
 }
 
 func (d *Daemon) handleEstimate(w http.ResponseWriter, r *http.Request) {

@@ -1,13 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	tomography "repro"
+	"repro/internal/bitset"
 )
 
 // TestBackpressure429 pins the explicit-backpressure contract: when a
@@ -50,12 +56,19 @@ func TestBackpressure429(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want %q", got, "1")
 	}
 
+	if !d.shardBehind("bp") {
+		t.Fatal("shardBehind = false with two batches queued behind a parked worker")
+	}
+
 	// Release the worker; the two accepted batches (4 snapshots) must all
 	// land in the tenant's window, the bounced one must not.
 	close(release)
 	waitFor(t, "accepted batches applied", func() bool {
 		return d.Tenants()[0].Seen == 4
 	})
+	if d.shardBehind("bp") {
+		t.Fatal("shardBehind = true after the worker drained its queue")
+	}
 	if rejected := d.metrics.ingestRejected.Load(); rejected != 1 {
 		t.Fatalf("ingestRejected = %d, want 1", rejected)
 	}
@@ -168,4 +181,161 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestIngestAcceptedReply pins the 202 reply byte for byte on both wires:
+// its body, its Content-Type and no other header, all as writeJSON, the
+// encoder every other response uses, renders {"accepted": N}.
+func TestIngestAcceptedReply(t *testing.T) {
+	d := New(Config{Shards: 1, QueueDepth: 8})
+	defer d.Shutdown(context.Background())
+	if _, err := d.Register(TenantConfig{Name: "ack", Scenario: "quickstart", Seed: 1, Window: 10}); err != nil {
+		t.Fatal(err)
+	}
+	sets := make([]*bitset.Set, 12)
+	for i := range sets {
+		sets[i] = bitset.FromIndices(i % 3)
+	}
+	binaryBody, err := EncodeReportsBinary(sets, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, contentType string
+		body              []byte
+		want              string
+	}{
+		{"json", ContentTypeJSON, []byte(`{"reports":[[0],[1],[2],[0,1],[]]}`), "{\n  \"accepted\": 5\n}\n"},
+		{"binary", ContentTypeBinary, binaryBody, "{\n  \"accepted\": 12\n}\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPost, "/v1/ingest?tenant=ack", bytes.NewReader(tc.body))
+			req.Header.Set("Content-Type", tc.contentType)
+			got := httptest.NewRecorder()
+			d.Handler().ServeHTTP(got, req)
+			if got.Code != http.StatusAccepted || got.Body.String() != tc.want {
+				t.Fatalf("reply = %d %q, want %d %q", got.Code, got.Body, http.StatusAccepted, tc.want)
+			}
+			want := http.Header{"Content-Type": {"application/json"}}
+			if !reflect.DeepEqual(got.Header(), want) {
+				t.Fatalf("headers = %v, want %v", got.Header(), want)
+			}
+		})
+	}
+	for _, n := range []int{0, 1, 9, 10, 4096, math.MaxInt} {
+		got, ref := httptest.NewRecorder(), httptest.NewRecorder()
+		writeAccepted(got, nil, n)
+		writeJSON(ref, http.StatusAccepted, struct {
+			Accepted int `json:"accepted"`
+		}{Accepted: n})
+		if got.Code != ref.Code || got.Body.String() != ref.Body.String() || !reflect.DeepEqual(got.Header(), ref.Header()) {
+			t.Errorf("writeAccepted(%d) = %d %v %q, writeJSON renders %d %v %q",
+				n, got.Code, got.Header(), got.Body, ref.Code, ref.Header(), ref.Body)
+		}
+	}
+}
+
+// TestIngestDoesNotAliasBody parks the tenant's shard, posts two different
+// batches back to back on one goroutine, so the second post reads its body
+// into the buffer the first one returned to the pool, and only then lets
+// the shard apply them. The window must hold the two batches in order: its
+// estimate is bit-identical to the offline replay of the stream, where a
+// queued batch that still pointed into the reused buffer would have been
+// applied as a copy of the second batch. The window is one and a half
+// batches long, so the order of the two batches shows in the estimate too.
+func TestIngestDoesNotAliasBody(t *testing.T) {
+	const batch, window = 100, 150
+	scn, err := tomography.BuildScenario("quickstart", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := simulateScenario(scn, 2*batch, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := tomography.WindowedEstimate(scn.Topology, rec,
+		tomography.WindowConfig{Size: window}, 2*batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := points[len(points)-1].Result.CongestionProb
+	jsonBodies, err := encodeStream(rec, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binaryBodies, err := encodeStreamBinary(rec, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The test has teeth only if the wrong windows estimate differently:
+	// the second batch applied twice (an aliased first batch) or the two
+	// batches applied in the other order.
+	for name, order := range map[string][]int{"aliased": {1, 1}, "swapped": {1, 0}} {
+		if got := windowEstimate(t, scn.Topology, window, binaryBodies, order); bitIdentical(got, want) {
+			t.Fatalf("a %s window estimates the same as the right one; the test cannot tell them apart", name)
+		}
+	}
+
+	for _, wire := range []struct {
+		name, contentType string
+		bodies            [][]byte
+	}{
+		{"json", ContentTypeJSON, jsonBodies},
+		{"binary", ContentTypeBinary, binaryBodies},
+	} {
+		t.Run(wire.name, func(t *testing.T) {
+			d := New(Config{Shards: 1, QueueDepth: 8})
+			defer d.Shutdown(context.Background())
+			if _, err := d.Register(TenantConfig{Name: "alias", Scenario: "quickstart", Seed: 4, Window: window}); err != nil {
+				t.Fatal(err)
+			}
+			release := make(chan struct{})
+			d.shards[0].queue <- job{block: release}
+			waitFor(t, "worker parked on block job", func() bool { return len(d.shards[0].queue) == 0 })
+			h := d.Handler()
+			for i, body := range wire.bodies {
+				req := httptest.NewRequest(http.MethodPost, "/v1/ingest?tenant=alias", bytes.NewReader(body))
+				req.Header.Set("Content-Type", wire.contentType)
+				rw := httptest.NewRecorder()
+				h.ServeHTTP(rw, req)
+				if rw.Code != http.StatusAccepted {
+					t.Fatalf("batch %d: status %d: %s", i, rw.Code, rw.Body)
+				}
+			}
+			close(release)
+			res, err := d.Estimate(context.Background(), "alias")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SnapshotsSeen != 2*batch {
+				t.Fatalf("estimate covers %d snapshots, want %d", res.SnapshotsSeen, 2*batch)
+			}
+			if !bitIdentical(res.CongestionProb, want) {
+				t.Fatalf("estimate differs from the offline replay\n daemon:  %v\n offline: %v", res.CongestionProb, want)
+			}
+		})
+	}
+}
+
+// windowEstimate applies the numbered TOMOW1 bodies, in the given order, to
+// a fresh window and returns its estimate.
+func windowEstimate(t *testing.T, top *tomography.Topology, window int, bodies [][]byte, order []int) []float64 {
+	t.Helper()
+	win, err := tomography.NewWindow(top, tomography.WindowConfig{Size: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer win.Close()
+	var wb wordBatch
+	for _, i := range order {
+		if err := decodeReportsBinaryInto(&wb, bodies[i], top.NumPaths(), DefaultMaxBatch); err != nil {
+			t.Fatal(err)
+		}
+		win.ObserveBatchWords(wb.words, wb.wordsPerRow, wb.rows)
+	}
+	res, err := win.Estimate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.CongestionProb
 }

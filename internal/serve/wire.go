@@ -52,8 +52,8 @@ const (
 // carries it verbatim, the JSON and sparse decoders scatter indices into
 // it — the shard queue hands it to the worker, and
 // Window.ObserveBatchWords appends it column-wise. With the sync.Pool
-// recycling the buffers, an accepted batch costs O(1) allocations
-// regardless of its snapshot count.
+// recycling the buffers, decoding and appending an accepted batch
+// allocate nothing once warm, whatever its snapshot count.
 type wordBatch struct {
 	words       []uint64
 	wordsPerRow int
