@@ -38,6 +38,7 @@ func storeBenchFixture(b *testing.B, series, snapshots, segRows int) (ram, tiere
 	single = open(segstore.Options{SegmentRows: snapshots})
 	rng := rand.New(rand.NewSource(41))
 	row := bitset.New(series)
+	nw := (series + 63) / 64
 	for t := 0; t < snapshots; t++ {
 		row.Clear()
 		// Bursty fill: a few hot columns plus background noise, so segments
@@ -48,9 +49,9 @@ func storeBenchFixture(b *testing.B, series, snapshots, segRows int) (ram, tiere
 		if t%97 < 13 {
 			row.Add(series - 1 - t%7)
 		}
-		ram.AppendEvictWords(row.Words(), nil)
-		tiered.AppendEvictWords(row.Words(), nil)
-		single.AppendEvictWords(row.Words(), nil)
+		ram.AppendBatchWords(row.Words(), nw, 1)
+		tiered.AppendBatchWords(row.Words(), nw, 1)
+		single.AppendBatchWords(row.Words(), nw, 1)
 	}
 	for i := 0; i < series; i++ {
 		for d := 1; d <= 8 && i+d < series; d++ {
@@ -167,6 +168,7 @@ func BenchmarkSegmentSpill(b *testing.B) {
 	const (
 		series  = 128
 		segRows = 8192
+		nw      = (series + 63) / 64
 	)
 	rows := make([]*bitset.Set, 1024)
 	rng := rand.New(rand.NewSource(43))
@@ -184,7 +186,7 @@ func BenchmarkSegmentSpill(b *testing.B) {
 		}
 		defer ram.Close()
 		for i := 0; i < b.N; i++ {
-			ram.AppendEvictWords(rows[i%len(rows)].Words(), nil)
+			ram.AppendBatchWords(rows[i%len(rows)].Words(), nw, 1)
 		}
 		metrics["ram-append-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
@@ -197,7 +199,7 @@ func BenchmarkSegmentSpill(b *testing.B) {
 		}
 		defer tiered.Close()
 		for i := 0; i < b.N; i++ {
-			tiered.AppendEvictWords(rows[i%len(rows)].Words(), nil)
+			tiered.AppendBatchWords(rows[i%len(rows)].Words(), nw, 1)
 		}
 		metrics["spill-append-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		metrics["spilled-bytes"] = float64(tiered.SpilledBytes())

@@ -232,16 +232,16 @@ func (e *Empirical) Append(congested *bitset.Set) {
 // as packed word-rows: rows snapshots, each wordsPerRow uint64 words (bit i
 // of word w ⇒ path w*64+i congested), laid out back to back in words — the
 // layout the binary probe wire format carries, so wire ingest materializes
-// no per-snapshot bitset. The window store holds its columns column-major;
-// it transposes each whole, word-aligned 64-row block of the batch into
-// them (segstore.TieredStore.AppendBatchWords) and scatters the rows
-// around the blocks bit by bit. It is bit-identical to appending the rows
-// one at a time, but pays the bookkeeping once: the evictions a full
-// window's batch forces are applied as one DropOldest, and the probability
-// caches are reset once. A materialized pattern histogram is kept row by
-// row; it keys a word row identically to its set (AppendKeyWords trims the
-// stride padding). Panics like Append, and on a stride/row-count mismatch.
-// The words may be reused by the caller after the call returns.
+// no per-snapshot bitset. The window store stages the rows and transposes
+// each 64-row word of them into its column-major columns
+// (segstore.TieredStore.AppendBatchWords). It is bit-identical to
+// appending the rows one at a time, but resets the probability caches
+// once. A materialized pattern histogram first forgets the retained rows
+// the batch displaces, all of them for a batch larger than the window,
+// and then records the batch's rows that stay in the window; it keys a
+// word row identically to its set (AppendKeyWords trims the stride
+// padding). Panics like Append, and on a stride/row-count mismatch. The
+// words may be reused by the caller after the call returns.
 func (e *Empirical) AppendBatchWords(words []uint64, wordsPerRow, rows int) {
 	e.mutable("AppendBatchWords")
 	if rows == 0 {
@@ -255,30 +255,20 @@ func (e *Empirical) AppendBatchWords(words []uint64, wordsPerRow, rows int) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	c := e.store.Capacity()
-	if e.patterns != nil && c > 0 && rows > c {
-		// A batch larger than the whole window evicts rows it appended
-		// itself: go row by row so the histogram forgets each one.
-		for r := 0; r < rows; r++ {
-			row := words[r*wordsPerRow : (r+1)*wordsPerRow]
-			if e.store.AppendEvictWords(row, e.evictScratch) {
-				e.forgetPattern(e.evictScratch)
-			}
-			e.recordPatternWords(row)
-		}
-		e.resetCaches()
-		return
-	}
-	if d := e.store.Snapshots() + rows - c; e.patterns != nil && c > 0 {
-		// The batch displaces the d oldest retained snapshots: forget
-		// their histogram entries before the store drops them.
-		for t := 0; t < d; t++ {
+	keep := 0
+	if c := e.store.Capacity(); e.patterns != nil && c > 0 {
+		// Forget the displaced rows' histogram entries before the store
+		// drops them. Rows of the batch that leave the window within this
+		// call would come and go; they are never recorded.
+		n := e.store.Snapshots()
+		for t := 0; t < min(n+rows-c, n); t++ {
 			e.store.RowInto(t, e.evictScratch)
 			e.forgetPattern(e.evictScratch)
 		}
+		keep = max(rows-c, 0)
 	}
 	e.store.AppendBatchWords(words, wordsPerRow, rows)
-	for r := 0; e.patterns != nil && r < rows; r++ {
+	for r := keep; e.patterns != nil && r < rows; r++ {
 		e.recordPatternWords(words[r*wordsPerRow : (r+1)*wordsPerRow])
 	}
 	e.resetCaches()
@@ -315,16 +305,14 @@ func (e *Empirical) Evict() bool {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ev := e.evictScratch
-	if e.patterns == nil {
-		ev = nil
-	}
-	if !e.store.EvictOldest(ev) {
+	if e.store.Snapshots() == 0 {
 		return false
 	}
-	if ev != nil {
-		e.forgetPattern(ev)
+	if e.patterns != nil {
+		e.store.RowInto(0, e.evictScratch)
+		e.forgetPattern(e.evictScratch)
 	}
+	e.store.DropOldest(1)
 	e.resetCaches()
 	return true
 }
@@ -645,6 +633,8 @@ func (e *Empirical) PathCongestionFrequency() []float64 {
 	if n == 0 {
 		return out
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for i := range out {
 		out[i] = float64(e.cols.CongestedCount(i)) / n
 	}

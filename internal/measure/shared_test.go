@@ -103,6 +103,41 @@ func TestSharedRecordConcurrentEstimators(t *testing.T) {
 	}
 }
 
+// TestConcurrentPathCongestionFrequency pins that concurrent queries on a
+// streaming estimator are safe while its window holds staged rows (10
+// rows: less than one 64-row word), which the first count flushes into the
+// columns: two goroutines call PathCongestionFrequency at once, and both
+// must read every row. Run under -race it checks that the query holds the
+// estimator's lock around that flush.
+func TestConcurrentPathCongestionFrequency(t *testing.T) {
+	const paths, rows = 100, 10
+	e := NewStreaming(paths)
+	want := make([]float64, paths)
+	for r := 0; r < rows; r++ {
+		e.Append(bitset.FromIndices(r, 2*r+1, 99))
+		want[r] += 1.0 / rows
+		want[2*r+1] += 1.0 / rows
+		want[99] += 1.0 / rows
+	}
+	var wg sync.WaitGroup
+	got := make([][]float64, 2)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = e.PathCongestionFrequency()
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		for i, f := range got[g] {
+			if math.Abs(f-want[i]) > 1e-12 {
+				t.Fatalf("goroutine %d: path %d congested in %.2f of the snapshots, want %.2f", g, i, f, want[i])
+			}
+		}
+	}
+}
+
 // TestCloseLeavesSharedRecord pins that closing an estimator over a record
 // releases nothing of the record: another estimator over it, and one made
 // after the close, still answer bit for bit as before.

@@ -8,20 +8,27 @@ import (
 	"repro/internal/bitset"
 )
 
-// Columns is the read side of every column store in this package: the
-// sealed chunks that overlap a window, the last chunk (a window's write
-// buffer), and the window's absolute row range. Every count query is one
-// sweep over these pieces. TieredStore and TieredView embed it, and a
+// Columns is every column store in this package: the sealed chunks that
+// overlap a window, the last chunk (a window's write buffer), and the
+// window's absolute row range. Every count query is one sweep over these
+// pieces. TieredStore and TieredView embed it, a Builder fills one, and a
 // finished record (Builder.Finish) is one.
 //
-// Count queries use the handle's own scratch, so one handle serves one
-// goroutine at a time. A frozen record's handle may be cloned (Clone) for
-// each further reader.
+// It also holds the one write kernel. A writer (a Builder or a
+// TieredStore) stages its rows row-major in a stage of 64 slots, one per
+// row of the current 64-row word (stageRun); flush transposes them into
+// the chunk's column words when the word fills, and before anything reads
+// the chunk that holds them. Views and finished records own no stage and
+// never hold staged rows.
+//
+// Count queries use the handle's own scratch, and may flush, so one handle
+// serves one goroutine at a time. A frozen record's handle may be cloned
+// (Clone) for each further reader.
 type Columns struct {
 	series   int
 	segRows  int
 	capacity int // 0: unbounded
-	n        int // snapshots appended over the lifetime
+	n        int // snapshots appended over the lifetime, staged ones included
 	retained int // snapshots in the window
 
 	sealed []*segment // sealed chunks overlapping the window, oldest first
@@ -29,6 +36,13 @@ type Columns struct {
 	acc    []uint64   // CountAllGood's scratch, one chunk's words; never shared
 	frozen bool       // a finished record: no chunk ever changes again
 	rows   *rowCache  // a finished record's row-read cache; nil otherwise
+
+	// stage holds a writer's rows [n−staged, n), which are not yet in their
+	// chunk: 64 slots of ⌈series/64⌉ words, the row in slot row mod 64.
+	// Slots outside the staged rows hold stale words that flush never
+	// reads. nil for views and finished records.
+	stage  []uint64
+	staged int
 }
 
 // rowCache holds, for a finished record's handle, one 64-row block of a
@@ -85,8 +99,9 @@ const recordChunkRows = 32768
 // in RAM chunks preallocated by NewBuilder, and freezes them with Finish.
 // Rows are filled by Append in row order.
 type Builder struct {
-	cols Columns
-	next int // the row Append fills next
+	cols Columns  // cols.n counts the rows appended so far
+	rows int      // the record's row count
+	row  []uint64 // Append's packed row, ⌈series/64⌉ words
 }
 
 // NewBuilder preallocates an all-good record of rows rows over series
@@ -98,7 +113,12 @@ func NewBuilder(series, rows int) *Builder {
 
 func newBuilder(series, rows, chunkRows int) *Builder {
 	series, rows = max(series, 0), max(rows, 0)
-	b := &Builder{cols: Columns{series: series, segRows: chunkRows, n: rows, retained: rows}}
+	nw := (series + wordBits - 1) / wordBits
+	b := &Builder{
+		cols: Columns{series: series, segRows: chunkRows, stage: make([]uint64, wordBits*nw)},
+		rows: rows,
+		row:  make([]uint64, nw),
+	}
 	for base := 0; ; base += chunkRows {
 		s := newBuffer(series, min(chunkRows, rows-base), nil)
 		s.base = base
@@ -117,37 +137,94 @@ func newBuilder(series, rows, chunkRows int) *Builder {
 // past the record's last row and on a series out of range.
 func (b *Builder) Append(congested *bitset.Set) {
 	c := &b.cols
-	if b.next >= c.n {
-		panic(fmt.Sprintf("segstore: Append past the record's %d rows", c.n))
+	if c.n >= b.rows {
+		panic(fmt.Sprintf("segstore: Append past the record's %d rows", b.rows))
 	}
-	s, r := c.locate(b.next)
-	w, mask := r/wordBits, uint64(1)<<uint(r%wordBits)
-	for wi, wv := range congested.Words() {
-		for wv != 0 {
-			i := wi*wordBits + mathbits.TrailingZeros64(wv)
-			wv &= wv - 1
-			c.checkSeries(i)
-			s.data[i*s.words+w] |= mask
-		}
-	}
-	b.next++
+	w := congested.Words()
+	c.checkRow(w)
+	clear(b.row[copy(b.row, w):])
+	c.stageRun(b.row, 1)
 }
 
-// Finish sums every chunk's column popcounts and returns the frozen
-// record. The Builder must not be used afterwards.
+// Finish flushes the last staged rows and returns the frozen record. The
+// Builder must not be used afterwards.
 func (b *Builder) Finish() *Columns {
 	c := b.cols
-	b.cols = Columns{}
-	for k := 0; k <= len(c.sealed); k++ {
-		s, _, _ := c.piece(k)
-		for i := range s.meta {
-			m := &s.meta[i]
-			m.pop = bitset.PopCountWords(s.data[m.off : m.off+s.words])
-		}
-	}
+	c.flush()
+	c.n, c.retained = b.rows, b.rows
+	c.stage = nil
 	c.frozen = true
 	c.rows = new(rowCache)
+	*b = Builder{}
 	return &c
+}
+
+// stageRun stages rows packed rows of ⌈series/64⌉ words each, back to back
+// in words, as the next rows of the columns, at most the rest of the
+// current 64-row word, and flushes the word when they fill it. A row that
+// sets a series at or past the column count panics, after the rows before
+// it are staged.
+func (c *Columns) stageRun(words []uint64, rows int) {
+	nw := len(c.stage) / wordBits
+	ok := rows
+	if r := c.series % wordBits; r != 0 {
+		pad := ^uint64(0) << uint(r)
+		for j := nw - 1; j < rows*nw; j += nw {
+			if words[j]&pad != 0 {
+				ok = j / nw
+				break
+			}
+		}
+	}
+	slot := c.n % wordBits
+	copy(c.stage[slot*nw:], words[:ok*nw])
+	c.n += ok
+	c.retained += ok
+	c.staged += ok
+	if ok < rows {
+		c.checkRow(words[ok*nw : (ok+1)*nw])
+	}
+	if slot+rows == wordBits {
+		c.flush()
+	}
+}
+
+// flush moves the staged rows into the chunk that holds them: each
+// 64-column group of the stage is one 64×64 bit transposition, after which
+// m[i] is column 64g+i's word of the staged rows. The chunk's bits for
+// those rows are still zero, so each nonzero column word is ORed into the
+// chunk and its popcount added to the column.
+func (c *Columns) flush() {
+	if c.staged == 0 {
+		return
+	}
+	from := c.n - c.staged
+	s := c.chunk(from)
+	w := (from - s.base) / wordBits
+	lo, hi := from%wordBits, from%wordBits+c.staged
+	nw := len(c.stage) / wordBits
+	var m [wordBits]uint64
+	for g := 0; g < nw; g++ {
+		var or uint64
+		for b := lo; b < hi; b++ {
+			m[b] = c.stage[b*nw+g]
+			or |= m[b]
+		}
+		if or == 0 {
+			continue
+		}
+		clear(m[:lo])
+		clear(m[hi:])
+		transpose64(&m)
+		base := g * wordBits
+		for i, v := range m[:min(c.series-base, wordBits)] {
+			if v != 0 {
+				s.data[(base+i)*s.words+w] |= v
+				s.meta[base+i].pop += mathbits.OnesCount64(v)
+			}
+		}
+	}
+	c.staged = 0
 }
 
 // Clone returns another handle on a finished record: it shares every chunk
@@ -192,6 +269,8 @@ func (c *Columns) piece(k int) (s *segment, lo, hi int) {
 	s = c.active
 	if k < len(c.sealed) {
 		s = c.sealed[k]
+	} else {
+		c.flush()
 	}
 	lo, hi = overlap(s, c.n-c.retained, c.n)
 	return s, lo, hi
@@ -308,17 +387,40 @@ func (c *Columns) rowInto(abs int, dst *bitset.Set) {
 	c.rows.mu.Unlock()
 }
 
-// locate maps absolute window row abs to its chunk and chunk-relative row.
+// locate maps absolute window row abs to its chunk and chunk-relative row,
+// flushing the staged rows first when the chunk is the write buffer.
 func (c *Columns) locate(abs int) (*segment, int) {
-	if len(c.sealed) > 0 && abs < c.active.base {
-		s := c.sealed[(abs-c.sealed[0].base)/c.segRows]
-		return s, abs - s.base
+	s := c.chunk(abs)
+	if s == c.active {
+		c.flush()
 	}
-	return c.active, abs - c.active.base
+	return s, abs - s.base
+}
+
+// chunk returns the chunk that holds absolute row abs.
+func (c *Columns) chunk(abs int) *segment {
+	if len(c.sealed) > 0 && abs < c.active.base {
+		return c.sealed[(abs-c.sealed[0].base)/c.segRows]
+	}
+	return c.active
 }
 
 func (c *Columns) checkSeries(i int) {
 	if i < 0 || i >= c.series {
 		panic(fmt.Sprintf("segstore: series %d out of range (%d series)", i, c.series))
+	}
+}
+
+// checkRow panics on the lowest series at or past the column count that
+// the packed row sets; the row may hold any number of words.
+func (c *Columns) checkRow(row []uint64) {
+	for wi := c.series / wordBits; wi < len(row); wi++ {
+		v := row[wi]
+		if wi == c.series/wordBits {
+			v &^= 1<<uint(c.series%wordBits) - 1
+		}
+		if v != 0 {
+			c.checkSeries(wi*wordBits + mathbits.TrailingZeros64(v))
+		}
 	}
 }

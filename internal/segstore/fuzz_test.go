@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -160,9 +161,9 @@ func FuzzWindow(f *testing.F) {
 
 		for _, op := range data[2:] {
 			if op == 0xff {
-				did := ts.EvictOldest(evicted)
+				did := evictOldest(ts, evicted)
 				if did != (len(shadow) > 0) {
-					t.Fatalf("EvictOldest reported %v with %d retained rows", did, len(shadow))
+					t.Fatalf("evict reported %v with %d retained rows", did, len(shadow))
 				}
 				if did {
 					if !evicted.Equal(shadow[0]) {
@@ -178,9 +179,9 @@ func FuzzWindow(f *testing.F) {
 					row.Add(i)
 				}
 			}
-			did := ts.AppendEvictWords(row.Words(), evicted)
+			did := appendRow(ts, row, evicted)
 			if did != (len(shadow) == capacity) {
-				t.Fatalf("AppendEvictWords reported %v with %d/%d retained", did, len(shadow), capacity)
+				t.Fatalf("append reported %v with %d/%d retained", did, len(shadow), capacity)
 			}
 			if did {
 				if !evicted.Equal(shadow[0]) {
@@ -232,10 +233,11 @@ func FuzzWindow(f *testing.F) {
 // counts and rows must match a recount over the shadow, and it must equal
 // a record built from the shadow bit by bit (fromRows). The same rows,
 // split into batches whose sizes the input bytes pick, also go through a
-// 64-row-chunk window store's AppendBatchWords, which must hold the same
-// rows and counts and seal every whole chunk. No input may panic;
-// byte-derived series indices are kept in range (out-of-range appends are
-// a documented panic).
+// 64-row-chunk window store's AppendBatchWords, which after every batch
+// must hold the same rows, counts and seals as a window filled by the bit
+// scatter (scatterRow), and at the end the record's rows and every whole
+// chunk sealed. No input may panic; byte-derived series indices are kept
+// in range (out-of-range appends are a documented panic).
 func FuzzAppend(f *testing.F) {
 	f.Add([]byte{3, 8, 0x01, 0x02, 0xff, 0x00})
 	f.Add([]byte{1, 1, 0x80, 0x80, 0x80})
@@ -305,6 +307,11 @@ func FuzzAppend(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer ts.Close()
+		scattered, err := NewTiered(series, 0, Options{SegmentRows: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer scattered.Close()
 		wpr := (series + wordBits - 1) / wordBits
 		words := make([]uint64, len(shadow)*wpr)
 		for r, row := range shadow {
@@ -317,6 +324,8 @@ func FuzzAppend(f *testing.F) {
 			}
 			n = min(n, len(shadow)-at)
 			ts.AppendBatchWords(words[at*wpr:(at+n)*wpr], wpr, n)
+			appendRows(scattered, words[at*wpr:(at+n)*wpr], wpr, n)
+			sameStore(t, fmt.Sprintf("batch %d (%d rows)", k, n), ts, scattered, pairs, false)
 			at += n
 		}
 		if !equalColumns(&ts.Columns, rec) {

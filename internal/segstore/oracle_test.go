@@ -1,6 +1,8 @@
 package segstore
 
 import (
+	"fmt"
+	mathbits "math/bits"
 	"math/rand"
 
 	"repro/internal/bitset"
@@ -49,19 +51,58 @@ func (o rowOracle) Bit(i, t int) bool {
 }
 
 // fromRows builds a finished record from row-major rows bit by bit,
-// setting each congested bit straight in its chunk's column word — a fill
-// independent of Append — in chunks of chunkRows rows: rows[t] is the set
-// of congested series in row t.
+// setting each congested bit straight in its chunk's column word and
+// counting it in the column's popcount — a fill independent of the stage —
+// in chunks of chunkRows rows: rows[t] is the set of congested series in
+// row t.
 func fromRows(series int, rows []*bitset.Set, chunkRows int) *Columns {
 	b := newBuilder(series, len(rows), chunkRows)
 	for t, row := range rows {
-		s, r := b.cols.locate(t)
+		s := b.cols.chunk(t)
+		r := t - s.base
 		row.ForEach(func(i int) bool {
 			s.data[i*s.words+r/wordBits] |= 1 << uint(r%wordBits)
+			s.meta[i].pop++
 			return true
 		})
 	}
 	return b.Finish()
+}
+
+// scatterRow is the reference window fill, independent of the stage: it
+// appends one packed row (missing words mean all-good) to a store that
+// nothing else writes, dropping the oldest snapshot first when the window
+// is full, and scatters the row into the write buffer bit by bit, sealing
+// the buffer when the row fills it. A bit at or past the series count
+// panics, before the row counts as appended.
+func scatterRow(ts *TieredStore, rowWords []uint64) {
+	if ts.capacity > 0 && ts.retained == ts.capacity {
+		ts.DropOldest(1)
+	}
+	a := ts.active
+	r := ts.n - a.base
+	w, mask := r/wordBits, uint64(1)<<uint(r%wordBits)
+	for wi, wv := range rowWords {
+		for wv != 0 {
+			b := mathbits.TrailingZeros64(wv)
+			wv &= wv - 1
+			i := wi*wordBits + b
+			if i >= ts.series {
+				panic(fmt.Sprintf("segstore: series %d out of range (%d series)", i, ts.series))
+			}
+			m := &a.meta[i]
+			p := &a.data[m.off+w]
+			if *p&mask == 0 {
+				*p |= mask
+				m.pop++
+			}
+		}
+	}
+	ts.n++
+	ts.retained++
+	if r+1 == ts.segRows {
+		ts.seal()
+	}
 }
 
 // equalColumns reports whether two column sets hold identical rows, in

@@ -292,7 +292,7 @@ func TestCountPairsSkipsMatchOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range rows {
-			ts.AppendEvictWords(r.Words(), nil)
+			appendRow(ts, r, nil)
 		}
 		check("window", &ts.Columns, rowOracle{rows: rows[len(rows)-ts.Snapshots():]})
 		ts.Close()

@@ -20,10 +20,10 @@ type colMeta struct {
 
 // segment is one block of rows: a sealed chunk (data aliases a mapped or
 // heap-read file image, or is a RAM write buffer that was sealed as is;
-// meta is immutable either way), a window's write buffer (data is heap
-// words, pops maintained incrementally by the append), or one chunk of a
-// record (filled by a Builder, pops summed when it finishes). The count
-// kernels below serve all of them.
+// meta is immutable either way), a window's write buffer, or one chunk of a
+// record. The last two are filled by the stage's flush (Columns.flush),
+// which keeps their pops current. The count kernels below serve all of
+// them.
 type segment struct {
 	base   int // absolute index of row 0
 	rows   int

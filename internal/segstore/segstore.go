@@ -10,6 +10,10 @@
 //     that stay in RAM or, with a spill directory, go to disk;
 //   - a window's snapshot view (TieredView), sharing its sealed chunks.
 //
+// Both writers append through one kernel: rows are staged row-major, and
+// each 64-row word of them is transposed into the column words at once
+// (Columns.stageRun and flush).
+//
 // Its out-of-core tier seals chunks into fixed-size on-disk segments that
 // the count kernels read back through mmap, zero copy. A segment holds
 // SegmentRows consecutive snapshots in exactly the path-major

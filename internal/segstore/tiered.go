@@ -2,7 +2,6 @@ package segstore
 
 import (
 	"fmt"
-	mathbits "math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,25 +10,26 @@ import (
 	"repro/internal/bitset"
 )
 
-// TieredStore is the sliding-window column store: snapshots append into a
-// write buffer of SegmentRows columns-in-progress, and a full buffer is
-// sealed into an immutable chunk while the buffer restarts on the next row
-// block. Without a spill directory a sealed chunk is the buffer itself,
-// kept in RAM as is; with one (Options.Dir) it is written to disk
-// (span-compressed, checksummed, manifest-listed) and mapped back
-// read-only. Window-relative count queries sweep the sealed chunks that
-// overlap the retained window plus the write buffer (see Columns), and
-// return exactly the integer counts of a record built from the same
-// retained rows — the bit-identity the differential tests pin.
+// TieredStore is the sliding-window column store: snapshots append through
+// the stage (see Columns) into a write buffer of SegmentRows
+// columns-in-progress, and a full buffer is sealed into an immutable chunk
+// while the buffer restarts on the next row block. Without a spill
+// directory a sealed chunk is the buffer itself, kept in RAM as is; with
+// one (Options.Dir) it is written to disk (span-compressed, checksummed,
+// manifest-listed) and mapped back read-only. Window-relative count
+// queries sweep the sealed chunks that overlap the retained window plus
+// the write buffer (see Columns), and return exactly the integer counts of
+// a record built from the same retained rows — the bit-identity the
+// differential tests pin.
 //
 // The store retains at most capacity of the n appended snapshots
 // (capacity 0: all of them), and window row t addresses absolute row
-// n−retained+t. DropOldest/EvictOldest only move the window start; a
-// sealed chunk that falls wholly behind it loses the store's reference.
-// A RAM chunk's words are then recycled into a later write buffer once no
-// snapshot view holds it either, so a warm window allocates nothing. A
-// spilled segment is unmapped instead, but its file stays listed in the
-// manifest, so evicted rows remain readable through OpenReader.
+// n−retained+t. DropOldest only moves the window start; a sealed chunk
+// that falls wholly behind it loses the store's reference. A RAM chunk's
+// words are then recycled into a later write buffer once no snapshot view
+// holds it either, so a warm window allocates nothing. A spilled segment
+// is unmapped instead, but its file stays listed in the manifest, so
+// evicted rows remain readable through OpenReader.
 //
 // Append-side I/O errors panic with a "segstore:"-prefixed message: an
 // unwritable spill directory is infrastructure failure, equivalent to the
@@ -37,17 +37,18 @@ import (
 // error path worth threading one through. Decode-side errors (corrupt
 // files, bad manifests) are returned as errors by NewTiered/OpenReader.
 //
-// A TieredStore's mutating and counting methods are owned by one goroutine,
-// like the measurement windows it backs. The exceptions, built for the
+// A TieredStore's mutating and counting methods are owned by one
+// goroutine, like the measurement windows it backs; a count may flush
+// staged rows into the write buffer. The exceptions, built for the
 // read-replica serving path, are SnapshotView (called by the owner; the
 // views it returns are read by other goroutines) and
 // ReleaseMapped/AdviseSequential/Close, which synchronize on mu +
 // per-chunk reference counts so a chunk is never unmapped, recycled or
 // madvised away under a concurrent view reader.
 type TieredStore struct {
-	// Columns is the read side the store shares with its views. The owner
-	// changes Columns.sealed only under mu; its own count sweeps read it
-	// without mu.
+	// Columns holds the store's stage and chunks, and shares its sealed
+	// chunks with the store's views. The owner changes Columns.sealed only
+	// under mu; its own count sweeps read it without mu.
 	Columns
 	dir string
 
@@ -126,9 +127,13 @@ func NewTiered(series, capacity int, opts Options) (*TieredStore, error) {
 			segRows, wordBits, wordBits, maxSegmentRows)
 	}
 	ts := &TieredStore{
-		Columns: Columns{series: series, segRows: segRows, capacity: capacity, acc: make([]uint64, segRows/wordBits)},
-		dir:     opts.Dir,
-		man:     manifest{Version: formatVersion, Series: series, SegmentRows: segRows},
+		Columns: Columns{
+			series: series, segRows: segRows, capacity: capacity,
+			acc:   make([]uint64, segRows/wordBits),
+			stage: make([]uint64, (series+wordBits-1)/wordBits*wordBits),
+		},
+		dir: opts.Dir,
+		man: manifest{Version: formatVersion, Series: series, SegmentRows: segRows},
 	}
 	if opts.Dir == "" {
 		ts.active = newBuffer(series, segRows, &ts.pool)
@@ -215,147 +220,29 @@ func (ts *TieredStore) SpilledBytes() int64 { return ts.spilled }
 // Dir returns the spill directory, "" for a RAM store.
 func (ts *TieredStore) Dir() string { return ts.dir }
 
-// AppendEvictWords ingests one snapshot presented as packed words (bit i of
-// word w ⇒ series w*64+i congested), evicting the oldest retained snapshot
-// first when the window is full. It reports whether an eviction happened
-// and, when evicted is non-nil, leaves the evicted snapshot's congested
-// series in it (cleared otherwise). rowWords may carry fewer than
-// ⌈series/64⌉ words (missing words mean all-good); a bit at or past the
-// series count panics.
-func (ts *TieredStore) AppendEvictWords(rowWords []uint64, evicted *bitset.Set) bool {
-	didEvict := false
-	if ts.capacity > 0 && ts.retained == ts.capacity {
-		didEvict = ts.EvictOldest(evicted)
-	} else if evicted != nil {
-		evicted.Clear()
-	}
-	ts.appendRow(rowWords)
-	return didEvict
-}
-
-// appendRow scatters one packed row into the write buffer bit by bit and
-// seals the buffer when the row fills it. The window must have room.
-func (ts *TieredStore) appendRow(rowWords []uint64) {
-	a := ts.active
-	r := ts.n - a.base
-	w, mask := r/wordBits, uint64(1)<<uint(r%wordBits)
-	for wi, wv := range rowWords {
-		for wv != 0 {
-			b := mathbits.TrailingZeros64(wv)
-			wv &= wv - 1
-			i := wi*wordBits + b
-			if i >= ts.series {
-				panic(fmt.Sprintf("segstore: series %d out of range (%d series)", i, ts.series))
-			}
-			m := &a.meta[i]
-			p := &a.data[m.off+w]
-			if *p&mask == 0 {
-				*p |= mask
-				m.pop++
-			}
-		}
-	}
-	ts.n++
-	ts.retained++
-	if r+1 == ts.segRows {
-		ts.seal()
-	}
-}
-
 // AppendBatchWords appends rows snapshots presented as packed word-rows,
-// wordsPerRow = ⌈series/64⌉ words each, back to back in words. It is
-// bit-identical to AppendEvictWords on each row in turn with no evicted
-// set: the oldest snapshots the batch displaces are dropped first, and a
-// batch larger than the whole window goes row by row. Each whole 64-row
-// block that starts on a word boundary of the write buffer is transposed
-// into the columns (appendBlock); the rows before and after it are
-// scattered bit by bit. A bit at or past the series count panics at its
-// row, after the rows before it have been appended.
+// wordsPerRow = ⌈series/64⌉ words each, back to back in words, through the
+// stage (see Columns): in runs of at most the rest of the current 64-row
+// word and at most the window capacity, each run first dropping the oldest
+// snapshots it displaces. A batch larger than the window thus still
+// appends, seals and spills every row. A bit at or past the series count
+// panics at its row, after the rows before it have been appended.
 func (ts *TieredStore) AppendBatchWords(words []uint64, wordsPerRow, rows int) {
 	if want := (ts.series + wordBits - 1) / wordBits; wordsPerRow != want {
 		panic(fmt.Sprintf("segstore: batch stride %d words, want %d for %d series", wordsPerRow, want, ts.series))
 	}
-	if c := ts.capacity; c > 0 {
-		if rows > c {
-			for r := 0; r < rows; r++ {
-				ts.AppendEvictWords(words[r*wordsPerRow:(r+1)*wordsPerRow], nil)
-			}
-			return
-		}
-		ts.DropOldest(ts.retained + rows - c)
-	}
 	for r := 0; r < rows; {
-		if (ts.n-ts.active.base)%wordBits == 0 && rows-r >= wordBits &&
-			ts.appendBlock(words[r*wordsPerRow:(r+wordBits)*wordsPerRow]) {
-			r += wordBits
-			continue
+		run := min(rows-r, wordBits-ts.n%wordBits)
+		if c := ts.capacity; c > 0 {
+			run = min(run, c)
+			ts.DropOldest(ts.retained + run - c)
 		}
-		ts.appendRow(words[r*wordsPerRow : (r+1)*wordsPerRow])
-		r++
-	}
-}
-
-// appendBlock appends 64 packed rows starting on a word boundary of the
-// write buffer: each 64-column group g of the block is one 64×64 bit
-// transposition, after which m[i] is column 64g+i's word of the block. The
-// buffer's words for the block are still zero, so a nonzero column word is
-// stored as is and its popcount added to the column. It reports false,
-// appending nothing, when a row sets a padding bit past the series count,
-// so the caller's per-row path panics at that row.
-func (ts *TieredStore) appendBlock(block []uint64) bool {
-	nw := len(block) / wordBits
-	if r := ts.series % wordBits; r != 0 {
-		pad := ^uint64(0) << uint(r)
-		for b := nw - 1; b < len(block); b += nw {
-			if block[b]&pad != 0 {
-				return false
-			}
+		ts.stageRun(words[r*wordsPerRow:(r+run)*wordsPerRow], run)
+		r += run
+		if ts.n-ts.active.base == ts.segRows {
+			ts.seal()
 		}
 	}
-	a := ts.active
-	w := (ts.n - a.base) / wordBits
-	var m [wordBits]uint64
-	for g := 0; g < nw; g++ {
-		var or uint64
-		for b := range m {
-			m[b] = block[b*nw+g]
-			or |= m[b]
-		}
-		if or == 0 {
-			continue
-		}
-		transpose64(&m)
-		base := g * wordBits
-		for i, v := range m[:min(ts.series-base, wordBits)] {
-			if v != 0 {
-				a.data[(base+i)*a.words+w] = v
-				a.meta[base+i].pop += mathbits.OnesCount64(v)
-			}
-		}
-	}
-	ts.n += wordBits
-	ts.retained += wordBits
-	if (w+1)*wordBits == ts.segRows {
-		ts.seal()
-	}
-	return true
-}
-
-// EvictOldest shrinks the window by one snapshot, reporting whether one was
-// evicted and leaving its congested series in evicted when non-nil.
-func (ts *TieredStore) EvictOldest(evicted *bitset.Set) bool {
-	if evicted != nil {
-		evicted.Clear()
-	}
-	if ts.retained == 0 {
-		return false
-	}
-	if evicted != nil {
-		ts.rowInto(ts.n-ts.retained, evicted)
-	}
-	ts.retained--
-	ts.dropBehind()
-	return true
 }
 
 // DropOldest shrinks the window by the k oldest snapshots and returns how

@@ -55,9 +55,36 @@ func (w *windowRows) fixed() rowOracle {
 	return rowOracle{rows: w.rows}
 }
 
-// appendRow appends a set through the store's word path.
+// appendRow appends a set, which holds no word past the store's
+// ⌈series/64⌉, as a one-row AppendBatchWords. When evicted is non-nil it
+// is cleared, and a full window first reads into it the oldest snapshot,
+// which the append displaces. It reports whether one was displaced.
 func appendRow(ts *TieredStore, row, evicted *bitset.Set) bool {
-	return ts.AppendEvictWords(row.Words(), evicted)
+	full := ts.capacity > 0 && ts.retained == ts.capacity
+	if evicted != nil {
+		evicted.Clear()
+		if full {
+			ts.RowInto(0, evicted)
+		}
+	}
+	words, nw := row.Words(), (ts.series+wordBits-1)/wordBits
+	if len(words) < nw {
+		words = make([]uint64, nw)
+		copy(words, row.Words())
+	}
+	ts.AppendBatchWords(words, nw, 1)
+	return full
+}
+
+// evictOldest drops the oldest snapshot, first reading it into evicted
+// (cleared when the window is empty), and reports whether there was one.
+func evictOldest(ts *TieredStore, evicted *bitset.Set) bool {
+	evicted.Clear()
+	if ts.retained == 0 {
+		return false
+	}
+	ts.RowInto(0, evicted)
+	return ts.DropOldest(1) == 1
 }
 
 // storeModes runs a test over a RAM store and a spilling one.
@@ -144,10 +171,10 @@ func TestTieredMatchesRing(t *testing.T) {
 					if len(ref.rows) > 0 {
 						want = ref.rows[0]
 					}
-					ok := ts.EvictOldest(ev)
+					ok := evictOldest(ts, ev)
 					ref.drop(1)
 					if ok != (want != nil) || (ok && !ev.Equal(want)) {
-						t.Fatalf("step %d: EvictOldest (%v, %v), want %v", step, ok, ev, want)
+						t.Fatalf("step %d: evict (%v, %v), want %v", step, ok, ev, want)
 					}
 				default:
 					fillRow(row, series, step, 5+step%11)
@@ -159,7 +186,7 @@ func TestTieredMatchesRing(t *testing.T) {
 					ref.append(row)
 					appended++
 					if ok != (want != nil) || (ok && !ev.Equal(want)) {
-						t.Fatalf("step %d: AppendEvictWords (%v, %v), want %v", step, ok, ev, want)
+						t.Fatalf("step %d: append (%v, %v), want %v", step, ok, ev, want)
 					}
 				}
 				if step%13 == 0 || step == steps-1 {
@@ -238,8 +265,8 @@ func TestChunkRows(t *testing.T) {
 }
 
 // TestDropOldestMatchesEvictLoop pins the batched window drop against a
-// per-snapshot EvictOldest loop on a shadow store, across drop sizes within
-// one word, word-aligned, spanning words and chunks, and overshooting.
+// per-snapshot drop loop on a shadow store, across drop sizes within one
+// word, word-aligned, spanning words and chunks, and overshooting.
 func TestDropOldestMatchesEvictLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, capacity := range []int{1, 63, 64, 65, 200, 700} {
@@ -262,7 +289,7 @@ func TestDropOldestMatchesEvictLoop(t *testing.T) {
 		for _, k := range []int{0, 1, 7, 63, 64, 65, capacity / 2, capacity, capacity + 9} {
 			appendRandom(rng.Intn(capacity/2 + 1))
 			wantDropped := 0
-			for i := 0; i < k && b.EvictOldest(nil); i++ {
+			for i := 0; i < k && b.DropOldest(1) == 1; i++ {
 				wantDropped++
 			}
 			if got := a.DropOldest(k); got != wantDropped {
@@ -294,10 +321,10 @@ func TestTieredPanics(t *testing.T) {
 	ts, _ := NewTiered(2, 8, Options{})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AppendEvictWords with an out-of-range series did not panic")
+			t.Fatal("AppendBatchWords with an out-of-range series did not panic")
 		}
 	}()
-	ts.AppendEvictWords(bitset.FromIndices(5).Words(), nil)
+	ts.AppendBatchWords(bitset.FromIndices(5).Words(), 1, 1)
 }
 
 // TestChunksLeaveWindow pins that a window keeps only the chunks that
@@ -595,7 +622,7 @@ func TestRingMatchesFreshStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range rows {
-			ts.AppendEvictWords(r.Words(), nil)
+			appendRow(ts, r, nil)
 		}
 		lo := 0
 		if capacity > 0 && n > capacity {
@@ -647,7 +674,7 @@ func TestRingAppendEvict(t *testing.T) {
 	evicted := bitset.New(series)
 	evicted.Add(3) // must be cleared by the first, non-evicting append
 	for i, r := range rows {
-		did := ts.AppendEvictWords(r.Words(), evicted)
+		did := appendRow(ts, r, evicted)
 		if want := i >= capacity; did != want {
 			t.Fatalf("append %d: eviction %v, want %v", i, did, want)
 		}
@@ -674,7 +701,7 @@ func TestRingRowsAndEqual(t *testing.T) {
 	}
 	defer ts.Close()
 	for _, r := range rows {
-		ts.AppendEvictWords(r.Words(), nil)
+		appendRow(ts, r, nil)
 	}
 	got := windowRowsOf(ts)
 	if len(got) != capacity {

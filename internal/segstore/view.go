@@ -55,8 +55,11 @@ func (ts *TieredStore) SnapshotView(recycle *TieredView) *TieredView {
 	}
 	ts.mu.Unlock()
 
-	// Rows past n in the buffer are never read (every sweep stops at the
-	// window end), so only the filled words of each column are copied.
+	// A view holds no stage, so the store's staged rows go into the buffer
+	// before it is copied. Rows past n in the buffer are never read (every
+	// sweep stops at the window end), so only the filled words of each
+	// column are copied.
+	ts.flush()
 	a, b := ts.active, v.buf
 	used := (ts.n - a.base + wordBits - 1) / wordBits
 	for i := range a.meta {

@@ -147,7 +147,7 @@ func TestViewImmutable(t *testing.T) {
 			appendRow(ts, row, nil)
 			switch i % 50 {
 			case 0:
-				ts.EvictOldest(nil)
+				ts.DropOldest(1)
 			case 25:
 				ts.DropOldest(30)
 			}

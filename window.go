@@ -235,14 +235,13 @@ func (w *Window) Observe(congested *PathSet) bool {
 // words (bit i of word w ⇒ path w*64+i congested), laid out back to back in
 // words — the exact layout the binary probe wire format carries, so wire
 // ingest appends without materializing a PathSet per snapshot. The
-// window's columns are column-major: each whole 64-row block of the batch
-// is transposed into them, and the rows around the blocks are scattered
-// bit by bit. It is bit-identical to calling Observe on each row
-// (the detector sees the congested fraction as a popcount over each word
-// row), but the evictions the batch forces are applied in one pass and the
-// probability caches are reset once. It returns how many of the batch's
-// snapshots the change-point detector flagged. The words may be reused by
-// the caller after the call returns.
+// window's columns are column-major: the rows are staged and each 64-row
+// word of them is transposed into the columns, the same write path
+// Observe's one-row appends take. It is bit-identical to calling Observe
+// on each row (the detector sees the congested fraction as a popcount
+// over each word row), but the probability caches are reset once. It
+// returns how many of the batch's snapshots the change-point detector
+// flagged. The words may be reused by the caller after the call returns.
 func (w *Window) ObserveBatchWords(words []uint64, wordsPerRow, rows int) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
